@@ -24,9 +24,7 @@ from .signvectors import (
     signs_to_bits,
 )
 from .sources import (
-    NoiseSample,
     SvSourceSpec,
-    draw_noise,
     rounded_laplace_pmf,
     rounded_laplace_tail,
     sample_rounded_laplace,
@@ -93,7 +91,7 @@ from .condense import (
     seeded_condense_experiment,
     v_hat_grid,
 )
-from .hashing import ToeplitzHash, eval_hash, sample_toeplitz_hash
+from .hashing import ToeplitzHash, sample_toeplitz_hash
 from .amplify import (
     AmplifiedView,
     eve_amplified,

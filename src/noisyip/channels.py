@@ -33,6 +33,7 @@ import numpy as np
 from .errors import DimensionMismatch
 from .signvectors import SIGN_DTYPE, random_signs
 from .sources import SvSourceSpec, sample_rounded_laplace, sample_sv_source
+from .sources import laplace_from_uniform, round_half_away
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,10 +190,9 @@ def randomized_response_channel(n: int, eps: float) -> Channel:
         ys = random_signs(n, rng, size)
         keep = rng.random((size, n)) < 0.5 + p
         xhat = np.where(keep, xs, -xs).astype(SIGN_DTYPE)
-        u = rng.random(size) - 0.5
-        lap = -lap_scale * np.sign(u) * np.log1p(-2.0 * np.abs(u))
+        lap = laplace_from_uniform(rng.random(size), lap_scale)
         z = _row_ips(ys, xhat) / (2.0 * p) + lap
-        outs = (np.sign(z) * np.floor(np.abs(z) + 0.5)).astype(np.int64)
+        outs = round_half_away(z)
         return ChannelBatch(xs, ys, outs, {"flipped": xhat, "release": z})
 
     return Channel(n, "randomized_response", {"eps": eps, "p": p}, batch)

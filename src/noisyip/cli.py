@@ -26,7 +26,7 @@ import numpy as np
 from . import amplify, channels, condense, keyagreement, reconstruct
 from .errors import PreconditionViolation
 from .reporting import ExperimentReport
-from .rng import rng_from_seed, spawn_rngs
+from .rng import hash_uniform01, rng_from_seed, spawn_rngs
 from .signvectors import random_signs
 from .sources import SvSourceSpec
 
@@ -76,10 +76,14 @@ def run_chunked(
 
     done: dict[int, object] = {}
     if ckpt_path and os.path.exists(ckpt_path):
-        with open(ckpt_path) as fh:
-            saved = json.load(fh)
-        if saved.get("key") == key:
+        try:
+            with open(ckpt_path) as fh:
+                saved = json.load(fh)
+            if saved["key"] != key:
+                raise ValueError("it was written for another configuration")
             done = {int(k): v for k, v in saved["chunks"].items()}
+        except (OSError, ValueError, TypeError, KeyError, AttributeError) as exc:
+            print(f"note: ignoring checkpoint {ckpt_path}: {exc}", file=sys.stderr)
 
     pending = [i for i in range(num_chunks) if i not in done]
 
@@ -109,8 +113,11 @@ def run_chunked(
 
 
 def _save_ckpt(path, key, done):
-    with open(path, "w") as fh:
+    # write-then-rename, so an interrupted write never leaves a torn file
+    tmp = f"{path}.tmp"
+    with open(tmp, "w") as fh:
         json.dump({"key": key, "chunks": {str(k): v for k, v in done.items()}}, fh)
+    os.replace(tmp, path)
 
 
 def _rate_metric(report, name, hits, trials):
@@ -158,21 +165,25 @@ def _build_estimator(spec: str, z, eps, rng):
 
 
 def _replay_estimator(path: str, n: int):
-    with open(path) as fh:
-        data = json.load(fh)
-    if int(data.get("n", -1)) != n:
-        raise ConfigError(f"replay file is for n={data.get('n')}, expected {n}")
-    table = data["answers"]
-    default = int(data.get("default", 0))
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+        file_n = int(data["n"])
+        table = {str(k): int(v) for k, v in data["answers"].items()}
+        default = int(data.get("default", 0))
+    except (OSError, ValueError, TypeError, KeyError, AttributeError) as exc:
+        raise ConfigError(f"cannot read replay file {path!r}: {exc!r}") from exc
+    if file_n != n:
+        raise ConfigError(f"replay file is for n={file_n}, expected {n}")
 
     def batch(R):
         out = np.empty(R.shape[0], dtype=np.int64)
         for idx in range(R.shape[0]):
             key = "".join("+" if v == 1 else "-" for v in R[idx])
-            out[idx] = int(table.get(key, default))
+            out[idx] = table.get(key, default)
         return out
 
-    return reconstruct.EstimatorHandle(batch, n=n, label=f"replay:{path}")
+    return reconstruct.EstimatorHandle.from_signs(batch, n)
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +411,6 @@ def _gl_run(n: int, noise: float, rng) -> bool:
     def oracle(R):
         par = R.astype(np.int64) @ x.astype(np.int64) % 2
         if noise > 0:
-            from .rng import hash_uniform01
-
             flips = hash_uniform01(R, seed) < noise
             par = par ^ flips
         return par.astype(np.uint8)
@@ -564,17 +573,35 @@ _VALIDATORS = {
 }
 
 
-def _merge_config(args) -> None:
+def _config_value(key: str, value, action: argparse.Action):
+    """A config-file value checked against its flag and converted as the flag
+    would: switches take a bool, int flags an int, float flags a number, and
+    untyped flags a string or a number."""
+    if action.nargs == 0:
+        ok = isinstance(value, bool)
+    else:
+        kinds = {int: int, float: (int, float)}.get(action.type, (str, int, float))
+        ok = isinstance(value, kinds) and not isinstance(value, bool)
+        value = (action.type or str)(value) if ok else value
+    if not ok or (action.choices is not None and value not in action.choices):
+        raise ConfigError(f"invalid value for config key {key!r}: {value!r}")
+    return value
+
+
+def _merge_config(args, parser: argparse.ArgumentParser) -> None:
     file_cfg = {}
     if args.config:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for a in sub.choices[args.subcommand]._actions}
     for key, value in file_cfg.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        if attr not in actions or not hasattr(args, attr):
             raise ConfigError(f"unknown config key {key!r}")
+        value = _config_value(key, value, actions[attr])
         if getattr(args, attr) is None:
             setattr(args, attr, value)
     for key, value in _DEFAULTS.items():
@@ -601,27 +628,24 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _merge_config(args)
+        _merge_config(args, parser)
         start = time.monotonic()
         report = _COMMANDS[args.subcommand](args)
         wall = time.monotonic() - start
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        payload = (
+            report.to_json_bytes() if args.format == "json" else report.to_csv_bytes()
+        )
+        if args.out:
+            with open(args.out, "wb") as fh:
+                fh.write(payload)
+        else:
+            sys.stdout.buffer.write(payload)
     except PreconditionViolation as exc:
         print(f"precondition violation: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # bad input, or a file that cannot be used
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    payload = (
-        report.to_json_bytes() if args.format == "json" else report.to_csv_bytes()
-    )
-    if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.buffer.write(payload)
     print(f"[noisyip] {args.subcommand} done in {wall:.2f}s", file=sys.stderr)
     return 0
 

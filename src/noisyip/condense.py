@@ -37,7 +37,7 @@ from .errors import PreconditionViolation, UnsupportedModel
 from .rng import hash_uniform01, rng_from_seed, spawn_rngs
 from .signvectors import random_signs
 from .reconstruct import _vote_values, sample_offset
-from .sources import SvSourceSpec
+from .sources import SvSourceSpec, laplace_from_uniform, round_half_away
 
 
 class _Abort:
@@ -137,11 +137,8 @@ class OpenTranscriptEstimator(TripletEstimator):
         y = np.asarray(t.message("y"), dtype=np.int64)
         answers = R.astype(np.int64) @ (x * y)
         if self.noise_scale > 0:
-            u = hash_uniform01(R, self.noise_seed) - 0.5
-            w = -self.noise_scale * np.sign(u) * np.log1p(-2.0 * np.abs(u))
-            answers = answers + (np.sign(w) * np.floor(np.abs(w) + 0.5)).astype(
-                np.int64
-            )
+            u = hash_uniform01(R, self.noise_seed)
+            answers += round_half_away(laplace_from_uniform(u, self.noise_scale))
         return answers
 
 

@@ -50,10 +50,6 @@ def sample_toeplitz_hash(n: int, m: int, rng: np.random.Generator) -> ToeplitzHa
     return ToeplitzHash(n=n, m=m, diag=diag, offset=offset)
 
 
-def eval_hash(h: ToeplitzHash, xbits: np.ndarray) -> np.ndarray:
-    return h.hash_bits(xbits)
-
-
 def all_toeplitz_hashes(n: int, m: int):
     """Iterate the entire affine family (2^(n+2m-1) members); small n, m only."""
     d_bits = n + m - 1

@@ -172,9 +172,8 @@ def agreement_rate(
         size = min(batch_size, trials - done)
         batch = run_ka_rounds(channel, ell, size, rng)
         agree = batch.o_a == batch.o_b
-        assert np.all(
-            np.abs(batch.outs[agree] - batch.ips[agree]) < ell
-        ), "agreement without out(t) being ell-close to <x,y>"
+        if not np.all(np.abs(batch.outs[agree] - batch.ips[agree]) < ell):
+            raise RuntimeError("agreement without out(t) being ell-close to <x,y>")
         hits += int(np.count_nonzero(agree))
         done += size
     return _rate_report(hits, trials)

@@ -22,6 +22,7 @@ for the Monte Carlo paths.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import PreconditionViolation
-from .rng import spawn_rngs
+from .rng import keyed_uniform01, spawn_rngs
 from .signvectors import (
     SIGN_DTYPE,
     as_signs,
@@ -38,8 +39,10 @@ from .signvectors import (
     packed_bit,
     packed_inner_products,
     random_packed,
+    random_signs,
+    unpack_signs,
 )
-from .sources import rounded_laplace_tail, sample_rounded_laplace
+from .sources import laplace_from_uniform, round_half_away, rounded_laplace_tail
 
 # ---------------------------------------------------------------------------
 # The three-valued offset vote
@@ -225,132 +228,83 @@ def vote_on_bit(
 # Estimator handles
 # ---------------------------------------------------------------------------
 
-_MEMOIZE_MAX_N = 20
-
 
 class EstimatorHandle:
     """Query wrapper around an inner-product estimator.
 
-    Answers are clipped to [-n, n] (an estimator may always do this without
-    losing accuracy, since |<z,r>| <= n).  A monotone query counter tracks
-    oracle usage.  For n <= 20 queries are memoized by default so that a
-    randomized estimator behaves as one fixed function of r, as the
-    brute-force oracle requires; for larger n fresh randomness per query is
-    statistically indistinguishable from a fixed random function because
-    query points essentially never repeat.
-
-    Built-in estimators additionally expose a packed-query fast path
-    (queries as uint64 bit lanes, see ``noisyip.signvectors.pack_signs``)
-    used by the streaming attack loops; semantics are identical to the
-    sign-matrix interface.
+    The estimator is one pure function of packed queries (uint64 bit lanes,
+    see ``noisyip.signvectors.pack_signs``): the same r always gets the same
+    answer, whichever thread, batch or order asks for it, which is the fixed
+    function f the attack model assumes.  Sign-valued estimators are wrapped
+    with :meth:`from_signs`.  Answers are clipped to [-n, n] (an estimator
+    may always do this without losing accuracy, since |<z,r>| <= n), and a
+    lock-protected counter tracks oracle usage across threads.
     """
 
-    def __init__(
-        self,
-        batch_fn: Callable[[np.ndarray], np.ndarray],
-        n: int,
-        memoize: bool | None = None,
-        label: str = "estimator",
-        packed_fn: Callable[[np.ndarray], np.ndarray] | None = None,
-    ):
-        self._batch_fn = batch_fn
+    def __init__(self, packed_fn: Callable[[np.ndarray], np.ndarray], n: int):
         self._packed_fn = packed_fn
         self.n = int(n)
-        self.label = label
-        self.memoize = (n <= _MEMOIZE_MAX_N) if memoize is None else memoize
-        self._memo: dict[bytes, int] = {}
         self._queries = 0
+        self._lock = threading.Lock()
+
+    @classmethod
+    def from_signs(cls, batch_fn, n: int) -> "EstimatorHandle":
+        """Wrap an estimator of sign-matrix queries, (m, n) -> (m,) answers."""
+        return cls(lambda P: batch_fn(unpack_signs(P, n)), n)
 
     @property
     def query_count(self) -> int:
         return self._queries
 
-    @property
-    def supports_packed(self) -> bool:
-        return self._packed_fn is not None and not self.memoize
-
     def query(self, r) -> int:
         return int(self.query_batch(np.asarray(r, dtype=SIGN_DTYPE)[None, :])[0])
 
     def query_batch(self, R: np.ndarray) -> np.ndarray:
-        R = np.ascontiguousarray(R, dtype=SIGN_DTYPE)
+        R = np.asarray(R)
         if R.ndim != 2 or R.shape[1] != self.n:
             raise ValueError(f"expected queries of shape (m, {self.n})")
-        self._queries += R.shape[0]
-        if not self.memoize:
-            return np.clip(self._batch_fn(R), -self.n, self.n).astype(np.int64)
-        out = np.empty(R.shape[0], dtype=np.int64)
-        missing = []
-        for idx in range(R.shape[0]):
-            key = R[idx].tobytes()
-            if key in self._memo:
-                out[idx] = self._memo[key]
-            else:
-                missing.append(idx)
-        if missing:
-            answers = np.clip(
-                self._batch_fn(R[missing]), -self.n, self.n
-            ).astype(np.int64)
-            for pos, idx in enumerate(missing):
-                self._memo[R[idx].tobytes()] = int(answers[pos])
-                out[idx] = answers[pos]
-        return out
+        return self._answer(pack_signs(R))
 
     def query_packed(self, P: np.ndarray) -> np.ndarray:
-        if not self.supports_packed:
-            raise ValueError(f"{self.label} has no packed fast path")
-        self._queries += P.shape[0]
+        return self._answer(P)
+
+    def _answer(self, P: np.ndarray) -> np.ndarray:
+        with self._lock:
+            self._queries += P.shape[0]
         return np.clip(self._packed_fn(P), -self.n, self.n).astype(np.int64)
 
 
 def exact_estimator(z) -> EstimatorHandle:
     """f(r) = <z, r> exactly."""
-    z64 = as_signs(z).astype(np.int64)
-    n = len(z64)
-    z_packed = pack_signs(z64.astype(SIGN_DTYPE))[0]
-
-    def batch(R):
-        return R.astype(np.int64) @ z64
-
-    def packed(P):
-        return packed_inner_products(P, z_packed, n)
-
-    return EstimatorHandle(batch, n=n, label="exact", packed_fn=packed)
+    z = as_signs(z)
+    n = len(z)
+    z_packed = pack_signs(z)[0]
+    return EstimatorHandle(lambda P: packed_inner_products(P, z_packed, n), n)
 
 
 def zero_estimator(n: int) -> EstimatorHandle:
     """f(r) = 0 for every r (the trivial estimator)."""
-
-    def batch(R):
-        return np.zeros(R.shape[0], dtype=np.int64)
-
-    def packed(P):
-        return np.zeros(P.shape[0], dtype=np.int64)
-
-    return EstimatorHandle(batch, n=n, label="zero", packed_fn=packed)
+    return EstimatorHandle(lambda P: np.zeros(P.shape[0], dtype=np.int64), n)
 
 
 def laplace_estimator(z, scale: float, rng: np.random.Generator) -> EstimatorHandle:
-    """f(r) = <z, r> + rounded Laplace(scale) noise, fresh per query.
+    """f(r) = <z, r> + rounded Laplace(scale) noise keyed by the query.
 
-    With memoization (the default at small n) the handle defines one fixed
-    noisy table over {-1,+1}^n for the whole run.
+    One 63-bit key is drawn from ``rng``; the noise at r is the rounded
+    Laplace transform of ``keyed_uniform01(r, key)``.  The handle is
+    therefore one fixed noisy table over {-1,+1}^n, and the noise of
+    distinct queries is independent Laplace up to the quality of the mixer.
     """
-    z64 = as_signs(z).astype(np.int64)
-    n = len(z64)
-    z_packed = pack_signs(z64.astype(SIGN_DTYPE))[0]
-
-    def batch(R):
-        ips = R.astype(np.int64) @ z64
-        return ips + sample_rounded_laplace(scale, rng, size=R.shape[0])
+    z = as_signs(z)
+    n = len(z)
+    z_packed = pack_signs(z)[0]
+    key = int(rng.integers(0, 2**63))
 
     def packed(P):
-        ips = packed_inner_products(P, z_packed, n)
-        return ips + sample_rounded_laplace(scale, rng, size=P.shape[0])
+        noise = round_half_away(laplace_from_uniform(keyed_uniform01(P, key), scale))
+        return packed_inner_products(P, z_packed, n) + noise
 
-    return EstimatorHandle(
-        batch, n=n, label=f"laplace({scale:g})", packed_fn=packed
-    )
+    return EstimatorHandle(packed, n)
 
 
 # ---------------------------------------------------------------------------
@@ -390,9 +344,7 @@ def certify_estimator(
     done = 0
     while done < trials:
         size = min(batch_size, trials - done)
-        R = (2 * rng.integers(0, 2, size=(size, n), dtype=SIGN_DTYPE) - 1).astype(
-            SIGN_DTYPE
-        )
+        R = random_signs(n, rng, size)
         answers = f.query_batch(R)
         ips = R.astype(np.int64) @ z64
         hits += int(np.count_nonzero(np.abs(answers - ips) < ell))
@@ -433,76 +385,6 @@ def default_num_samples(n: int) -> int:
     return 64 * n**3
 
 
-def _bit_vote_sum_packed(
-    i: int,
-    z_minus_i: np.ndarray,
-    f: EstimatorHandle,
-    ell: int,
-    num_samples: int,
-    rng: np.random.Generator,
-    batch_size: int,
-) -> int:
-    """Streaming vote accumulation over packed queries.
-
-    The partial product <z_{-i}, r_{-i}> is derived from a padded copy of z
-    with an arbitrary +1 filler at position i, whose contribution r_i is
-    subtracted back out; position i of z itself is never read.
-    """
-    n = len(z_minus_i) + 1
-    z_pad = np.empty(n, dtype=SIGN_DTYPE)
-    z_pad[:i] = z_minus_i[:i]
-    z_pad[i] = 1  # filler, cancelled below
-    z_pad[i + 1 :] = z_minus_i[i:]
-    z_packed = pack_signs(z_pad)[0]
-    total = 0
-    done = 0
-    while done < num_samples:
-        size = min(batch_size, num_samples - done)
-        P = random_packed(n, size, rng)
-        answers = f.query_packed(P)
-        r_i = 1 - 2 * packed_bit(P, i)
-        partial = packed_inner_products(P, z_packed, n) - r_i
-        residuals = answers - partial
-        ks = sample_offset(n, ell, rng, size=size)
-        total += int(_vote_values(residuals, ks, r_i).sum())
-        done += size
-    return total
-
-
-def _bit_vote_sum(
-    i: int,
-    z_minus_i: np.ndarray,
-    f: EstimatorHandle,
-    ell: int,
-    num_samples: int,
-    rng: np.random.Generator,
-    batch_size: int,
-) -> int:
-    if f.supports_packed:
-        return _bit_vote_sum_packed(
-            i, z_minus_i, f, ell, num_samples, rng, batch_size
-        )
-    n = len(z_minus_i) + 1
-    z0 = np.zeros(n, dtype=np.int64)
-    z0[:i] = z_minus_i[:i]
-    z0[i + 1 :] = z_minus_i[i:]
-    total = 0
-    done = 0
-    while done < num_samples:
-        size = min(batch_size, num_samples - done)
-        nbytes = size * ((n + 7) // 8)
-        bits = np.unpackbits(
-            np.frombuffer(rng.bytes(nbytes), dtype=np.uint8)
-        ).reshape(size, -1)[:, :n]
-        R = (1 - 2 * bits.astype(np.int8)).astype(SIGN_DTYPE)
-        answers = f.query_batch(R)
-        residuals = answers - R.astype(np.int64) @ z0
-        ks = sample_offset(n, ell, rng, size=size)
-        total += int(_vote_values(residuals, ks, R[:, i]).sum())
-        done += size
-    return total
-
-
 def reconstruct_bit(
     i: int,
     z_minus_i,
@@ -514,13 +396,29 @@ def reconstruct_bit(
 ) -> int:
     """Recover z_i as the sign of the mean vote over fresh (r, offset) draws.
 
-    Ties resolve to -1 (sign(v) is +1 for v > 0 and -1 otherwise), so the
-    trivial zero estimator deterministically outputs -1.
+    Queries stream as packed batches.  The partial product <z_{-i}, r_{-i}>
+    is derived from a padded copy of z with an arbitrary +1 filler at
+    position i, whose contribution r_i is subtracted back out; position i
+    of z itself is never read.  Ties resolve to -1 (sign(v) is +1 for v > 0
+    and -1 otherwise), so the trivial zero estimator deterministically
+    outputs -1.
     """
     if num_samples < 1:
         raise ValueError("num_samples must be >= 1")
-    z_minus_i = np.asarray(z_minus_i, dtype=np.int64)
-    total = _bit_vote_sum(i, z_minus_i, f, ell, num_samples, rng, batch_size)
+    z_pad = np.insert(np.asarray(z_minus_i, dtype=SIGN_DTYPE), i, 1)
+    n = len(z_pad)
+    z_packed = pack_signs(z_pad)[0]
+    total = 0
+    done = 0
+    while done < num_samples:
+        size = min(batch_size, num_samples - done)
+        P = random_packed(n, size, rng)
+        answers = f.query_packed(P)
+        r_i = 1 - 2 * packed_bit(P, i)
+        partial = packed_inner_products(P, z_packed, n) - r_i
+        ks = sample_offset(n, ell, rng, size=size)
+        total += int(_vote_values(answers - partial, ks, r_i).sum())
+        done += size
     return 1 if total > 0 else -1
 
 
@@ -546,7 +444,8 @@ def reconstruct_all(
     This is the attack model in which the adversary holds all of the
     database except the bit under attack; ``frac_correct`` is the fraction
     of positions whose sign was recovered.  Per-bit work uses independent
-    spawned generator streams, so the result does not depend on ``threads``.
+    spawned generator streams and the estimator is a pure function of the
+    query, so neither the result nor the query count depends on ``threads``.
     """
     z = as_signs(z)
     n = len(z)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .signvectors import pack_bits
+
 Generator = np.random.Generator
 
 
@@ -45,32 +47,33 @@ _SPLITMIX_M2 = np.uint64(0x94D049BB133111EB)
 
 
 def _splitmix(z: np.ndarray) -> np.ndarray:
-    z = (z + _SPLITMIX_GAMMA).astype(np.uint64)
-    z = ((z ^ (z >> np.uint64(30))) * _SPLITMIX_M1).astype(np.uint64)
-    z = ((z ^ (z >> np.uint64(27))) * _SPLITMIX_M2).astype(np.uint64)
-    return (z ^ (z >> np.uint64(31))).astype(np.uint64)
+    z = z + _SPLITMIX_GAMMA
+    z ^= z >> np.uint64(30)
+    z *= _SPLITMIX_M1
+    z ^= z >> np.uint64(27)
+    z *= _SPLITMIX_M2
+    return z ^ (z >> np.uint64(31))
+
+
+def keyed_uniform01(lanes: np.ndarray, key: int) -> np.ndarray:
+    """Per-row uniforms in [0, 1), a pure function of (key, row of lanes).
+
+    A counter-based generator (Salmon et al., SC'11) whose counter is the
+    row: each uint64 lane is folded in with a multiply and a xorshift, and
+    one splitmix finalizer mixes the result.
+    """
+    with np.errstate(over="ignore"):
+        acc = np.full(lanes.shape[0], _splitmix(np.uint64(key & (2**64 - 1))))
+        for j in range(lanes.shape[1]):
+            acc ^= lanes[:, j]
+            acc *= _SPLITMIX_M1
+            acc ^= acc >> np.uint64(29)
+        acc = _splitmix(acc)
+    return (acc >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
 def hash_uniform01(rows: np.ndarray, seed: int) -> np.ndarray:
-    """Deterministic per-row uniforms in [0, 1) from sign or bit rows.
-
-    Rows are reduced to bits (positive entries map to 1), packed into 64-bit
-    lanes, and folded through a splitmix-style mixer keyed by ``seed``.
-    Used to attach *pure* (query-deterministic) noise to otherwise random
-    oracles, so that repeated evaluation at the same point returns the same
-    value.
-    """
-    rows = np.ascontiguousarray(rows)
-    if rows.ndim == 1:
-        rows = rows[None, :]
-    bits = (rows > 0).astype(np.uint8)
-    packed = np.packbits(bits, axis=1)
-    pad = (-packed.shape[1]) % 8
-    if pad:
-        packed = np.pad(packed, ((0, 0), (0, pad)))
-    lanes = packed.view(np.uint64)
-    with np.errstate(over="ignore"):
-        acc = _splitmix(np.full(lanes.shape[0], np.uint64(seed & (2**64 - 1))))
-        for j in range(lanes.shape[1]):
-            acc = _splitmix(acc ^ (lanes[:, j] + np.uint64(j)))
-    return acc.astype(np.float64) / float(2**64)
+    """Deterministic per-row uniforms in [0, 1) from sign or bit rows: rows
+    are reduced to bits (positive entries map to 1), packed into 64-bit lanes
+    and keyed through :func:`keyed_uniform01`."""
+    return keyed_uniform01(pack_bits(np.atleast_2d(rows) > 0), seed)

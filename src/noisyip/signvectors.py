@@ -147,14 +147,24 @@ def packed_width(n: int) -> int:
     return (n + 63) // 64
 
 
-def pack_signs(v) -> np.ndarray:
-    """Pack sign vector(s) into uint64 lanes: shape (..., packed_width(n))."""
-    bits = signs_to_bits(np.atleast_2d(v))
+def pack_bits(bits) -> np.ndarray:
+    """Pack rows of 0/1 entries into uint64 lanes (layout as above)."""
     packed = np.packbits(bits, axis=-1, bitorder="little")
     pad = (-packed.shape[-1]) % 8
     if pad:
         packed = np.pad(packed, [(0, 0)] * (packed.ndim - 1) + [(0, pad)])
     return packed.view(np.uint64)
+
+
+def pack_signs(v) -> np.ndarray:
+    """Pack sign vector(s) into uint64 lanes: shape (..., packed_width(n))."""
+    return pack_bits(np.atleast_2d(v) < 0)
+
+
+def unpack_signs(P: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of :func:`pack_signs` for rows of n signs: shape (m, n)."""
+    bytes_ = np.ascontiguousarray(P).view(np.uint8)
+    return bits_to_signs(np.unpackbits(bytes_, axis=-1, count=n, bitorder="little"))
 
 
 def random_packed(n: int, size: int, rng: np.random.Generator) -> np.ndarray:

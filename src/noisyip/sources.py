@@ -84,39 +84,32 @@ def sample_sv_source(
     return np.where(u < p, np.int8(1), np.int8(-1)).astype(SIGN_DTYPE)
 
 
-@dataclass(frozen=True)
-class NoiseSample:
-    """A rounded Laplace draw together with the scale it was drawn at."""
+def laplace_from_uniform(u: np.ndarray, scale: float) -> np.ndarray:
+    """Laplace(scale) by inverse CDF: -scale sign(c) log(1 - 2|c|), c = u - 1/2."""
+    c = u - 0.5
+    return -scale * np.sign(c) * np.log1p(-2.0 * np.abs(c))
 
-    value: int
-    scale: float
+
+def round_half_away(w: np.ndarray) -> np.ndarray:
+    """Round to the nearest integer, halves away from zero, as int64."""
+    return (np.sign(w) * np.floor(np.abs(w) + 0.5)).astype(np.int64)
 
 
 def sample_rounded_laplace(
     scale: float, rng: np.random.Generator, size: int | None = None
 ):
-    """Rounded Laplace noise via inverse-CDF sampling.
-
-    Draws w ~ Laplace(scale) as -scale * sign(u) * log(1 - 2|u|) for
-    u uniform on (-1/2, 1/2), then rounds to the nearest integer with
-    halves rounded away from zero.  scale = 0 degenerates to exactly 0.
+    """Rounded Laplace noise: :func:`laplace_from_uniform` of a uniform
+    draw, rounded by :func:`round_half_away`.  scale = 0 degenerates to
+    exactly 0.
     """
     if scale < 0:
         raise ValueError("scale must be non-negative")
     shape = () if size is None else (size,)
     if scale == 0:
         out = np.zeros(shape, dtype=np.int64)
-        return int(out) if size is None else out
-    u = rng.random(shape) - 0.5
-    w = -scale * np.sign(u) * np.log1p(-2.0 * np.abs(u))
-    rounded = np.sign(w) * np.floor(np.abs(w) + 0.5)
-    out = rounded.astype(np.int64)
+    else:
+        out = round_half_away(laplace_from_uniform(rng.random(shape), scale))
     return int(out) if size is None else out
-
-
-def draw_noise(scale: float, rng: np.random.Generator) -> NoiseSample:
-    """Single rounded Laplace draw as a typed record."""
-    return NoiseSample(value=sample_rounded_laplace(scale, rng), scale=scale)
 
 
 def rounded_laplace_pmf(k: int, scale: float) -> float:

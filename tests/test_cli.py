@@ -69,14 +69,19 @@ def test_byte_identical_reruns(tmp_path):
 
 
 def test_threads_do_not_change_bytes(tmp_path):
-    base = [
-        "ka", "--channel", "constant", "--n", "64", "--ell", "8",
-        "--trials", "25000", "--seed", "13",
-    ]
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    assert main(base + ["--threads", "1", "--out", str(a)]) == 0
-    assert main(base + ["--threads", "3", "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+    for base in (
+        ["ka", "--channel", "constant", "--n", "64", "--ell", "8",
+         "--trials", "25000", "--seed", "13"],
+        # a randomized estimator: its noise is keyed by the query
+        ["recon", "--estimator", "laplace", "--eps", "0.25", "--n", "64",
+         "--samples", "2000", "--seed", "7"],
+    ):
+        outs = []
+        for threads in ("1", "2", "3"):
+            out = tmp_path / f"{base[0]}{threads}.json"
+            assert main(base + ["--threads", threads, "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1] == outs[2]
 
 
 def test_checkpoint_resume_matches_fresh(tmp_path):
@@ -117,6 +122,22 @@ def test_checkpoint_resume_matches_fresh(tmp_path):
         cli_mod.run_chunked = orig
     assert resumed.read_bytes() == fresh.read_bytes()
     assert not os.path.exists(ckpt)
+
+
+def test_torn_checkpoint_resumes_to_fresh_bytes(tmp_path, capsys):
+    args = [
+        "ka", "--channel", "constant", "--n", "32", "--ell", "4",
+        "--trials", "30000", "--seed", "17",
+    ]
+    fresh = tmp_path / "fresh.json"
+    assert main(args + ["--out", str(fresh)]) == 0
+    resumed = tmp_path / "resumed.json"
+    ckpt = tmp_path / "resumed.json.ckpt"
+    ckpt.write_text('{"key": "')  # a write cut off mid-file
+    assert main(args + ["--out", str(resumed)]) == 0
+    assert "ignoring checkpoint" in capsys.readouterr().err
+    assert resumed.read_bytes() == fresh.read_bytes()
+    assert not ckpt.exists()
 
 
 def test_csv_format_and_column_order(tmp_path):
@@ -280,11 +301,13 @@ def test_search_requires_leaky_channel():
     assert code == 2
 
 
-def test_exit_code_invalid_config(capsys):
+def test_exit_code_invalid_config(tmp_path, capsys):
     assert main(["recon", "--estimator", "bogus", "--n", "16", "--seed", "1",
                  "--samples", "10", "--trials", "10"]) == 2
     assert main(["ka", "--channel", "laplace", "--n", "16", "--seed", "1",
                  "--trials", "10"]) == 2  # missing eps
+    assert main(["ka", "--channel", "exact", "--n", "16", "--seed", "1",
+                 "--trials", "10", "--out", str(tmp_path / "no" / "o.json")]) == 2
 
 
 def test_exit_code_precondition_violation(capsys):
@@ -294,6 +317,22 @@ def test_exit_code_precondition_violation(capsys):
         "--trials", "10", "--samples", "10", "--seed", "1",
     ])
     assert code == 3
+
+
+def test_exit_code_config_value_of_wrong_type(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": "64"}))
+    assert main(["ka", "--config", str(cfg), "--trials", "10"]) == 2
+    assert "'n'" in capsys.readouterr().err
+
+
+def test_exit_code_missing_replay_file(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert main([
+        "recon", "--estimator", f"replay:{missing}", "--n", "9",
+        "--ell", "1", "--trials", "10", "--samples", "10", "--seed", "1",
+    ]) == 2
+    assert "replay file" in capsys.readouterr().err
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):

@@ -101,6 +101,23 @@ def test_agreement_implies_out_close_to_ip():
     assert 0 <= report.rate <= 1
 
 
+def test_agreement_rate_rejects_agreement_far_from_ip(monkeypatch):
+    # a batch that breaks the structural implication raises a real error,
+    # which (unlike an assert) also holds under python -O
+    import noisyip.keyagreement as ka
+
+    real = ka.run_ka_rounds
+
+    def violating(channel, ell, trials, rng):
+        batch = real(channel, ell, trials, rng)  # exact channel: all agree
+        batch.outs = batch.ips + ell
+        return batch
+
+    monkeypatch.setattr(ka, "run_ka_rounds", violating)
+    with pytest.raises(RuntimeError, match="ell-close"):
+        agreement_rate(exact_ip_channel(16), 4, 100, rng_from_seed(5))
+
+
 def test_estimator_transform_identity():
     # out(t) - 2*(o_A + v) is within 3*ell of <x*y, r> whenever
     # |out(t) - <x,y>| < ell

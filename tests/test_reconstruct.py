@@ -280,20 +280,28 @@ def test_handle_clips_and_counts():
     def wild(R):
         return np.full(R.shape[0], 1000, dtype=np.int64)
 
-    h = EstimatorHandle(wild, n=n, memoize=False)
+    h = EstimatorHandle.from_signs(wild, n=n)
     R = random_signs(n, rng_from_seed(11), 5)
     assert np.all(h.query_batch(R) == n)
     assert h.query_count == 5
 
 
-def test_memoized_handle_is_a_fixed_function():
+def test_laplace_handle_is_a_fixed_function():
+    # the noise is keyed by the query, so the same r gets the same answer
+    # at every size, through the sign and the packed interfaces alike
+    from noisyip.signvectors import pack_signs
+
     rng = rng_from_seed(12)
-    z = random_signs(12, rng)
-    f = laplace_estimator(z, 2.0, rng)
-    assert f.memoize  # automatic at small n
-    r = random_signs(12, rng)
-    first = f.query(r)
-    assert all(f.query(r) == first for _ in range(10))
+    for n in (12, 256):
+        z = random_signs(n, rng)
+        f = laplace_estimator(z, 2.0, rng)
+        R = random_signs(n, rng, 50)
+        first = f.query_batch(R)
+        assert len(set(first - R.astype(np.int64) @ z)) > 1  # noise is on
+        for _ in range(10):
+            assert all(f.query(R[j]) == first[j] for j in range(3))
+            assert np.array_equal(f.query_packed(pack_signs(R)), first)
+            assert np.array_equal(f.query_batch(R[::-1]), first[::-1])
 
 
 def test_packed_and_sign_paths_agree_for_deterministic_estimators():
@@ -406,7 +414,7 @@ def test_monte_carlo_matches_brute_force_within_4_sigma():
     rng = rng_from_seed(20)
     n, ell = 12, 1
     z = random_signs(n, rng)
-    f = laplace_estimator(z, 2.0, rng)  # memoized: a fixed noisy table
+    f = laplace_estimator(z, 2.0, rng)  # a fixed noisy table
     i = 4
     mu = float(brute_force_vote_mean(i, z, f, ell))
     trials = 150_000
@@ -441,14 +449,13 @@ def test_reconstruct_bit_packed_path_with_padded_width():
     n = 70
     z = random_signs(n, rng)
     f = exact_estimator(z)
-    assert f.supports_packed
     for i in (0, 63, 64, 69):
         assert reconstruct_bit(i, np.delete(z, i), f, 2, 20_000, rng) == z[i]
 
 
 def test_sign_and_packed_pipelines_statistically_consistent():
-    # the two internal pipelines draw different randomness but implement the
-    # same attack; with the exact estimator both must recover every bit
+    # a sign-valued estimator wrapped by from_signs (its queries unpacked)
+    # answers exactly like the built-in packed one and recovers every bit
     rng = rng_from_seed(211)
     n = 48
     z = random_signs(n, rng)
@@ -457,8 +464,9 @@ def test_sign_and_packed_pipelines_statistically_consistent():
     def batch(R):
         return R.astype(np.int64) @ z.astype(np.int64)
 
-    slow = EstimatorHandle(batch, n=n, memoize=False)  # no packed path
-    assert not slow.supports_packed
+    slow = EstimatorHandle.from_signs(batch, n=n)
+    R = random_signs(n, rng, 500)
+    assert np.array_equal(slow.query_batch(R), fast.query_batch(R))
     for i in (0, 23, 47):
         a = reconstruct_bit(i, np.delete(z, i), fast, 2, 20_000, rng)
         b = reconstruct_bit(i, np.delete(z, i), slow, 2, 20_000, rng)
@@ -476,7 +484,7 @@ def test_reconstruct_bit_exact_tie_is_minus_one():
     def far(R):
         return np.full(R.shape[0], n, dtype=np.int64)  # clipped to n >> sqrt(n)
 
-    f = EstimatorHandle(far, n=n, memoize=False)
+    f = EstimatorHandle.from_signs(far, n=n)
     for i in (0, 15):
         assert reconstruct_bit(i, np.delete(z, i), f, 2, 1000, rng) == -1
 
@@ -516,15 +524,19 @@ def test_reconstruct_all_zero_estimator_is_trivial():
 
 
 def test_reconstruct_threads_do_not_change_results():
-    rng1 = rng_from_seed(25)
-    rng2 = rng_from_seed(25)
     n = 24
     z = random_signs(n, rng_from_seed(26))
-    f1 = exact_estimator(z)
-    f2 = exact_estimator(z)
-    res1 = reconstruct_all(z, f1, 2, 500, rng1, threads=1)
-    res2 = reconstruct_all(z, f2, 2, 500, rng2, threads=3)
-    assert np.array_equal(res1.guess, res2.guess)
+
+    def noisy(z):
+        return laplace_estimator(z, 1.0, rng_from_seed(27))
+
+    for make in (exact_estimator, noisy):
+        rng1 = rng_from_seed(25)
+        rng2 = rng_from_seed(25)
+        res1 = reconstruct_all(z, make(z), 2, 500, rng1, threads=1)
+        res2 = reconstruct_all(z, make(z), 2, 500, rng2, threads=3)
+        assert np.array_equal(res1.guess, res2.guess)
+        assert res1.queries == res2.queries == n * 500
 
 
 def test_default_num_samples():

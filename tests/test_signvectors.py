@@ -24,6 +24,7 @@ from noisyip.signvectors import (
     packed_inner_products,
     packed_width,
     random_packed,
+    unpack_signs,
 )
 
 sign_vectors = st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=24)
@@ -169,6 +170,7 @@ def test_packed_roundtrip_and_inner_products():
         z = random_signs(n, rng)
         P = pack_signs(R)
         assert P.shape == (50, packed_width(n))
+        assert np.array_equal(unpack_signs(P, n), R)
         zp = pack_signs(z)[0]
         expected = R.astype(np.int64) @ z.astype(np.int64)
         assert np.array_equal(packed_inner_products(P, zp, n), expected)

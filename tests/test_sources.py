@@ -5,10 +5,8 @@ import numpy as np
 import pytest
 
 from noisyip import (
-    NoiseSample,
     SvSourceSpec,
     UnsupportedModel,
-    draw_noise,
     rng_from_seed,
     rounded_laplace_pmf,
     rounded_laplace_tail,
@@ -80,8 +78,6 @@ def test_rounded_laplace_basics():
     assert sample_rounded_laplace(0.0, rng) == 0
     draws = sample_rounded_laplace(1.0, rng, size=1_000_000)
     assert abs(draws.mean()) < 0.01  # symmetry
-    ns = draw_noise(2.0, rng)
-    assert isinstance(ns, NoiseSample) and ns.scale == 2.0
 
 
 def test_rounded_laplace_tail_bound():
