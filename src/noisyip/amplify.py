@@ -19,7 +19,8 @@ from typing import Callable
 import numpy as np
 
 from .channels import Channel, Transcript
-from .hashing import ToeplitzHash, sample_toeplitz_hash
+from .hashing import ToeplitzHash, sample_toeplitz_hash, toeplitz_hash
+from .rng import hash_uniform01
 from .signvectors import signs_to_bits
 
 
@@ -48,53 +49,42 @@ class HashedRound:
             raise ValueError("hash mismatch must abort")
 
 
-def run_hashed_parity_round(
-    channel: Channel, m: int, rng: np.random.Generator
-) -> HashedRound:
-    """One round: hash confirmation, then masked parities of the inputs.
-
-    Channel outputs are reinterpreted as bit strings with the global
-    convention bit = (1 - sign)/2.  On hash mismatch the round aborts and
-    no output bits exist.
-    """
-    s = channel.sample(rng)
-    xbits = signs_to_bits(s.x)
-    ybits = signs_to_bits(s.y)
-    h = sample_toeplitz_hash(channel.n, m, rng)
-    r2 = rng.integers(0, 2, size=channel.n, dtype=np.uint8)
-    hx = h.hash_bits(xbits)
-    equal = bool(np.array_equal(hx, h.hash_bits(ybits)))
-    view = AmplifiedView(t=s.t, h=h, hx=hx, r2=r2, equal_flag=equal)
-    if not equal:
-        return HashedRound(aborted=True, bit_a=None, bit_b=None, view=view)
-    bit_a = int(np.dot(r2.astype(np.int64), xbits.astype(np.int64)) % 2)
-    bit_b = int(np.dot(r2.astype(np.int64), ybits.astype(np.int64)) % 2)
-    return HashedRound(aborted=False, bit_a=bit_a, bit_b=bit_b, view=view)
+def _draw_rounds(channel: Channel, m: int, size: int, rng: np.random.Generator):
+    """``size`` rounds: (channel batch, hash diagonals, hash offsets, masks
+    r2, h(x), aborted, bit_a, bit_b), bits -1 where aborted.  Channel outputs
+    are read as bit strings with the global convention bit = (1 - sign)/2."""
+    n = channel.n
+    b = channel.sample_batch(size, rng)
+    xbits = signs_to_bits(b.xs)
+    ybits = signs_to_bits(b.ys)
+    diag = rng.integers(0, 2, size=(size, n + m - 1), dtype=np.uint8)
+    offset = rng.integers(0, 2, size=(size, m), dtype=np.uint8)
+    r2 = rng.integers(0, 2, size=(size, n), dtype=np.uint8)
+    hx = toeplitz_hash(diag, offset, xbits)
+    aborted = np.any(hx != toeplitz_hash(diag, offset, ybits), axis=1)
+    bit_a = np.bitwise_xor.reduce(r2 & xbits, axis=1).astype(np.int64)
+    bit_b = np.bitwise_xor.reduce(r2 & ybits, axis=1).astype(np.int64)
+    return (b, diag, offset, r2, hx, aborted,
+            np.where(aborted, -1, bit_a), np.where(aborted, -1, bit_b))
 
 
 def hashed_parity_trials(
     channel: Channel, m: int, trials: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized rounds: (aborted, bit_a, bit_b); bits are -1 where aborted."""
-    n = channel.n
-    b = channel.sample_batch(trials, rng)
-    xbits = signs_to_bits(b.xs)
-    ybits = signs_to_bits(b.ys)
-    diag = rng.integers(0, 2, size=(trials, n + m - 1), dtype=np.uint8)
-    offset = rng.integers(0, 2, size=(trials, m), dtype=np.uint8)
-    r2 = rng.integers(0, 2, size=(trials, n), dtype=np.uint8)
-    rows = np.arange(m)[:, None]
-    cols = np.arange(n)[None, :]
-    idx = (rows - cols + n - 1).ravel()
-    lanes = diag[:, idx].reshape(trials, m, n)
-    hx = (np.einsum("tmn,tn->tm", lanes, xbits, dtype=np.int64) + offset) % 2
-    hy = (np.einsum("tmn,tn->tm", lanes, ybits, dtype=np.int64) + offset) % 2
-    aborted = np.any(hx != hy, axis=1)
-    bit_a = np.einsum("tn,tn->t", r2, xbits, dtype=np.int64) % 2
-    bit_b = np.einsum("tn,tn->t", r2, ybits, dtype=np.int64) % 2
-    bit_a = np.where(aborted, -1, bit_a)
-    bit_b = np.where(aborted, -1, bit_b)
-    return aborted, bit_a, bit_b
+    return _draw_rounds(channel, m, trials, rng)[-3:]
+
+
+def run_hashed_parity_round(
+    channel: Channel, m: int, rng: np.random.Generator
+) -> HashedRound:
+    """One round with its eavesdropper view: the size-1 case of
+    :func:`hashed_parity_trials`, drawing the same random numbers."""
+    b, diag, offset, r2, hx, aborted, bit_a, bit_b = _draw_rounds(channel, m, 1, rng)
+    h = ToeplitzHash(n=channel.n, m=m, diag=diag[0], offset=offset[0])
+    view = AmplifiedView(b.transcript(0), h, hx[0], r2[0], equal_flag=not aborted[0])
+    bits = (None, None) if aborted[0] else (int(bit_a[0]), int(bit_b[0]))
+    return HashedRound(bool(aborted[0]), *bits, view=view)
 
 
 def default_hash_width(alpha: float) -> int:
@@ -109,7 +99,6 @@ class RepeatResult:
     bit_a: int
     bit_b: int
     attempts: int
-    views: tuple[AmplifiedView, ...]
 
 
 def repeat_until_success(
@@ -118,36 +107,24 @@ def repeat_until_success(
     rng: np.random.Generator,
     m: int | None = None,
 ) -> RepeatResult:
-    """Re-run the hash-and-parity round until it does not abort.
+    """The first non-aborting round out of ceil(5/alpha).
 
-    At most ceil(5/alpha) attempts are made; against an alpha-agreement
-    channel all of them abort with probability at most
-    (1 - alpha)^(5/alpha) <= e^-5.  If every attempt aborts, both output
+    All ceil(5/alpha) rounds are drawn as one batch; ``attempts`` is the
+    index (from 1) of the first that did not abort.  Against an
+    alpha-agreement channel all of them abort with probability at most
+    (1 - alpha)^(5/alpha) <= e^-5.  If every round aborts, both output
     bits default to 0.
     """
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
     m = default_hash_width(alpha) if m is None else m
     max_attempts = math.ceil(5.0 / alpha)
-    views = []
-    for attempt in range(1, max_attempts + 1):
-        round_ = run_hashed_parity_round(channel, m, rng)
-        views.append(round_.view)
-        if not round_.aborted:
-            return RepeatResult(
-                all_failed=False,
-                bit_a=round_.bit_a,
-                bit_b=round_.bit_b,
-                attempts=attempt,
-                views=tuple(views),
-            )
-    return RepeatResult(
-        all_failed=True,
-        bit_a=0,
-        bit_b=0,
-        attempts=max_attempts,
-        views=tuple(views),
-    )
+    aborted, bit_a, bit_b = hashed_parity_trials(channel, m, max_attempts, rng)
+    ok = np.flatnonzero(~aborted)
+    if ok.size == 0:
+        return RepeatResult(all_failed=True, bit_a=0, bit_b=0, attempts=max_attempts)
+    i = int(ok[0])
+    return RepeatResult(False, int(bit_a[i]), int(bit_b[i]), attempts=i + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +200,23 @@ def gl_decode(
     ).astype(np.int64)
     agreement = (cand_parities == answers[None, :]).mean(axis=1)
     return candidates[int(np.argmax(agreement))]
+
+
+def parity_oracle(
+    x: np.ndarray, noise: float, seed: int
+) -> Callable[[np.ndarray], np.ndarray]:
+    """An oracle for <x, r> mod 2 as :func:`gl_decode` takes it, wrong at r
+    exactly when ``hash_uniform01(r, seed) < noise``: a fixed function of r
+    that errs on each distinct query with probability ``noise``."""
+    x64 = x.astype(np.int64)
+
+    def oracle(R):
+        par = R.astype(np.int64) @ x64 % 2
+        if noise > 0:
+            par = par ^ (hash_uniform01(R, seed) < noise)
+        return par.astype(np.uint8)
+
+    return oracle
 
 
 def eve_amplified(

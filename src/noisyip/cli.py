@@ -26,7 +26,7 @@ import numpy as np
 from . import amplify, channels, condense, keyagreement, reconstruct
 from .errors import PreconditionViolation
 from .reporting import ExperimentReport
-from .rng import hash_uniform01, rng_from_seed, spawn_rngs
+from .rng import rng_from_seed, spawn_rngs
 from .signvectors import random_signs
 from .sources import SvSourceSpec
 
@@ -350,11 +350,13 @@ def cmd_condense(args) -> ExperimentReport:
 
 def cmd_amplify(args) -> ExperimentReport:
     alpha = args.alpha if args.alpha is not None else 0.25
+    if not 0 < alpha <= 1:
+        raise ConfigError(f"--alpha must lie in (0, 1] for amplify, got {alpha}")
     m = args.m if args.m is not None else amplify.default_hash_width(alpha)
     trials = args.trials if args.trials is not None else 100_000
     cfg = {"kind": "equality", "n": args.n, "alpha": alpha}
     config = {"channel": cfg, "m": m, "trials": trials,
-              "wrapper_runs": args.wrapper_runs, "gl_runs": args.gl_runs}
+              "wrapper_runs": args.wrapper_runs}
 
     def chunk(rng, size):
         channel = channels.channel_from_config(cfg)
@@ -385,12 +387,6 @@ def cmd_amplify(args) -> ExperimentReport:
         result = amplify.repeat_until_success(channel, alpha, rng, m=m)
         all_failed += int(result.all_failed)
     _rate_metric(report, "all_fail_rate", all_failed, args.wrapper_runs)
-
-    gl_hits = 0
-    grng = rng_from_seed(args.seed + 2)
-    for run in range(args.gl_runs):
-        gl_hits += int(_gl_run(args.n, args.noise, grng))
-    _rate_metric(report, "gl_recovery_rate", gl_hits, args.gl_runs)
     report.record = {
         "protocol": "hashed_parity",
         "n": args.n,
@@ -402,20 +398,6 @@ def cmd_amplify(args) -> ExperimentReport:
         "trials": total,
     }
     return report
-
-
-def _gl_run(n: int, noise: float, rng) -> bool:
-    x = rng.integers(0, 2, size=n, dtype=np.uint8)
-    seed = int(rng.integers(0, 2**62))
-
-    def oracle(R):
-        par = R.astype(np.int64) @ x.astype(np.int64) % 2
-        if noise > 0:
-            flips = hash_uniform01(R, seed) < noise
-            par = par ^ flips
-        return par.astype(np.uint8)
-
-    return bool(np.array_equal(amplify.gl_decode(oracle, n, rng), x))
 
 
 def cmd_audit(args) -> ExperimentReport:
@@ -474,7 +456,11 @@ def _build_distinguisher(spec: str):
 def cmd_gl(args) -> ExperimentReport:
     config = {"n": args.n, "noise": args.noise, "runs": args.runs}
     rng = rng_from_seed(args.seed)
-    hits = sum(int(_gl_run(args.n, args.noise, rng)) for _ in range(args.runs))
+    hits = 0
+    for _ in range(args.runs):
+        x = rng.integers(0, 2, size=args.n, dtype=np.uint8)
+        oracle = amplify.parity_oracle(x, args.noise, int(rng.integers(0, 2**62)))
+        hits += int(np.array_equal(amplify.gl_decode(oracle, args.n, rng), x))
     report = ExperimentReport("gl", args.seed, config)
     _rate_metric(report, "recovery_rate", hits, args.runs)
     report.record = {"n": args.n, "noise": args.noise, "seed": args.seed,
@@ -522,47 +508,54 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("recon", help="estimator certification + bit reconstruction")
     _add_common(p)
-    p.add_argument("--estimator", default="laplace",
-                   help="exact | zero | laplace | replay:<path>")
+    p.add_argument("--estimator", help="exact | zero | laplace | replay:<path>")
 
     p = sub.add_parser("ka", help="key-agreement round statistics")
     _add_common(p)
-    p.add_argument("--channel", choices=_CHANNEL_CHOICES, default="exact")
-    p.add_argument("--z", type=int, default=0)
-    p.add_argument("--adversary", default="none",
-                   help="none | blind | readout | openbook")
+    p.add_argument("--channel", choices=_CHANNEL_CHOICES)
+    p.add_argument("--z", type=int)
+    p.add_argument("--adversary", help="none | blind | readout | openbook")
 
     p = sub.add_parser("condense", help="min-entropy experiments")
     _add_common(p)
-    p.add_argument("--mode", choices=("mod", "seeded"), default="mod")
+    p.add_argument("--mode", choices=("mod", "seeded"))
     p.add_argument("--modulus", type=int, default=None)
-    p.add_argument("--inner", type=int, default=4096)
+    p.add_argument("--inner", type=int)
 
     p = sub.add_parser("amplify", help="hash-and-parity amplification statistics")
     _add_common(p)
     p.add_argument("--m", type=int, default=None)
-    p.add_argument("--wrapper-runs", type=int, default=2000)
-    p.add_argument("--gl-runs", type=int, default=20)
-    p.add_argument("--noise", type=float, default=0.2)
+    p.add_argument("--wrapper-runs", type=int)
 
     p = sub.add_parser("audit", help="privacy lower-bound audit")
     _add_common(p)
-    p.add_argument("--channel", choices=_CHANNEL_CHOICES, default="laplace")
-    p.add_argument("--z", type=int, default=0)
-    p.add_argument("--flip-index", type=int, default=0)
-    p.add_argument("--distinguisher", default="near:0")
-    p.add_argument("--search", action="store_true")
-    p.add_argument("--budget", type=int, default=2_000_000)
+    p.add_argument("--channel", choices=_CHANNEL_CHOICES)
+    p.add_argument("--z", type=int)
+    p.add_argument("--flip-index", type=int)
+    p.add_argument("--distinguisher")
+    p.add_argument("--search", action="store_true", default=None)
+    p.add_argument("--budget", type=int)
 
     p = sub.add_parser("gl", help="parity decoder benchmark")
     _add_common(p)
-    p.add_argument("--noise", type=float, default=0.2)
-    p.add_argument("--runs", type=int, default=100)
+    p.add_argument("--noise", type=float)
+    p.add_argument("--runs", type=int)
 
     return parser
 
 
+# Flags parse to None when absent from the command line, so a config-file
+# value fills them first and these defaults fill what is left.
 _DEFAULTS = {"n": 64, "seed": 1, "threads": 1, "format": "json"}
+_COMMAND_DEFAULTS = {
+    "recon": {"estimator": "laplace"},
+    "ka": {"channel": "exact", "z": 0, "adversary": "none"},
+    "condense": {"mode": "mod", "inner": 4096},
+    "amplify": {"wrapper_runs": 2000},
+    "audit": {"channel": "laplace", "z": 0, "flip_index": 0,
+              "distinguisher": "near:0", "search": False, "budget": 2_000_000},
+    "gl": {"noise": 0.2, "runs": 100},
+}
 
 _VALIDATORS = {
     "n": lambda v: v >= 1,
@@ -570,6 +563,9 @@ _VALIDATORS = {
     "samples": lambda v: v is None or v >= 1,
     "threads": lambda v: v >= 1,
     "ell": lambda v: v is None or v >= 1,
+    "m": lambda v: v is None or v >= 1,
+    "wrapper_runs": lambda v: v >= 1,
+    "runs": lambda v: v >= 1,
 }
 
 
@@ -604,14 +600,15 @@ def _merge_config(args, parser: argparse.ArgumentParser) -> None:
         value = _config_value(key, value, actions[attr])
         if getattr(args, attr) is None:
             setattr(args, attr, value)
-    for key, value in _DEFAULTS.items():
-        if getattr(args, key, None) is None:
+    for key, value in {**_DEFAULTS, **_COMMAND_DEFAULTS[args.subcommand]}.items():
+        if getattr(args, key) is None:
             setattr(args, key, value)
     if getattr(args, "alpha", None) is not None and args.subcommand != "condense":
         args.alpha = float(args.alpha)
     for key, check in _VALIDATORS.items():
         if hasattr(args, key) and not check(getattr(args, key)):
-            raise ConfigError(f"invalid value for --{key}: {getattr(args, key)}")
+            flag = key.replace("_", "-")
+            raise ConfigError(f"invalid value for --{flag}: {getattr(args, key)}")
 
 
 _COMMANDS = {

@@ -30,16 +30,23 @@ class ToeplitzHash:
         if self.offset.shape != (self.m,):
             raise ValueError("offset must have m bits")
 
-    def matrix(self) -> np.ndarray:
-        rows = np.arange(self.m)[:, None]
-        cols = np.arange(self.n)[None, :]
-        return self.diag[rows - cols + self.n - 1]
-
     def hash_bits(self, xbits: np.ndarray) -> np.ndarray:
         """Hash bit vector(s); accepts shape (n,) or (batch, n)."""
-        xbits = np.asarray(xbits, dtype=np.uint8)
-        lin = xbits.astype(np.int64) @ self.matrix().T.astype(np.int64)
-        return ((lin + self.offset) % 2).astype(np.uint8)
+        return toeplitz_hash(self.diag, self.offset, xbits)
+
+
+def toeplitz_hash(diag: np.ndarray, offset: np.ndarray, xbits) -> np.ndarray:
+    """h(x) = T x xor b over GF(2), with T[i, j] = diag[..., i - j + n - 1].
+
+    One hash (diag (n+m-1,), offset (m,)) applies to x of shape (n,) or
+    (batch, n); a batch of hashes (diag (batch, n+m-1), offset (batch, m))
+    applies row by row to x of shape (batch, n).  Returns uint8 bits.
+    """
+    xbits = np.asarray(xbits, dtype=np.uint8)
+    m, n = offset.shape[-1], xbits.shape[-1]
+    idx = np.arange(m)[:, None] - np.arange(n)[None, :] + n - 1
+    lin = np.bitwise_xor.reduce(diag[..., idx] & xbits[..., None, :], axis=-1)
+    return lin ^ offset
 
 
 def sample_toeplitz_hash(n: int, m: int, rng: np.random.Generator) -> ToeplitzHash:

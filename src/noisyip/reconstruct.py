@@ -338,15 +338,16 @@ def certify_estimator(
     """Estimate Pr[|f(R) - <z,R>| < ell] over uniform R and scale it."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    z64 = as_signs(z).astype(np.int64)
-    n = len(z64)
+    z = as_signs(z)
+    n = len(z)
+    z_packed = pack_signs(z)[0]
     hits = 0
     done = 0
     while done < trials:
         size = min(batch_size, trials - done)
-        R = random_signs(n, rng, size)
-        answers = f.query_batch(R)
-        ips = R.astype(np.int64) @ z64
+        P = pack_signs(random_signs(n, rng, size))
+        answers = f.query_packed(P)
+        ips = packed_inner_products(P, z_packed, n)
         hits += int(np.count_nonzero(np.abs(answers - ips) < ell))
         done += size
     rate = hits / trials

@@ -30,7 +30,7 @@ from noisyip import (
     sample_offset,
     spawn_rngs,
 )
-from noisyip.amplify import hashed_parity_trials
+from noisyip.amplify import hashed_parity_trials, parity_oracle
 from noisyip.condense import variant_vote_split
 from noisyip.hashing import all_toeplitz_hashes
 from noisyip.keyagreement import agreement_rate
@@ -47,7 +47,6 @@ from noisyip.reconstruct import (
     span_pmf,
     width_pmf,
 )
-from noisyip.rng import hash_uniform01
 from noisyip.signvectors import random_signs
 
 from test_appendix_props import (
@@ -225,28 +224,18 @@ def test_criterion_3_staged_distribution_exactness():
 # ---------------------------------------------------------------------------
 
 
-def _parity_oracle(x, noise, seed):
-    def oracle(R):
-        par = (R.astype(np.int64) @ x.astype(np.int64)) % 2
-        if noise > 0:
-            par = par ^ (hash_uniform01(R, seed) < noise)
-        return par.astype(np.uint8)
-
-    return oracle
-
-
 def test_criterion_4_gl_decoder():
     n = 64
     rng = rng_from_seed(1005)
     noisy_hits = 0
     for run in range(100):
         x = rng.integers(0, 2, size=n, dtype=np.uint8)
-        got = gl_decode(_parity_oracle(x, 0.2, 2000 + run), n, rng)
+        got = gl_decode(parity_oracle(x, 0.2, 2000 + run), n, rng)
         noisy_hits += int(np.array_equal(got, x))
     clean_hits = 0
     for run in range(100):
         x = rng.integers(0, 2, size=n, dtype=np.uint8)
-        got = gl_decode(_parity_oracle(x, 0.0, 0), n, rng)
+        got = gl_decode(parity_oracle(x, 0.0, 0), n, rng)
         clean_hits += int(np.array_equal(got, x))
     ok = noisy_hits >= 95 and clean_hits >= 99
     report(4, "parity decoder", ok,

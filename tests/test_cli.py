@@ -190,13 +190,13 @@ def test_amplify_command(tmp_path):
     out = tmp_path / "a.json"
     code = main([
         "amplify", "--n", "24", "--alpha", "0.25", "--trials", "20000",
-        "--wrapper-runs", "200", "--gl-runs", "3", "--seed", "29",
+        "--wrapper-runs", "200", "--seed", "29",
         "--out", str(out),
     ])
     assert code == 0
     payload = json.loads(out.read_text())
     assert payload["metrics"]["conditional_agreement"]["value"] >= 0.9
-    assert payload["metrics"]["gl_recovery_rate"]["value"] == 1.0
+    assert "gl_recovery_rate" not in payload["metrics"]
     assert payload["record"]["m"] == 10
 
 
@@ -228,12 +228,14 @@ def test_audit_search_grid_membership(tmp_path):
 
 
 def test_gl_command(capsys):
-    code, out = run_cli(
+    for argv in (
         ["gl", "--n", "32", "--noise", "0.0", "--runs", "4", "--seed", "37"],
-        capsys,
-    )
-    assert code == 0
-    assert json.loads(out)["metrics"]["recovery_rate"]["value"] == 1.0
+        # the GL runs amplify --seed 29 used to embed drew from seed 29 + 2
+        ["gl", "--n", "24", "--noise", "0.2", "--runs", "3", "--seed", "31"],
+    ):
+        code, out = run_cli(argv, capsys)
+        assert code == 0
+        assert json.loads(out)["metrics"]["recovery_rate"]["value"] == 1.0
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
@@ -247,6 +249,21 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["config"]["ell"] == 2
     assert payload["metrics"]["agreement"]["trials"] == 500  # flag wins
+
+
+def test_config_fills_flags_that_have_defaults(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 16, "eps": 1, "channel": "laplace",
+                               "adversary": "blind"}))
+    base = ["ka", "--config", str(cfg), "--trials", "100", "--ell", "2"]
+    code, out = run_cli(base, capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["config"]["channel"]["kind"] == "laplace"
+    assert payload["config"]["adversary"] == "blind"
+    code, out = run_cli(base + ["--channel", "exact"], capsys)
+    assert code == 0
+    assert json.loads(out)["config"]["channel"]["kind"] == "exact"  # flag wins
 
 
 def test_replay_estimator(tmp_path):
@@ -308,6 +325,11 @@ def test_exit_code_invalid_config(tmp_path, capsys):
                  "--trials", "10"]) == 2  # missing eps
     assert main(["ka", "--channel", "exact", "--n", "16", "--seed", "1",
                  "--trials", "10", "--out", str(tmp_path / "no" / "o.json")]) == 2
+    amplify = ["amplify", "--n", "8", "--trials", "10", "--seed", "1"]
+    for bad in (["--alpha", "0"], ["--alpha", "1.5"], ["--alpha", "-0.2"],
+                ["--wrapper-runs", "0"], ["--wrapper-runs", "-3"], ["--m", "0"]):
+        assert main(amplify + bad) == 2, bad
+    assert main(["gl", "--n", "8", "--runs", "0", "--seed", "1"]) == 2
 
 
 def test_exit_code_precondition_violation(capsys):

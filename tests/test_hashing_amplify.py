@@ -14,9 +14,8 @@ from noisyip import (
     run_hashed_parity_round,
     sample_toeplitz_hash,
 )
-from noisyip.amplify import default_hash_width, hashed_parity_trials
-from noisyip.hashing import all_toeplitz_hashes
-from noisyip.rng import hash_uniform01
+from noisyip.amplify import default_hash_width, hashed_parity_trials, parity_oracle
+from noisyip.hashing import all_toeplitz_hashes, toeplitz_hash
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +70,20 @@ def test_hash_batch_matches_scalar():
     batch = h.hash_bits(X)
     for i in range(20):
         assert np.array_equal(batch[i], h.hash_bits(X[i]))
+
+
+def test_kernel_with_one_hash_per_row_matches_definition():
+    rng = rng_from_seed(14)
+    batch, n, m = 30, 11, 5
+    diag = rng.integers(0, 2, size=(batch, n + m - 1), dtype=np.uint8)
+    offset = rng.integers(0, 2, size=(batch, m), dtype=np.uint8)
+    X = rng.integers(0, 2, size=(batch, n), dtype=np.uint8)
+    got = toeplitz_hash(diag, offset, X)
+    assert got.shape == (batch, m) and got.dtype == np.uint8
+    for t in range(batch):
+        T = np.array([[diag[t, i - j + n - 1] for j in range(n)] for i in range(m)])
+        want = (T.astype(np.int64) @ X[t] + offset[t]) % 2
+        assert np.array_equal(got[t], want)
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +143,41 @@ def test_batch_rounds_match_scalar_semantics():
     assert np.mean(aborted) == pytest.approx(expect, abs=0.02)
 
 
+def test_scalar_round_is_row_zero_of_a_size_one_batch():
+    for seed in range(20):
+        ch = equality_channel(16, 0.4)
+        r = run_hashed_parity_round(ch, 5, rng_from_seed(seed))
+        aborted, bit_a, bit_b = hashed_parity_trials(ch, 5, 1, rng_from_seed(seed))
+        assert r.aborted == aborted[0]
+        if r.aborted:
+            assert (r.bit_a, r.bit_b) == (None, None)
+        else:
+            assert (r.bit_a, r.bit_b) == (bit_a[0], bit_b[0])
+
+
+@pytest.mark.parametrize("channel_alpha", [0.3, 1e-9])
+def test_repeat_until_success_takes_first_non_abort_of_one_batch(channel_alpha):
+    # the wrapper's alpha sets the cap; a channel whose outputs never agree
+    # makes every row abort, up to hash collisions
+    ch = equality_channel(16, channel_alpha)
+    alpha, m = 0.3, 8
+    cap = math.ceil(5 / alpha)
+    outcomes = set()
+    for seed in range(30):
+        res = repeat_until_success(ch, alpha, rng_from_seed(seed), m=m)
+        aborted, bit_a, bit_b = hashed_parity_trials(ch, m, cap, rng_from_seed(seed))
+        ok = np.flatnonzero(~aborted)
+        outcomes.add(ok.size > 0)
+        if ok.size == 0:
+            assert res.all_failed
+            assert (res.bit_a, res.bit_b, res.attempts) == (0, 0, cap)
+        else:
+            i = int(ok[0])
+            assert not res.all_failed
+            assert (res.bit_a, res.bit_b, res.attempts) == (bit_a[i], bit_b[i], i + 1)
+    assert (channel_alpha > 0.01) in outcomes
+
+
 def test_repeat_until_success_immediate_on_perfect_channel():
     rng = rng_from_seed(6)
     ch = equality_channel(16, 1.0)
@@ -160,23 +208,12 @@ def test_repeat_until_success_attempt_cap_and_all_fail_rate():
 # ---------------------------------------------------------------------------
 
 
-def make_parity_oracle(x, noise, seed):
-    def oracle(R):
-        par = (R.astype(np.int64) @ x.astype(np.int64)) % 2
-        if noise > 0:
-            flips = hash_uniform01(R, seed) < noise
-            par = par ^ flips
-        return par.astype(np.uint8)
-
-    return oracle
-
-
 def test_gl_decode_noiseless():
     rng = rng_from_seed(8)
     n = 64
     for trial in range(10):
         x = rng.integers(0, 2, size=n, dtype=np.uint8)
-        got = gl_decode(make_parity_oracle(x, 0.0, trial), n, rng)
+        got = gl_decode(parity_oracle(x, 0.0, trial), n, rng)
         assert np.array_equal(got, x)
 
 
@@ -186,7 +223,7 @@ def test_gl_decode_noisy():
     hits = 0
     for trial in range(15):
         x = rng.integers(0, 2, size=n, dtype=np.uint8)
-        got = gl_decode(make_parity_oracle(x, 0.2, 100 + trial), n, rng)
+        got = gl_decode(parity_oracle(x, 0.2, 100 + trial), n, rng)
         hits += int(np.array_equal(got, x))
     assert hits >= 14
 
@@ -199,7 +236,7 @@ def test_gl_decode_monotone_in_noise():
         hits = 0
         for trial in range(12):
             x = rng.integers(0, 2, size=n, dtype=np.uint8)
-            got = gl_decode(make_parity_oracle(x, noise, 200 + trial), n, rng)
+            got = gl_decode(parity_oracle(x, noise, 200 + trial), n, rng)
             hits += int(np.array_equal(got, x))
         rates.append(hits / 12)
     assert rates[0] >= rates[1] >= rates[2] - 1e-9
