@@ -482,7 +482,7 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--trials", type=int, default=None)
     p.add_argument(
         "--samples", type=int, default=None,
-        help="per-bit sample count for recon (default 64*n^3, the analysis-scale budget; far smaller values suffice in practice)",
+        help="recon query count, one batch shared by every bit (default 64*n^3, the analysis-scale budget; far smaller values suffice in practice)",
     )
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)

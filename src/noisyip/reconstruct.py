@@ -17,6 +17,10 @@ the span, then a uniform offset in [-(m+1), m+1]) with closed-form weights,
 so its law is exactly computable; ``brute_force_vote_mean`` evaluates the
 vote expectation exactly at small n and serves as the independent oracle
 for the Monte Carlo paths.
+
+The attack itself never samples k: it scores each residual with the vote's
+exact expectation over k (Rao-Blackwell: same mean, lower variance), on one
+query batch shared by every bit, as in Dinur-Nissim reconstruction.
 """
 
 from __future__ import annotations
@@ -36,10 +40,8 @@ from .signvectors import (
     SIGN_DTYPE,
     as_signs,
     pack_signs,
-    packed_bit,
     packed_inner_products,
     random_packed,
-    random_signs,
     unpack_signs,
 )
 from .sources import laplace_from_uniform, round_half_away, rounded_laplace_tail
@@ -342,14 +344,10 @@ def certify_estimator(
     n = len(z)
     z_packed = pack_signs(z)[0]
     hits = 0
-    done = 0
-    while done < trials:
-        size = min(batch_size, trials - done)
-        P = pack_signs(random_signs(n, rng, size))
-        answers = f.query_packed(P)
-        ips = packed_inner_products(P, z_packed, n)
-        hits += int(np.count_nonzero(np.abs(answers - ips) < ell))
-        done += size
+    for start in range(0, trials, batch_size):
+        P = random_packed(n, min(batch_size, trials - start), rng)
+        errors = f.query_packed(P) - packed_inner_products(P, z_packed, n)
+        hits += int(np.count_nonzero(np.abs(errors) < ell))
     rate = hits / trials
     return EstimatorProfile(
         lambda_hat=math.sqrt(n) / ell * rate,
@@ -380,10 +378,47 @@ def best_laplace_ell(n: int, scale: float) -> int:
 
 
 def default_num_samples(n: int) -> int:
-    """Analysis-scale per-bit sample count: 64 n^3 drives the per-bit
-    failure below 0.01 against the guaranteed vote margin at quality >= 64.
-    Far smaller counts suffice for concrete estimators; see the tests."""
+    """Analysis-scale query count, one batch shared by every bit: 64 n^3
+    drives the per-bit failure below 0.01 against the guaranteed vote margin
+    at quality >= 64.  Far smaller counts suffice for concrete estimators."""
     return 64 * n**3
+
+
+_CHUNK_ROWS = 512  # queries per chunk; keeps the (rows, n) temporaries small
+
+
+def _vote_totals(f, z_masked, cols, ell, num_queries, rng, threads=1) -> np.ndarray:
+    """Expected-vote totals, times the common denominator D of ``offset_pmf``,
+    over ``num_queries`` uniform queries shared by every column c of
+    ``z_masked``, which is z with entry cols[c] zeroed, so z_i is never read.
+    Chunks draw from spawned streams and the totals are exact int64 sums, so
+    they depend neither on chunk order nor on ``threads``.
+    """
+    if num_queries < 1:
+        raise ValueError("num_samples must be >= 1")
+    if 4 * f.n >= 2**24:
+        raise PreconditionViolation("the float32 vote kernel needs 4n < 2^24")
+    # D times the offset vote averaged over k, at r_i = +1, by residual + 2n
+    pmf = offset_pmf(f.n, ell)
+    denom = math.lcm(*(p.denominator for p in pmf.values()))
+    res = np.arange(-2 * f.n, 2 * f.n + 1)
+    one = np.int64(1)
+    table = sum(int(p * denom) * _vote_values(res, k, one) for k, p in pmf.items())
+    rngs = spawn_rngs(rng, -(-num_queries // _CHUNK_ROWS))
+
+    def chunk(c: int) -> np.ndarray:
+        P = random_packed(f.n, min(_CHUNK_ROWS, num_queries - c * _CHUNK_ROWS), rngs[c])
+        R = unpack_signs(P, f.n)
+        # exact in float32: every value lies in [-4n, 4n] and 4n < 2^24
+        shifted = (f.query_packed(P) + 2 * f.n).astype(np.float32)
+        idx = shifted[:, None] - R.astype(np.float32) @ z_masked
+        return (table[idx.astype(np.intp)] * R[:, cols]).sum(axis=0)
+
+    zero = np.zeros(z_masked.shape[1], dtype=np.int64)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return sum(pool.map(chunk, range(len(rngs))), zero)
+    return sum(map(chunk, range(len(rngs))), zero)
 
 
 def reconstruct_bit(
@@ -393,33 +428,13 @@ def reconstruct_bit(
     ell: int,
     num_samples: int,
     rng: np.random.Generator,
-    batch_size: int = 131072,
 ) -> int:
-    """Recover z_i as the sign of the mean vote over fresh (r, offset) draws.
-
-    Queries stream as packed batches.  The partial product <z_{-i}, r_{-i}>
-    is derived from a padded copy of z with an arbitrary +1 filler at
-    position i, whose contribution r_i is subtracted back out; position i
-    of z itself is never read.  Ties resolve to -1 (sign(v) is +1 for v > 0
-    and -1 otherwise), so the trivial zero estimator deterministically
-    outputs -1.
-    """
-    if num_samples < 1:
-        raise ValueError("num_samples must be >= 1")
-    z_pad = np.insert(np.asarray(z_minus_i, dtype=SIGN_DTYPE), i, 1)
-    n = len(z_pad)
-    z_packed = pack_signs(z_pad)[0]
-    total = 0
-    done = 0
-    while done < num_samples:
-        size = min(batch_size, num_samples - done)
-        P = random_packed(n, size, rng)
-        answers = f.query_packed(P)
-        r_i = 1 - 2 * packed_bit(P, i)
-        partial = packed_inner_products(P, z_packed, n) - r_i
-        ks = sample_offset(n, ell, rng, size=size)
-        total += int(_vote_values(answers - partial, ks, r_i).sum())
-        done += size
+    """Recover z_i as the sign of the expected vote over fresh queries: the
+    one-column case of the vote kernel, whose column is z_{-i} with a 0 at
+    position i.  Ties resolve to -1 (sign(v) is +1 for v > 0 and -1
+    otherwise), so an estimator whose every vote is 0 outputs -1."""
+    column = np.insert(np.asarray(z_minus_i, dtype=np.float32), i, 0)[:, None]
+    total = _vote_totals(f, column, [i], ell, num_samples, rng)[0]
     return 1 if total > 0 else -1
 
 
@@ -428,7 +443,6 @@ class ReconstructionResult:
     guess: np.ndarray
     frac_correct: float
     queries: int
-    num_samples_per_bit: int
 
 
 def reconstruct_all(
@@ -438,40 +452,23 @@ def reconstruct_all(
     num_samples_per_bit: int | None,
     rng: np.random.Generator,
     threads: int = 1,
-    batch_size: int = 131072,
 ) -> ReconstructionResult:
-    """Attack every bit: reconstruct_bit(i, z_{-i}) for i in [0, n).
-
-    This is the attack model in which the adversary holds all of the
-    database except the bit under attack; ``frac_correct`` is the fraction
-    of positions whose sign was recovered.  Per-bit work uses independent
-    spawned generator streams and the estimator is a pure function of the
-    query, so neither the result nor the query count depends on ``threads``.
-    """
+    """Attack every bit i from z_{-i} as :func:`reconstruct_bit` does, on one
+    batch of ``num_samples_per_bit`` queries shared by all bits: the adversary
+    holds all of the database but the bit under attack.  ``frac_correct`` is
+    the fraction of positions recovered; since the estimator is a pure function
+    of the query, neither it nor the query count depends on ``threads``."""
     z = as_signs(z)
     n = len(z)
     num = default_num_samples(n) if num_samples_per_bit is None else num_samples_per_bit
     queries_before = f.query_count
-    bit_rngs = spawn_rngs(rng, n)
-
-    def attack(i: int) -> int:
-        z_minus_i = np.delete(z, i)
-        return reconstruct_bit(
-            i, z_minus_i, f, ell, num, bit_rngs[i], batch_size=batch_size
-        )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            guesses = list(pool.map(attack, range(n)))
-    else:
-        guesses = [attack(i) for i in range(n)]
-    guess = np.asarray(guesses, dtype=SIGN_DTYPE)
-    frac = float(np.count_nonzero(guess == z)) / n
+    z_masked = z.astype(np.float32)[:, None] * (1 - np.eye(n, dtype=np.float32))
+    totals = _vote_totals(f, z_masked, slice(None), ell, num, rng, threads)
+    guess = np.where(totals > 0, 1, -1).astype(SIGN_DTYPE)
     return ReconstructionResult(
         guess=guess,
-        frac_correct=frac,
+        frac_correct=float(np.count_nonzero(guess == z)) / n,
         queries=f.query_count - queries_before,
-        num_samples_per_bit=num,
     )
 
 

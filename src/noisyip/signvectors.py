@@ -184,10 +184,8 @@ def packed_inner_products(P: np.ndarray, q: np.ndarray, n: int) -> np.ndarray:
     Signs agree exactly where the packed bits agree, so the inner product
     is n - 2 * popcount(p xor q).
     """
-    ham = np.bitwise_count(P ^ q[None, :]).sum(axis=1, dtype=np.int64)
+    ham = np.zeros(P.shape[0], dtype=np.int64)
+    for j in range(P.shape[1]):
+        ham += np.bitwise_count(P[:, j] ^ q[j])
     return n - 2 * ham
 
-
-def packed_bit(P: np.ndarray, i: int) -> np.ndarray:
-    """Extract bit i of each packed row (0 means sign +1)."""
-    return ((P[:, i // 64] >> np.uint64(i % 64)) & np.uint64(1)).astype(np.int64)

@@ -127,7 +127,7 @@ def test_criterion_1_companion_operational_reconstruction():
         "reconstruction n=256 companion",
         ok,
         f"{successes}/20 trials >= 0.9 bits (min frac {min(fracs):.3f}) "
-        f"with {num_samples} samples/bit; exact lambda_hat={lambda_exact:.2f}",
+        f"with {num_samples} shared queries; exact lambda_hat={lambda_exact:.2f}",
     )
     assert ok
 

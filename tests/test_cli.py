@@ -29,15 +29,20 @@ def test_recon_exact_estimator(tmp_path, capsys):
 
 
 def test_recon_zero_estimator_trivial(tmp_path):
+    # the trivial estimator carries no signal: averaged over seeds it
+    # recovers half the bits (the per-run fraction is noisy, since all bits
+    # share one query batch and their coins are correlated)
     out = tmp_path / "r.json"
-    code = main([
-        "recon", "--estimator", "zero", "--n", "64", "--ell", "2",
-        "--trials", "500", "--samples", "301", "--seed", "5",
-        "--out", str(out),
-    ])
-    assert code == 0
-    payload = json.loads(out.read_text())
-    assert 0.3 < payload["record"]["frac_correct"] < 0.7
+    fracs = []
+    for seed in range(50):
+        code = main([
+            "recon", "--estimator", "zero", "--n", "64", "--ell", "2",
+            "--trials", "500", "--samples", "301", "--seed", str(seed),
+            "--out", str(out),
+        ])
+        assert code == 0
+        fracs.append(json.loads(out.read_text())["record"]["frac_correct"])
+    assert 0.4 < sum(fracs) / len(fracs) < 0.6
 
 
 def test_ka_exact_channel(tmp_path):

@@ -20,7 +20,6 @@ from noisyip import (
 )
 from noisyip.signvectors import (
     pack_signs,
-    packed_bit,
     packed_inner_products,
     packed_width,
     random_packed,
@@ -174,9 +173,6 @@ def test_packed_roundtrip_and_inner_products():
         zp = pack_signs(z)[0]
         expected = R.astype(np.int64) @ z.astype(np.int64)
         assert np.array_equal(packed_inner_products(P, zp, n), expected)
-        for i in (0, n - 1, n // 2):
-            bits = packed_bit(P, i)
-            assert np.array_equal(1 - 2 * bits, R[:, i].astype(np.int64))
 
 
 def test_random_packed_matches_uniform_marginals():
@@ -185,5 +181,5 @@ def test_random_packed_matches_uniform_marginals():
     P = random_packed(n, 4000, rng)
     # pad bits cleared
     assert np.all(P[:, -1] >> np.uint64(70 - 64) == 0)
-    ones = sum(packed_bit(P, i).mean() for i in range(n)) / n
+    ones = (unpack_signs(P, n) < 0).mean()
     assert abs(ones - 0.5) < 0.01
