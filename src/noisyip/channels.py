@@ -31,6 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch
+from .reporting import wald_half_width
 from .signvectors import SIGN_DTYPE, random_signs
 from .sources import SvSourceSpec, sample_rounded_laplace, sample_sv_source
 from .sources import laplace_from_uniform, round_half_away
@@ -284,7 +285,7 @@ def estimate_accuracy(
         hits += int(np.count_nonzero(err <= alpha))
         done += size
     gamma = hits / trials
-    half = 1.96 * math.sqrt(gamma * (1 - gamma) / trials)
+    half = wald_half_width(gamma, trials)
     return AccuracyReport(alpha=alpha, gamma_hat=gamma, trials=trials, half_width=half)
 
 

@@ -19,14 +19,13 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import amplify, channels, condense, keyagreement, reconstruct
 from .errors import PreconditionViolation
-from .reporting import ExperimentReport
-from .rng import rng_from_seed, spawn_rngs
+from .reporting import ExperimentReport, wald_half_width
+from .rng import map_streams, rng_from_seed, spawn_rngs
 from .signvectors import random_signs
 from .sources import SvSourceSpec
 
@@ -67,10 +66,6 @@ def run_chunked(
     (config, seed) and is removed on completion.
     """
     num_chunks = (trials + chunk_size - 1) // chunk_size
-    sizes = [
-        min(chunk_size, trials - i * chunk_size) for i in range(num_chunks)
-    ]
-    rngs = spawn_rngs(rng_from_seed(seed), num_chunks)
     key = _config_hash({"config": config, "seed": seed, "trials": trials})
     ckpt_path = f"{out_path}.ckpt" if out_path else None
 
@@ -85,24 +80,15 @@ def run_chunked(
         except (OSError, ValueError, TypeError, KeyError, AttributeError) as exc:
             print(f"note: ignoring checkpoint {ckpt_path}: {exc}", file=sys.stderr)
 
-    pending = [i for i in range(num_chunks) if i not in done]
+    def run_one(i, rng):
+        return i, chunk_fn(rng, min(chunk_size, trials - i * chunk_size))
 
-    def run_one(i):
-        return i, chunk_fn(rngs[i], sizes[i])
-
-    if threads > 1 and pending:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for i, agg in pool.map(run_one, pending):
-                done[i] = agg
-                # checkpoint after every completed chunk (chunk_size trials)
-                if ckpt_path and len(done) < num_chunks:
-                    _save_ckpt(ckpt_path, key, done)
-    else:
-        for i in pending:
-            _, agg = run_one(i)
-            done[i] = agg
-            if ckpt_path and len(done) < num_chunks:
-                _save_ckpt(ckpt_path, key, done)
+    root = rng_from_seed(seed)
+    for i, agg in map_streams(run_one, root, num_chunks, threads, set(done)):
+        done[i] = agg
+        # checkpoint after every completed chunk (chunk_size trials)
+        if ckpt_path and len(done) < num_chunks:
+            _save_ckpt(ckpt_path, key, done)
 
     result = init
     for i in range(num_chunks):
@@ -122,8 +108,7 @@ def _save_ckpt(path, key, done):
 
 def _rate_metric(report, name, hits, trials):
     rate = hits / trials
-    half = 1.96 * math.sqrt(rate * (1 - rate) / trials)
-    report.add_metric(name, rate, trials, half)
+    report.add_metric(name, rate, trials, wald_half_width(rate, trials))
     return rate
 
 

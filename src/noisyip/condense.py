@@ -6,9 +6,10 @@ seed-restricted view (r, x_{r+}, y_{r-}, t), predicts the masked product
 distinguisher: an algorithm that tells (x, y) apart from the same pair with
 one bit flipped, given only the transcript and the rest of the pair.
 
-* ``reconstruct_product_bit`` recovers (x*y)_j by the sign of the mean of
-  offset votes over random seeds (the triplet analogue of the database
-  attack in ``noisyip.reconstruct``).
+* ``reconstruct_product_bit`` recovers (x*y)_j with the database attack of
+  ``noisyip.reconstruct`` applied to z = x*y: the sign of the expected
+  offset vote over random seeds, each seed answered by f on the seed's
+  restricted view.
 * ``flip_distinguisher`` wraps the reconstruction into three one-bit tests
   that compare the reconstructed product bit against a claimed pair, after
   applying one of three flip patterns.
@@ -35,8 +36,8 @@ import numpy as np
 from .channels import Channel, Transcript
 from .errors import PreconditionViolation, UnsupportedModel
 from .rng import hash_uniform01, rng_from_seed, spawn_rngs
-from .signvectors import random_signs
-from .reconstruct import _vote_values, sample_offset
+from .signvectors import flip, random_signs
+from .reconstruct import EstimatorHandle, _expected_vote_table, reconstruct_bit
 from .sources import SvSourceSpec, laplace_from_uniform, round_half_away
 
 
@@ -78,10 +79,9 @@ def masked_views(R: np.ndarray, x: np.ndarray, y: np.ndarray):
     Hidden positions are zeroed, which encodes "not visible" without
     changing row shapes; estimators must treat zeros as absent data.
     """
-    x64 = np.asarray(x, dtype=np.int64)
-    y64 = np.asarray(y, dtype=np.int64)
-    xp = np.where(R == 1, x64, 0)
-    ym = np.where(R == -1, y64, 0)
+    # a product with the boolean mask is several times faster than np.where
+    xp = (R == 1) * np.asarray(x, dtype=np.int64)
+    ym = (R == -1) * np.asarray(y, dtype=np.int64)
     return xp, ym
 
 
@@ -153,25 +153,17 @@ def open_transcript_estimator(
 # ---------------------------------------------------------------------------
 
 
-def _product_votes(
-    j: int,
-    x: np.ndarray,
-    y: np.ndarray,
-    t: Transcript,
-    f: TripletEstimator,
-    ell: int,
-    R: np.ndarray,
-    ks: np.ndarray,
-    rng: np.random.Generator,
-) -> np.ndarray:
+def _triplet_answers(f: TripletEstimator, x, y, t: Transcript, rng):
+    """f's answers to sign-row queries R on the masked views, clipped to [-n, n]."""
     n = len(x)
-    z0 = (np.asarray(x, dtype=np.int64) * np.asarray(y, dtype=np.int64))
-    z0 = z0.copy()
+    return lambda R: np.clip(f.query_masked(R, *masked_views(R, x, y), t, rng), -n, n)
+
+
+def _residuals(j: int, x, y, t: Transcript, f: TripletEstimator, R, rng) -> np.ndarray:
+    """a - <(x*y)_{-j}, r_{-j}> per query row r of R; never reads (x*y)_j."""
+    z0 = np.asarray(x, dtype=np.int64) * np.asarray(y, dtype=np.int64)
     z0[j] = 0
-    xp, ym = masked_views(R, x, y)
-    answers = np.clip(f.query_masked(R, xp, ym, t, rng), -n, n)
-    residuals = answers - R.astype(np.int64) @ z0
-    return _vote_values(residuals, ks, R[:, j])
+    return _triplet_answers(f, x, y, t, rng)(R) - R.astype(np.int64) @ z0
 
 
 def reconstruct_product_bit(
@@ -183,29 +175,20 @@ def reconstruct_product_bit(
     ell: int,
     samples: int | None,
     rng: np.random.Generator,
-    batch_size: int = 65536,
 ) -> int:
-    """Sign-of-mean reconstruction of (x*y)_j from estimator queries.
+    """Recover (x*y)_j by the database attack on z = x*y: ``reconstruct_bit``
+    on (x*y)_{-j}, querying f through the masked views of (x, y).
 
-    Ties resolve to -1.  The per-query work never reads position j of the
-    product: the residual uses the j-zeroed product vector, and the final
-    multiplication uses r_j only.  ``samples = None`` uses the
-    analysis-scale default n^4; concrete estimators need far fewer.
+    Ties resolve to -1.  The attack never reads position j of the product.
+    ``samples = None`` uses the analysis-scale default n^4; concrete
+    estimators need far fewer.
     """
     n = len(x)
     if samples is None:
         samples = n**4
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    total = 0
-    done = 0
-    while done < samples:
-        size = min(batch_size, samples - done)
-        R = random_signs(n, rng, size)
-        ks = sample_offset(n, ell, rng, size=size)
-        total += int(_product_votes(j, x, y, t, f, ell, R, ks, rng).sum())
-        done += size
-    return 1 if total > 0 else -1
+    z = np.asarray(x, dtype=np.int64) * np.asarray(y, dtype=np.int64)
+    f_xy = EstimatorHandle.from_signs(_triplet_answers(f, x, y, t, rng), n)
+    return reconstruct_bit(j, np.delete(z, j), f_xy, ell, samples, rng)
 
 
 def variant_vote_split(
@@ -216,33 +199,32 @@ def variant_vote_split(
     f: TripletEstimator,
     ell: int,
     R: np.ndarray,
-    ks: np.ndarray,
     rng: np.random.Generator,
 ) -> dict[str, tuple[int, int]]:
-    """Vote sums of the four flip variants, split by the sign of r_j.
+    """Expected-vote sums (times the vote table's denominator D) of the four
+    flip variants over the queries R, split by the sign of r_j.
 
-    Requires a pure estimator (answers a fixed function of the query);
-    with shared (R, ks) the four variants satisfy the exchange identity
+    Requires a pure estimator.  Each vote is a fixed function of
+    (residual, r_j); the r_j = +1 side never reads y_j and the r_j = -1 side
+    never reads x_j, so the four variants satisfy the exchange identity
 
         total(x,y) + total(x^,y^) == total(x^,y) + total(x,y^)
 
-    where ^ flips position j, because each side of the split only depends
-    on the variant through the half of the pair it can see.
+    where ^ flips position j.
     """
-    from .signvectors import flip as _flip
-
+    n = len(x)
+    table = _expected_vote_table(n, ell)
+    r_j = R[:, j].astype(np.int64)
     variants = {
         "xy": (x, y),
-        "fx_y": (_flip(x, j), y),
-        "x_fy": (x, _flip(y, j)),
-        "fx_fy": (_flip(x, j), _flip(y, j)),
+        "fx_y": (flip(x, j), y),
+        "x_fy": (x, flip(y, j)),
+        "fx_fy": (flip(x, j), flip(y, j)),
     }
     out = {}
     for name, (xx, yy) in variants.items():
-        votes = _product_votes(j, xx, yy, t, f, ell, R, ks, rng)
-        minus_side = int(votes[R[:, j] == -1].sum())
-        plus_side = int(votes[R[:, j] == 1].sum())
-        out[name] = (minus_side, plus_side)
+        votes = table[_residuals(j, xx, yy, t, f, R, rng) + 2 * n] * r_j
+        out[name] = (int(votes[r_j == -1].sum()), int(votes[r_j == 1].sum()))
     return out
 
 
@@ -372,13 +354,9 @@ def eve_distinguisher(
     if samples < 1:
         raise ValueError("samples must be >= 1")
     j, b = (i, -1) if i < n else (i - n, 1)
-    z0 = (np.asarray(x, dtype=np.int64) * np.asarray(y, dtype=np.int64)).copy()
-    z0[j] = 0
     R = random_signs(n, rng, samples)
     R[:, j] = b
-    xp, ym = masked_views(R, x, y)
-    answers = np.clip(f.query_masked(R, xp, ym, t, rng), -n, n)
-    residuals = answers - R.astype(np.int64) @ z0
+    residuals = _residuals(j, x, y, t, f, R, rng)
     q = float(np.count_nonzero(np.abs(residuals) <= params.ell_hat)) / samples
     if q <= params.v_hat:
         return ABORT
@@ -442,8 +420,10 @@ def search_eve_params(
         Pr[Eve = 1 on the real pair] - e^(-eps) Pr[Eve = 1 on a flipped pair]
 
     estimated over shared triplets, shared flip indices and shared internal
-    randomness (common random numbers) to cut comparison variance.  ``budget``
-    caps the total number of estimator queries across the whole search.
+    randomness (common random numbers) to cut comparison variance.  Each of
+    the E distinguisher calls gets max(64, budget // 2E) queries for its gate
+    and as many for its reconstruction, so ``budget`` caps the search's total
+    only above that 64-query floor; below it, up to 128 E queries are asked.
     """
     if ell_hat_candidates is None:
         ell_hat_candidates = (ell + 1, ell + 2, ell + 4)

@@ -17,13 +17,13 @@ the distinguisher pipeline (``noisyip.condense``).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .channels import Channel, Transcript
+from .reporting import wald_half_width
 from .signvectors import SIGN_DTYPE, random_signs
 
 
@@ -148,9 +148,7 @@ class RateReport:
 
 def _rate_report(hits: int, trials: int) -> RateReport:
     rate = hits / trials if trials else float("nan")
-    half = (
-        1.96 * math.sqrt(rate * (1 - rate) / trials) if trials else float("nan")
-    )
+    half = wald_half_width(rate, trials) if trials else float("nan")
     return RateReport(rate=rate, half_width=half, trials=trials)
 
 

@@ -25,9 +25,9 @@ query batch shared by every bit, as in Dinur-Nissim reconstruction.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import PreconditionViolation
-from .rng import keyed_uniform01, spawn_rngs
+from .rng import keyed_uniform01, map_streams
 from .signvectors import (
     SIGN_DTYPE,
     as_signs,
@@ -387,6 +387,19 @@ def default_num_samples(n: int) -> int:
 _CHUNK_ROWS = 512  # queries per chunk; keeps the (rows, n) temporaries small
 
 
+@functools.lru_cache(maxsize=None)
+def _expected_vote_table(n: int, ell: int) -> np.ndarray:
+    """D times the offset vote averaged over k, at r_i = +1, by residual + 2n,
+    with D the common denominator of ``offset_pmf``; built once, read-only."""
+    pmf = offset_pmf(n, ell)
+    denom = math.lcm(*(p.denominator for p in pmf.values()))
+    res = np.arange(-2 * n, 2 * n + 1)
+    one = np.int64(1)
+    table = sum(int(p * denom) * _vote_values(res, k, one) for k, p in pmf.items())
+    table.setflags(write=False)
+    return table
+
+
 def _vote_totals(f, z_masked, cols, ell, num_queries, rng, threads=1) -> np.ndarray:
     """Expected-vote totals, times the common denominator D of ``offset_pmf``,
     over ``num_queries`` uniform queries shared by every column c of
@@ -398,27 +411,18 @@ def _vote_totals(f, z_masked, cols, ell, num_queries, rng, threads=1) -> np.ndar
         raise ValueError("num_samples must be >= 1")
     if 4 * f.n >= 2**24:
         raise PreconditionViolation("the float32 vote kernel needs 4n < 2^24")
-    # D times the offset vote averaged over k, at r_i = +1, by residual + 2n
-    pmf = offset_pmf(f.n, ell)
-    denom = math.lcm(*(p.denominator for p in pmf.values()))
-    res = np.arange(-2 * f.n, 2 * f.n + 1)
-    one = np.int64(1)
-    table = sum(int(p * denom) * _vote_values(res, k, one) for k, p in pmf.items())
-    rngs = spawn_rngs(rng, -(-num_queries // _CHUNK_ROWS))
+    table = _expected_vote_table(f.n, ell)
 
-    def chunk(c: int) -> np.ndarray:
-        P = random_packed(f.n, min(_CHUNK_ROWS, num_queries - c * _CHUNK_ROWS), rngs[c])
+    def chunk(c: int, stream: np.random.Generator) -> np.ndarray:
+        P = random_packed(f.n, min(_CHUNK_ROWS, num_queries - c * _CHUNK_ROWS), stream)
         R = unpack_signs(P, f.n)
         # exact in float32: every value lies in [-4n, 4n] and 4n < 2^24
         shifted = (f.query_packed(P) + 2 * f.n).astype(np.float32)
         idx = shifted[:, None] - R.astype(np.float32) @ z_masked
         return (table[idx.astype(np.intp)] * R[:, cols]).sum(axis=0)
 
-    zero = np.zeros(z_masked.shape[1], dtype=np.int64)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return sum(pool.map(chunk, range(len(rngs))), zero)
-    return sum(map(chunk, range(len(rngs))), zero)
+    parts = map_streams(chunk, rng, -(-num_queries // _CHUNK_ROWS), threads)
+    return sum(parts, np.zeros(z_masked.shape[1], dtype=np.int64))
 
 
 def reconstruct_bit(

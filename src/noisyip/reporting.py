@@ -10,9 +10,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
-
-import jsonschema
 
 SCHEMA_VERSION = "1"
 
@@ -111,9 +110,16 @@ class ExperimentReport:
         return buf.getvalue().encode()
 
 
+def wald_half_width(rate: float, trials: int) -> float:
+    """Half-width 1.96 sqrt(p(1-p)/T) of the normal-approximation 95%
+    interval of a rate p over T trials; it reads 0 at p = 0 or 1."""
+    return 1.96 * math.sqrt(rate * (1 - rate) / trials)
+
+
 def _fmt(v):
     return "" if v is None else repr(v)
 
 
 def validate_report(payload: dict) -> None:
+    import jsonschema  # imported on first use: importing noisyip skips it
     jsonschema.validate(payload, REPORT_SCHEMA)

@@ -9,6 +9,9 @@ same seed, every operation is deterministic.
 
 from __future__ import annotations
 
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 
 from .signvectors import pack_bits
@@ -39,6 +42,27 @@ def spawn_rngs(rng: Generator, count: int) -> list[Generator]:
     """
     children = rng.bit_generator.seed_seq.spawn(count)
     return [np.random.Generator(np.random.Philox(s)) for s in children]
+
+
+def map_streams(fn, rng: Generator, count: int, threads: int = 1, skip=()):
+    """Yield ``fn(c, stream_c)`` in order for each chunk c in ``range(count)``
+    not in ``skip``, where stream_c is ``spawn_rngs(rng, count)[c]``.  Streams
+    are spawned as their chunk is submitted and a few chunks per thread are in
+    flight, so neither memory nor start-up time grows with ``count``."""
+    seq = rng.bit_generator.seed_seq
+    spawned = ((c, seq.spawn(1)[0]) for c in range(count))  # skipped ones too
+    todo = ((c, Generator(np.random.Philox(s))) for c, s in spawned if c not in skip)
+    if threads <= 1:
+        yield from (fn(c, stream) for c, stream in todo)
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        window = deque()
+        for c, stream in todo:
+            window.append(pool.submit(fn, c, stream))
+            if len(window) == 4 * threads:
+                yield window.popleft().result()
+        for future in window:
+            yield future.result()
 
 
 _SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)

@@ -400,9 +400,8 @@ def test_criterion_9_condenser_sanity():
     for trip in range(25):
         s = channel.sample(rng)
         R = random_signs(n2, rng, 4000)
-        ks = sample_offset(n2, 1, rng, size=4000)
         j = int(rng.integers(0, n2))
-        split = variant_vote_split(j, s.x, s.y, s.t, f, 1, R, ks, rng)
+        split = variant_vote_split(j, s.x, s.y, s.t, f, 1, R, rng)
         total = {k: a + b for k, (a, b) in split.items()}
         if total["xy"] + total["fx_fy"] != total["fx_y"] + total["x_fy"]:
             violations += 1

@@ -28,7 +28,6 @@ from noisyip.condense import (
     masked_views,
     variant_vote_split,
 )
-from noisyip.reconstruct import sample_offset
 from noisyip.signvectors import random_signs
 
 
@@ -103,8 +102,7 @@ def test_rhombus_identity_exact_per_sample(noise_scale):
     rng = rng_from_seed(5)
     for j in (0, 7, 39):
         R = random_signs(n, rng, 500)
-        ks = sample_offset(n, 1, rng, size=500)
-        split = variant_vote_split(j, x, y, t, f, 1, R, ks, rng)
+        split = variant_vote_split(j, x, y, t, f, 1, R, rng)
         total = {k: a + b for k, (a, b) in split.items()}
         assert total["xy"] + total["fx_fy"] == total["fx_y"] + total["x_fy"]
         # the r_j = +1 side never reads x_j; flipping x leaves it unchanged

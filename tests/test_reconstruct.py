@@ -10,7 +10,7 @@ from noisyip import (
     rng_from_seed,
     random_signs,
 )
-from noisyip import reconstruct
+from noisyip import Transcript, condense, open_transcript_estimator, reconstruct
 from noisyip.reconstruct import (
     EstimatorHandle,
     OffsetParams,
@@ -566,10 +566,25 @@ def test_vote_kernel_exhaustive_total_is_brute_force_mean(n, monkeypatch):
     P = pack_signs(all_sign_vectors(n))
     monkeypatch.setattr(reconstruct, "_CHUNK_ROWS", 2**n)
     monkeypatch.setattr(reconstruct, "random_packed", lambda n, size, rng: P)
+    # the triplet attack's estimator: f read through masked views of a
+    # triplet with x*y = z, clipped, at noise 0 and 2
+    x = random_signs(n, rng)
+    y = x * z
+    ip = int(np.dot(x.astype(np.int64), y))
+    t = Transcript((("x", x), ("y", y), ("out", ip)), ip)
     estimators = (
         exact_estimator(z),
         zero_estimator(n),
         laplace_estimator(z, 1.5, rng),
+        *(
+            EstimatorHandle.from_signs(
+                condense._triplet_answers(
+                    open_transcript_estimator(n, noise), x, y, t, rng
+                ),
+                n,
+            )
+            for noise in (0.0, 2.0)
+        ),
     )
     z_masked = z.astype(np.float32)[:, None] * (1 - np.eye(n, dtype=np.float32))
     for ell in range(1, math.isqrt(n) - 1):
@@ -580,6 +595,25 @@ def test_vote_kernel_exhaustive_total_is_brute_force_mean(n, monkeypatch):
                 assert Fraction(int(totals[i]), denom * 2**n) == (
                     brute_force_vote_mean(i, z, f, ell)
                 )
+
+
+def test_reconstruct_all_spawns_chunk_streams_lazily():
+    # the default budget at n=128 is 262,144 chunks; streams are spawned as
+    # chunks are submitted, so an estimator that fails on its first query
+    # leaves almost all of them unspawned
+    n = 128
+
+    def fail(P):
+        raise RuntimeError("estimator failed")
+
+    for threads in (1, 2):
+        rng = rng_from_seed(17)
+        z = random_signs(n, rng)
+        with pytest.raises(RuntimeError):
+            reconstruct_all(
+                z, EstimatorHandle(fail, n), 1, default_num_samples(n), rng, threads
+            )
+        assert rng.bit_generator.seed_seq.n_children_spawned <= 8 * threads
 
 
 def test_vote_kernel_rejects_inexact_float32_size():
