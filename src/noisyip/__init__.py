@@ -68,15 +68,18 @@ from .reconstruct import (
     zero_estimator,
 )
 from .keyagreement import (
+    EveViews,
     KATranscript,
     PartyOutputs,
     adversary_to_ip_estimator,
     agreement_rate,
     blind_adversary,
+    count_rounds,
     equality_leakage_rate,
     openbook_adversary,
     readout_adversary,
     run_ka_round,
+    run_ka_rounds,
 )
 from .condense import (
     ABORT,

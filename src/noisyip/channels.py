@@ -59,9 +59,6 @@ class Transcript:
                 return value
         raise KeyError(name)
 
-    def has_message(self, name: str) -> bool:
-        return any(key == name for key, _ in self.messages)
-
 
 @dataclass(frozen=True, eq=False)
 class ChannelSample:
@@ -117,9 +114,7 @@ class Channel:
 
 
 def _row_ips(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    return np.einsum(
-        "ij,ij->i", xs.astype(np.int64), ys.astype(np.int64), optimize=True
-    )
+    return (xs * ys).sum(axis=1, dtype=np.int64)
 
 
 def exact_ip_channel(n: int, leak_inputs: bool = False) -> Channel:
@@ -141,7 +136,7 @@ def laplace_ip_channel(n: int, eps: float) -> Channel:
 
     eps = inf is accepted and degenerates to the exact channel (zero noise).
     """
-    if eps <= 0:
+    if not eps > 0:  # also rejects nan
         raise ValueError("eps must be positive")
     scale = 0.0 if math.isinf(eps) else 2.0 / eps
 
@@ -157,6 +152,8 @@ def laplace_ip_channel(n: int, eps: float) -> Channel:
 
 def randomized_response_p(eps: float) -> float:
     """Bias parameter p = e^eps/(e^eps+1) - 1/2 of the per-entry flip."""
+    if not 0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
     return math.exp(eps) / (math.exp(eps) + 1.0) - 0.5
 
 
@@ -179,8 +176,6 @@ def randomized_response_channel(n: int, eps: float) -> Channel:
     channel outputs are integers; the unrounded release stays in the
     transcript.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     if n < 1:
         raise ValueError("n must be positive")
     p = randomized_response_p(eps)
@@ -307,12 +302,15 @@ def dp_audit(
 ) -> DpAuditReport:
     """Hypothesis-test style lower bound on the privacy parameter.
 
-    The distinguisher sees (i, x, y, t) and outputs a bit.  Paired trials
-    evaluate it on the sampled pair and on the same transcript with entry
-    ``flip_index`` of the concatenated pair negated; a large ratio between
-    the two acceptance rates certifies that the channel is *not* eps-private
-    for eps below the returned lower bound.  This audits a lower bound only:
-    a small value never certifies privacy.
+    The distinguisher maps ``(flip_index, xs, ys, batch)`` to one bool per
+    row: ``xs``/``ys`` are (trials, n) sign rows and ``batch`` is the sampled
+    ``ChannelBatch``, whose ``outs`` and ``extras`` carry the transcripts.
+    It is called twice: on the sampled pairs, and on the same pairs with
+    entry ``flip_index`` of every concatenated pair negated, against the
+    same transcripts.  A large ratio between the two acceptance rates
+    certifies that the channel is *not* eps-private for eps below the
+    returned lower bound.  This audits a lower bound only: a small value
+    never certifies privacy.
 
     ``flip_index`` addresses the concatenated pair: values below n flip an
     x entry, values in [n, 2n) flip a y entry.
@@ -323,17 +321,12 @@ def dp_audit(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     b = channel.sample_batch(trials, rng)
-    real = 0
-    flipped = 0
-    for i in range(trials):
-        x, y, t = b.xs[i], b.ys[i], b.transcript(i)
-        real += int(distinguisher(flip_index, x, y, t))
-        xf, yf = x.copy(), y.copy()
-        if flip_index < n:
-            xf[flip_index] = -xf[flip_index]
-        else:
-            yf[flip_index - n] = -yf[flip_index - n]
-        flipped += int(distinguisher(flip_index, xf, yf, t))
+    pairs = np.concatenate([b.xs, b.ys], axis=1)
+    pairs[:, flip_index] *= -1
+    real = int(np.count_nonzero(distinguisher(flip_index, b.xs, b.ys, b)))
+    flipped = int(
+        np.count_nonzero(distinguisher(flip_index, pairs[:, :n], pairs[:, n:], b))
+    )
     floor = 1.0 / trials
     p_real = real / trials
     p_flipped = flipped / trials

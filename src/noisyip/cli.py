@@ -230,18 +230,14 @@ def cmd_ka(args) -> ExperimentReport:
             "the openbook adversary reads leaked inputs and requires "
             "--channel exact_open"
         )
+    channel = channels.channel_from_config(cfg)
+    adv = None if args.adversary == "none" else _build_adversary(args.adversary, ell)
 
     def chunk(rng, size):
-        channel = channels.channel_from_config(cfg)
-        batch = keyagreement.run_ka_rounds(channel, ell, size, rng)
-        agree_idx = np.flatnonzero(batch.o_a == batch.o_b)
-        leak_hits = 0
-        if args.adversary != "none":
-            adv = _build_adversary(args.adversary, ell)
-            for i in agree_idx:
-                guess = int(adv(batch.ka_transcript(int(i))))
-                leak_hits += int(guess == int(batch.o_a[i]))
-        return [len(agree_idx), leak_hits, size]
+        agree, leak_hits = keyagreement.count_rounds(
+            channel, ell, size, rng, adv, batch_size=size
+        )
+        return [agree, leak_hits, size]
 
     agg = run_chunked(
         config,
@@ -429,12 +425,11 @@ def cmd_audit(args) -> ExperimentReport:
 def _build_distinguisher(spec: str):
     if spec.startswith("near:"):
         width = int(spec.split(":", 1)[1])
-
-        def dist(i, x, y, t):
-            ip = int(np.dot(x.astype(np.int64), y.astype(np.int64)))
-            return int(abs(t.out - ip) <= width)
-
-        return dist
+        if width < 0:
+            raise ConfigError(f"distinguisher width must be >= 0, got {width}")
+        return lambda i, xs, ys, b: (
+            np.abs(b.outs - (xs * ys).sum(axis=1, dtype=np.int64)) <= width
+        )
     raise ConfigError(f"unknown distinguisher {spec!r}")
 
 
@@ -548,6 +543,7 @@ _VALIDATORS = {
     "samples": lambda v: v is None or v >= 1,
     "threads": lambda v: v >= 1,
     "ell": lambda v: v is None or v >= 1,
+    "eps": lambda v: v is None or v > 0,  # also rejects nan
     "m": lambda v: v is None or v >= 1,
     "wrapper_runs": lambda v: v >= 1,
     "runs": lambda v: v >= 1,

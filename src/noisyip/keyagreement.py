@@ -10,13 +10,15 @@ snapped down to a multiple of ell.  When the channel output is within
 ell/2 of <x,y>, the snapped values collide with probability >= 1/2.
 
 The eavesdropper's view of a round is (x_{r+}, y_{r-}, t, r, v).  An
-adversary guessing A's output from that view converts into an estimator of
-the masked product <x*y, r> from the same view, which is the bridge into
-the distinguisher pipeline (``noisyip.condense``).
+adversary guesses A's output for a whole batch of such views at once
+(``EveViews``).  It converts into an estimator of the masked product
+<x*y, r> from the same view, which is the bridge into the distinguisher
+pipeline (``noisyip.condense``).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -81,9 +83,6 @@ class KARoundBatch:
     ys: np.ndarray
     channel_batch: object
 
-    def __len__(self):
-        return len(self.o_a)
-
     def ka_transcript(self, i: int) -> KATranscript:
         r = self.R[i]
         return KATranscript(
@@ -93,6 +92,36 @@ class KARoundBatch:
             r=r,
             v=int(self.V[i]),
         )
+
+    def eve_views(self) -> "EveViews":
+        extras = self.channel_batch.extras
+        return EveViews(self.R, self.V, self.outs, extras, self.xs, self.ys)
+
+
+class EveViews:
+    """The eavesdropper's view of a batch of rounds, one row per round.
+
+    It shows the masks ``R``, the shifts ``V``, the channel outputs
+    ``outs``, the transcript ``extras`` (name -> per-row array), and x on r+
+    and y on r- as zero-masked int8 rows ``x_plus``/``y_minus``, built on
+    first read.  The parties' full inputs are not part of the view.
+    """
+
+    def __init__(self, R, V, outs, extras, xs, ys):
+        self.R, self.V, self.outs, self.extras = R, V, outs, extras
+        self._xs, self._ys = xs, ys
+
+    @functools.cached_property
+    def x_plus(self) -> np.ndarray:
+        return (self.R == 1) * self._xs
+
+    @functools.cached_property
+    def y_minus(self) -> np.ndarray:
+        return (self.R == -1) * self._ys
+
+
+# maps a batch of eavesdropper views to an int64 guess of o_A per row
+Adversary = Callable[[EveViews], np.ndarray]
 
 
 def run_ka_rounds(
@@ -105,23 +134,14 @@ def run_ka_rounds(
     b = channel.sample_batch(trials, rng)
     R = random_signs(n, rng, trials)
     V = rng.integers(1, ell + 1, size=trials)
-    prods = b.xs.astype(np.int64) * b.ys.astype(np.int64)
-    ip_plus = np.where(R == 1, prods, 0).sum(axis=1)
-    ip_minus = np.where(R == -1, prods, 0).sum(axis=1)
-    u_a = ip_minus
-    u_b = b.outs - ip_plus
+    prods = b.xs * b.ys
+    ips = prods.sum(axis=1, dtype=np.int64)
+    # u_a = ip_minus = (ips - <x*y, r>) / 2 exactly; u_b = out - ip_plus
+    u_a = (ips - (prods * R).sum(axis=1, dtype=np.int64)) // 2
+    u_b = b.outs - (ips - u_a)
     return KARoundBatch(
-        o_a=_quantize(u_a, V, ell),
-        o_b=_quantize(u_b, V, ell),
-        u_a=u_a,
-        u_b=u_b,
-        outs=b.outs,
-        ips=ip_plus + ip_minus,
-        R=R,
-        V=V,
-        xs=b.xs,
-        ys=b.ys,
-        channel_batch=b,
+        o_a=_quantize(u_a, V, ell), o_b=_quantize(u_b, V, ell), u_a=u_a, u_b=u_b,
+        outs=b.outs, ips=ips, R=R, V=V, xs=b.xs, ys=b.ys, channel_batch=b,
     )
 
 
@@ -152,6 +172,37 @@ def _rate_report(hits: int, trials: int) -> RateReport:
     return RateReport(rate=rate, half_width=half, trials=trials)
 
 
+def count_rounds(
+    channel: Channel,
+    ell: int,
+    trials: int,
+    rng: np.random.Generator,
+    adversary: Adversary | None = None,
+    batch_size: int = 65536,
+) -> tuple[int, int]:
+    """Run `trials` rounds in batches of `batch_size`; return the number of
+    agreement events o_A = o_B and how many of them `adversary` guessed o_A
+    in (0 without an adversary).
+
+    The adversary sees each batch's eavesdropper views in one call.  Every
+    round is also checked against the structural implication that agreement
+    forces |out(t) - <x,y>| < ell.
+    """
+    events = hits = done = 0
+    while done < trials:
+        size = min(batch_size, trials - done)
+        batch = run_ka_rounds(channel, ell, size, rng)
+        agree = batch.o_a == batch.o_b
+        if np.any(np.abs(batch.outs - batch.ips)[agree] >= ell):
+            raise RuntimeError("agreement without out(t) being ell-close to <x,y>")
+        events += int(np.count_nonzero(agree))
+        if adversary is not None:
+            guess = adversary(batch.eve_views())
+            hits += int(np.count_nonzero(agree & (guess == batch.o_a)))
+        done += size
+    return events, hits
+
+
 def agreement_rate(
     channel: Channel,
     ell: int,
@@ -159,22 +210,9 @@ def agreement_rate(
     rng: np.random.Generator,
     batch_size: int = 65536,
 ) -> RateReport:
-    """Monte Carlo Pr[o_A = o_B] over independent rounds.
-
-    Every sampled round is also checked against the structural implication
-    that agreement forces |out(t) - <x,y>| < ell.
-    """
-    hits = 0
-    done = 0
-    while done < trials:
-        size = min(batch_size, trials - done)
-        batch = run_ka_rounds(channel, ell, size, rng)
-        agree = batch.o_a == batch.o_b
-        if not np.all(np.abs(batch.outs[agree] - batch.ips[agree]) < ell):
-            raise RuntimeError("agreement without out(t) being ell-close to <x,y>")
-        hits += int(np.count_nonzero(agree))
-        done += size
-    return _rate_report(hits, trials)
+    """Monte Carlo Pr[o_A = o_B] over independent rounds (``count_rounds``)."""
+    events, _ = count_rounds(channel, ell, trials, rng, batch_size=batch_size)
+    return _rate_report(events, trials)
 
 
 @dataclass(frozen=True)
@@ -189,39 +227,25 @@ class LeakageReport:
 def equality_leakage_rate(
     channel: Channel,
     ell: int,
-    adversary: Callable[[KATranscript], int],
+    adversary: Adversary,
     trials: int,
     rng: np.random.Generator,
     batch_size: int = 8192,
 ) -> LeakageReport:
-    """Adversary success at guessing o_A conditioned on o_A = o_B."""
-    events = 0
-    hits = 0
-    done = 0
-    while done < trials:
-        size = min(batch_size, trials - done)
-        batch = run_ka_rounds(channel, ell, size, rng)
-        agree_idx = np.flatnonzero(batch.o_a == batch.o_b)
-        events += len(agree_idx)
-        for i in agree_idx:
-            guess = int(adversary(batch.ka_transcript(int(i))))
-            hits += int(guess == int(batch.o_a[i]))
-        done += size
-    if events == 0:
-        return LeakageReport(
-            rate=float("nan"),
-            half_width=float("nan"),
-            agreement_events=0,
-            trials=trials,
-            degenerate=True,
-        )
-    base = _rate_report(hits, events)
+    """Adversary success at guessing o_A conditioned on o_A = o_B.
+
+    The adversary maps an ``EveViews`` batch to an int64 guess per row; it
+    is called once per batch of `batch_size` rounds, on every round, and
+    scored on the agreeing ones.
+    """
+    events, hits = count_rounds(channel, ell, trials, rng, adversary, batch_size)
+    base = _rate_report(hits, events)  # nan rate and width without events
     return LeakageReport(
         rate=base.rate,
         half_width=base.half_width,
         agreement_events=events,
         trials=trials,
-        degenerate=False,
+        degenerate=events == 0,
     )
 
 
@@ -230,44 +254,32 @@ def equality_leakage_rate(
 # ---------------------------------------------------------------------------
 
 
-def blind_adversary(ell: int) -> Callable[[KATranscript], int]:
+def blind_adversary(ell: int) -> Adversary:
     """Ignores all data and quantizes u = 0 (a measurable baseline)."""
-
-    def adversary(view: KATranscript) -> int:
-        return int((0 - view.v) // ell) * ell
-
-    return adversary
+    return lambda views: _quantize(0, views.V, ell)
 
 
-def readout_adversary(ell: int) -> Callable[[KATranscript], int]:
+def readout_adversary(ell: int) -> Adversary:
     """Uses the designated output only: guesses u_A as out(t)/2.
 
     For uniform inputs E[<x_{r-}, y_{r-}> | <x,y>] = <x,y>/2, which makes
     this the natural transcript-only point guess.
     """
-
-    def adversary(view: KATranscript) -> int:
-        u_guess = view.t.out // 2
-        return int((u_guess - view.v) // ell) * ell
-
-    return adversary
+    return lambda views: _quantize(views.outs // 2, views.V, ell)
 
 
-def openbook_adversary(ell: int) -> Callable[[KATranscript], int]:
+def openbook_adversary(ell: int) -> Adversary:
     """Reads leaked inputs from a non-private transcript and wins exactly.
 
     Requires a channel whose transcript carries the full x (for instance
     ``exact_ip_channel(n, leak_inputs=True)``); combined with the view's
     y_{r-}, party A's value u_A is computed outright.
     """
-
-    def adversary(view: KATranscript) -> int:
-        x = np.asarray(view.t.message("x"), dtype=np.int64)
-        r = np.asarray(view.r)
-        u_a = int(np.dot(x[r == -1], np.asarray(view.y_minus, dtype=np.int64)))
-        return int((u_a - view.v) // ell) * ell
-
-    return adversary
+    return lambda views: _quantize(
+        (views.extras["x"] * views.y_minus).sum(axis=1, dtype=np.int64),
+        views.V,
+        ell,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -275,13 +287,12 @@ def openbook_adversary(ell: int) -> Callable[[KATranscript], int]:
 # ---------------------------------------------------------------------------
 
 
-def adversary_to_ip_estimator(
-    adversary: Callable[[KATranscript], int], ell: int
-) -> Callable:
+def adversary_to_ip_estimator(adversary: Adversary, ell: int) -> Callable:
     """Convert an output-guessing adversary into a masked-product estimator.
 
     The returned function maps an eavesdropper view (r, x_{r+}, y_{r-}, t)
-    to an integer estimate of <x*y, r>, drawing its own uniform shift v.
+    to an integer estimate of <x*y, r>, drawing its own uniform shift v and
+    asking the adversary about a size-1 ``EveViews``.
     Since 2*<x_{r-}, y_{r-}> = <x,y> - <x*y, r> and the adversary's guess
     g approximates <x_{r-}, y_{r-}> - v up to one quantization block,
 
@@ -292,21 +303,16 @@ def adversary_to_ip_estimator(
     would approximate the negated masked product.)
     """
 
-    def estimator(
-        r: np.ndarray,
-        x_plus: np.ndarray,
-        y_minus: np.ndarray,
-        t: Transcript,
-        rng: np.random.Generator,
-    ) -> int:
+    def estimator(r, x_plus, y_minus, t: Transcript, rng) -> int:
         v = int(rng.integers(1, ell + 1))
-        view = KATranscript(
-            x_plus=np.asarray(x_plus, dtype=SIGN_DTYPE),
-            y_minus=np.asarray(y_minus, dtype=SIGN_DTYPE),
-            t=t,
-            r=np.asarray(r, dtype=SIGN_DTYPE),
-            v=v,
-        )
-        return int(t.out) - 2 * (int(adversary(view)) + v)
+        r = np.asarray(r, dtype=SIGN_DTYPE)[None]
+        if len(x_plus) + len(y_minus) != r.size or len(x_plus) != (r == 1).sum():
+            raise ValueError("restriction lengths inconsistent with the mask")
+        x, y = np.zeros((2, *r.shape), dtype=SIGN_DTYPE)
+        x[r == 1], y[r == -1] = x_plus, y_minus
+        extras = {k: np.asarray([m]) for k, m in t.messages if k != "out"}
+        out = np.array([t.out], dtype=np.int64)
+        views = EveViews(r, np.array([v]), out, extras, x, y)
+        return int(t.out) - 2 * (int(adversary(views)[0]) + v)
 
     return estimator

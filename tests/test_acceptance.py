@@ -31,7 +31,7 @@ from noisyip import (
     spawn_rngs,
 )
 from noisyip.amplify import hashed_parity_trials, parity_oracle
-from noisyip.condense import variant_vote_split
+from noisyip.condense import TripletEstimator, variant_vote_split
 from noisyip.hashing import all_toeplitz_hashes
 from noisyip.keyagreement import agreement_rate
 from noisyip.reconstruct import (
@@ -370,6 +370,17 @@ def test_criterion_8_appendix_properties():
 # ---------------------------------------------------------------------------
 
 
+class MaskedViewEstimator(TripletEstimator):
+    """A pure estimator that reads only the zero-masked views it is handed."""
+
+    def __init__(self, n):
+        self.n = n
+        self.w = np.arange(n) % 5 - 2
+
+    def query_masked(self, R, xp, ym, t, rng):
+        return (3 * xp + ym) @ self.w
+
+
 def test_criterion_9_condenser_sanity():
     rng = rng_from_seed(1009)
     n, trials = 4096, 10_000_000
@@ -391,20 +402,28 @@ def test_criterion_9_condenser_sanity():
     exact_max = pmf.max()
     close_ok = abs(rep.max_freq - exact_max) < 5 * math.sqrt(exact_max / trials)
 
-    # exchange identity fuzz: zero violations over 1e5 (triplet, seed) votes
+    # exchange identity fuzz: zero violations over 1e5 (triplet, seed) votes,
+    # for a transcript reader and for an estimator of the masked views alone
     n2 = 64
     channel = exact_ip_channel(n2, leak_inputs=True)
-    f = open_transcript_estimator(n2, noise_scale=2.0)
+    estimators = (open_transcript_estimator(n2, noise_scale=2.0),
+                  MaskedViewEstimator(n2))
     violations = 0
     samples_done = 0
     for trip in range(25):
         s = channel.sample(rng)
         R = random_signs(n2, rng, 4000)
         j = int(rng.integers(0, n2))
-        split = variant_vote_split(j, s.x, s.y, s.t, f, 1, R, rng)
-        total = {k: a + b for k, (a, b) in split.items()}
-        if total["xy"] + total["fx_fy"] != total["fx_y"] + total["x_fy"]:
-            violations += 1
+        for f in estimators:
+            split = variant_vote_split(j, s.x, s.y, s.t, f, 1, R, rng)
+            total = {k: a + b for k, (a, b) in split.items()}
+            # the r_j = +1 side (index 1) never reads y_j, the -1 side x_j
+            if (total["xy"] + total["fx_fy"] != total["fx_y"] + total["x_fy"]
+                    or split["xy"][1] != split["x_fy"][1]
+                    or split["fx_y"][1] != split["fx_fy"][1]
+                    or split["xy"][0] != split["fx_y"][0]
+                    or split["x_fy"][0] != split["fx_fy"][0]):
+                violations += 1
         samples_done += 4000
     ok = freq_ok and close_ok and violations == 0
     report(
@@ -412,7 +431,7 @@ def test_criterion_9_condenser_sanity():
         "condenser sanity",
         ok,
         f"max bucket freq {rep.max_freq:.5f} <= {bound:.3f} "
-        f"(exact {exact_max:.5f}); exchange identity: 0 violations over "
+        f"(exact {exact_max:.5f}); exchange identity: {violations} violations over "
         f"{samples_done} fuzzed samples",
     )
     assert ok

@@ -23,6 +23,10 @@ from noisyip import (
 from noisyip.channels import randomized_response_p
 
 
+def row_ips(xs, ys):
+    return np.einsum("ij,ij->i", xs.astype(int), ys.astype(int))
+
+
 def exact_binomial_window(n: int, width: int) -> Fraction:
     """Pr[|S_n| <= width] for S_n a sum of n uniform +-1, exact."""
     total = Fraction(0)
@@ -182,8 +186,8 @@ def test_dp_audit_constant_channel_no_signal():
     rng = rng_from_seed(10)
     ch = constant_channel(16, 0)
 
-    def dist(i, x, y, t):
-        return int(t.out % 2 == 0)
+    def dist(i, xs, ys, batch):
+        return batch.outs % 2 == 0
 
     rep = dp_audit(ch, dist, 3, 2000, rng)
     assert rep.eps_hat_lower == pytest.approx(0.0, abs=1e-9)
@@ -194,8 +198,8 @@ def test_dp_audit_exact_channel_blatant():
     trials = 2000
     ch = exact_ip_channel(16)
 
-    def dist(i, x, y, t):
-        return int(t.out == inner_product(x, y))
+    def dist(i, xs, ys, batch):
+        return batch.outs == row_ips(xs, ys)
 
     rep = dp_audit(ch, dist, 5, trials, rng)
     assert rep.p_real == 1.0
@@ -207,8 +211,8 @@ def test_dp_audit_laplace_within_eps():
     n, eps = 8, 1.0
     ch = laplace_ip_channel(n, eps)
 
-    def dist(i, x, y, t):
-        return int(t.out == inner_product(x, y))
+    def dist(i, xs, ys, batch):
+        return batch.outs == row_ips(xs, ys)
 
     trials = 60_000
     rep = dp_audit(ch, dist, 2, trials, rng)
@@ -218,6 +222,16 @@ def test_dp_audit_laplace_within_eps():
         rep.p_real / rep.p_flipped
     )
     assert rep.eps_hat_lower <= eps + slack + 0.1
+
+
+def test_bad_eps_rejected():
+    for eps in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            laplace_ip_channel(8, eps)
+        with pytest.raises(ValueError):
+            randomized_response_channel(8, eps)
+    with pytest.raises(ValueError):
+        randomized_response_channel(8, math.inf)  # p would be nan
 
 
 def test_equality_channel_rate():

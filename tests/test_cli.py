@@ -216,6 +216,18 @@ def test_audit_command(tmp_path):
     assert payload["metrics"]["eps_hat_lower"]["value"] > 2.0
 
 
+def test_near_distinguisher_matches_row_definition():
+    from noisyip import inner_product, laplace_ip_channel, rng_from_seed
+    from noisyip.cli import _build_distinguisher
+
+    b = laplace_ip_channel(16, 1.0).sample_batch(400, rng_from_seed(3))
+    for width in (0, 2):
+        got = _build_distinguisher(f"near:{width}")(5, b.xs, b.ys, b)
+        expected = [abs(int(b.outs[i]) - inner_product(b.xs[i], b.ys[i])) <= width
+                    for i in range(len(b))]
+        assert got.tolist() == expected
+
+
 def test_audit_search_grid_membership(tmp_path):
     out = tmp_path / "audit.json"
     code = main([
@@ -335,6 +347,44 @@ def test_exit_code_invalid_config(tmp_path, capsys):
                 ["--wrapper-runs", "0"], ["--wrapper-runs", "-3"], ["--m", "0"]):
         assert main(amplify + bad) == 2, bad
     assert main(["gl", "--n", "8", "--runs", "0", "--seed", "1"]) == 2
+    assert main(["audit", "--channel", "laplace", "--eps", "1.0", "--n", "16",
+                 "--trials", "10", "--distinguisher", "near:-1"]) == 2
+
+
+RECON = ["recon", "--estimator", "laplace", "--n", "16", "--trials", "10",
+         "--samples", "10", "--seed", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    RECON + ["--eps", "0"],  # was a ZeroDivisionError traceback
+    RECON + ["--eps", "-1"],  # was a negative Laplace scale
+    RECON + ["--eps", "nan"],
+    ["ka", "--channel", "laplace", "--eps", "nan", "--n", "16", "--trials", "10"],
+    ["audit", "--channel", "randomized_response", "--eps", "nan", "--n", "16",
+     "--trials", "10"],
+    ["ka", "--channel", "randomized_response", "--eps", "inf", "--n", "16",
+     "--trials", "10"],  # p = nan
+], ids=["recon-eps-0", "recon-eps-neg", "recon-eps-nan", "ka-laplace-eps-nan",
+        "audit-rr-eps-nan", "ka-rr-eps-inf"])
+def test_exit_code_bad_eps(argv, capsys):
+    assert main(argv) == 2
+    assert "eps" in capsys.readouterr().err
+
+
+def test_exit_code_nan_eps_from_config(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"eps": NaN}')
+    assert main(RECON + ["--config", str(cfg)]) == 2
+
+
+def test_infinite_eps_means_no_noise(tmp_path, capsys):
+    # documented for the Laplace channel and estimator: scale 0, exact
+    code, out = run_cli(RECON + ["--eps", "inf", "--ell", "1"], capsys)
+    assert code == 0
+    assert json.loads(out)["metrics"]["frac_correct"]["value"] == 1.0
+    assert main(["ka", "--channel", "laplace", "--eps", "inf", "--n", "16",
+                 "--ell", "2", "--trials", "10", "--out",
+                 str(tmp_path / "ka.json")]) == 0
 
 
 def test_exit_code_precondition_violation(capsys):

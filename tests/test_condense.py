@@ -94,23 +94,54 @@ def test_rec_success_floor_on_certified_good_estimators():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("noise_scale", [0.0, 2.0])
-def test_rhombus_identity_exact_per_sample(noise_scale):
+class MaskedViewEstimator(TripletEstimator):
+    """A pure estimator that reads only the zero-masked views it is handed."""
+
+    def __init__(self, n):
+        self.n = n
+        self.w = np.arange(n) % 3 + 1
+
+    def query_masked(self, R, xp, ym, t, rng):
+        return (xp - 2 * ym) @ self.w
+
+
+def scalar_view_reader(r, x_plus, y_minus, t, rng):
+    """A pure per-query estimator of the restricted view alone."""
+    w = np.arange(len(r)) % 3 + 1
+    return int(x_plus.astype(int) @ w[r == 1] - 2 * y_minus.astype(int) @ w[r == -1])
+
+
+# keyed by test id; the transcript readers keep their noise-scale ids
+RHOMBUS_ESTIMATORS = {
+    "0.0": lambda n: open_transcript_estimator(n),
+    "2.0": lambda n: open_transcript_estimator(n, noise_scale=2.0),
+    "scalar-views": lambda n: ScalarTripletEstimator(scalar_view_reader, n),
+    "masked-views": MaskedViewEstimator,
+}
+
+
+@pytest.mark.parametrize("name", list(RHOMBUS_ESTIMATORS))
+def test_rhombus_identity_exact_per_sample(name):
     n = 40
     x, y, t = open_triplet(n, 4)
-    f = open_transcript_estimator(n, noise_scale=noise_scale)
+    f = RHOMBUS_ESTIMATORS[name](n)
     rng = rng_from_seed(5)
+    moved = False
     for j in (0, 7, 39):
         R = random_signs(n, rng, 500)
         split = variant_vote_split(j, x, y, t, f, 1, R, rng)
         total = {k: a + b for k, (a, b) in split.items()}
         assert total["xy"] + total["fx_fy"] == total["fx_y"] + total["x_fy"]
-        # the r_j = +1 side never reads x_j; flipping x leaves it unchanged
-        assert split["xy"][1] == split["fx_y"][1]
-        assert split["x_fy"][1] == split["fx_fy"][1]
-        # the r_j = -1 side never reads y_j
-        assert split["xy"][0] == split["x_fy"][0]
-        assert split["fx_y"][0] == split["fx_fy"][0]
+        # the r_j = +1 side (index 1) sees x_j but never y_j
+        assert split["xy"][1] == split["x_fy"][1]
+        assert split["fx_y"][1] == split["fx_fy"][1]
+        # the r_j = -1 side (index 0) sees y_j but never x_j
+        assert split["xy"][0] == split["fx_y"][0]
+        assert split["x_fy"][0] == split["fx_fy"][0]
+        moved |= split["xy"] != split["fx_fy"]
+    # a view-reading estimator does react to x_j and y_j, so the asserts
+    # above are not vacuous for it
+    assert moved == name.endswith("views")
 
 
 # ---------------------------------------------------------------------------

@@ -221,6 +221,39 @@ def test_readout_adversary_success_decreases_with_n():
     assert rates[0] > rates[1] > rates[2]
 
 
+def scalar_guess(name: str, view: KATranscript, ell: int) -> int:
+    """The built-in adversaries' definitions on one scalar round view."""
+    if name == "blind":
+        u = 0
+    elif name == "readout":
+        u = view.t.out // 2
+    else:  # openbook: u_A = <x_{r-}, y_{r-}> with x read from the transcript
+        x = np.asarray(view.t.message("x"), dtype=np.int64)
+        u = int(np.dot(x[view.r == -1], view.y_minus.astype(np.int64)))
+    return ((u - view.v) // ell) * ell
+
+
+@pytest.mark.parametrize("channel, names", [
+    (exact_ip_channel(24, leak_inputs=True), ("blind", "readout", "openbook")),
+    (laplace_ip_channel(24, 1.0), ("blind", "readout")),
+])
+def test_batch_adversaries_match_scalar_definitions(channel, names):
+    ell = 4
+    batch = run_ka_rounds(channel, ell, 300, rng_from_seed(13))
+    views = batch.eve_views()
+    assert not hasattr(views, "xs") and not hasattr(views, "ys")
+    assert np.array_equal(views.x_plus, np.where(batch.R == 1, batch.xs, 0))
+    assert np.array_equal(views.y_minus, np.where(batch.R == -1, batch.ys, 0))
+    factories = {"blind": blind_adversary, "readout": readout_adversary,
+                 "openbook": openbook_adversary}
+    for name in names:
+        guesses = factories[name](ell)(views)
+        assert guesses.shape == (300,)
+        expected = [scalar_guess(name, batch.ka_transcript(i), ell)
+                    for i in range(300)]
+        assert guesses.tolist() == expected, name
+
+
 def test_leakage_degenerate_flagged():
     # a channel that never agrees: constant output far outside reach
     rng = rng_from_seed(9)
@@ -278,3 +311,10 @@ def test_ka_transcript_validation():
             r=np.array([1, 1], dtype=np.int8),
             v=1,
         )
+    # the size-1 batch view behind the estimator bridge checks the same
+    est = adversary_to_ip_estimator(blind_adversary(2), 2)
+    t = exact_ip_channel(2).sample(rng_from_seed(12)).t
+    r = np.array([1, 1], dtype=np.int8)
+    for x_plus, y_minus in (([1], []), ([], [1, -1]), ([1, 1], [1])):
+        with pytest.raises(ValueError):
+            est(r, np.array(x_plus), np.array(y_minus), t, rng_from_seed(13))
