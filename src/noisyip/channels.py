@@ -32,6 +32,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .reporting import wald_half_width
+from .rng import CHUNK_TRIALS, sum_chunks
 from .signvectors import SIGN_DTYPE, random_signs
 from .sources import SvSourceSpec, sample_rounded_laplace, sample_sv_source
 from .sources import laplace_from_uniform, round_half_away
@@ -262,24 +263,15 @@ class AccuracyReport:
 
 
 def estimate_accuracy(
-    channel: Channel,
-    alpha: int,
-    trials: int,
-    rng: np.random.Generator,
-    batch_size: int = 65536,
+    channel: Channel, alpha: int, trials: int, rng: np.random.Generator
 ) -> AccuracyReport:
     """Monte Carlo estimate of Pr[|out(t) - <x,y>| <= alpha]."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    hits = 0
-    done = 0
-    while done < trials:
-        size = min(batch_size, trials - done)
-        b = channel.sample_batch(size, rng)
-        err = np.abs(b.outs - _row_ips(b.xs, b.ys))
-        hits += int(np.count_nonzero(err <= alpha))
-        done += size
-    gamma = hits / trials
+
+    def hits(stream, size):
+        b = channel.sample_batch(size, stream)
+        return np.count_nonzero(np.abs(b.outs - _row_ips(b.xs, b.ys)) <= alpha)
+
+    gamma = int(sum_chunks(hits, rng, trials, CHUNK_TRIALS)) / trials
     half = wald_half_width(gamma, trials)
     return AccuracyReport(alpha=alpha, gamma_hat=gamma, trials=trials, half_width=half)
 

@@ -25,11 +25,9 @@ import numpy as np
 from . import amplify, channels, condense, keyagreement, reconstruct
 from .errors import PreconditionViolation
 from .reporting import ExperimentReport, wald_half_width
-from .rng import map_streams, rng_from_seed, spawn_rngs
+from .rng import CHUNK_TRIALS, map_streams, rng_from_seed, spawn_rngs
 from .signvectors import random_signs
 from .sources import SvSourceSpec
-
-CHECKPOINT_EVERY = 10_000
 
 
 class ConfigError(ValueError):
@@ -52,24 +50,21 @@ def run_chunked(
     seed: int,
     trials: int,
     chunk_fn,
-    reduce_fn,
-    init,
     threads: int = 1,
     out_path: str | None = None,
-    chunk_size: int = CHECKPOINT_EVERY,
-):
-    """Deterministic chunked map-reduce over trials.
+) -> list[int]:
+    """Deterministic chunked sum over trials.
 
-    ``chunk_fn(rng, size) -> aggregate`` runs one chunk; aggregates merge in
-    chunk order with ``reduce_fn``.  When ``out_path`` is given, a sidecar
-    checkpoint stores completed chunk aggregates keyed by a hash of
-    (config, seed) and is removed on completion.
+    ``chunk_fn(rng, size) -> list of ints`` runs one chunk of at most
+    ``CHUNK_TRIALS`` trials; the lists are summed elementwise.  When
+    ``out_path`` is given, a sidecar checkpoint stores completed chunk
+    aggregates keyed by a hash of (config, seed) and is removed on completion.
     """
-    num_chunks = (trials + chunk_size - 1) // chunk_size
+    num_chunks = (trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
     key = _config_hash({"config": config, "seed": seed, "trials": trials})
     ckpt_path = f"{out_path}.ckpt" if out_path else None
 
-    done: dict[int, object] = {}
+    done: dict[int, list[int]] = {}
     if ckpt_path and os.path.exists(ckpt_path):
         try:
             with open(ckpt_path) as fh:
@@ -81,18 +76,15 @@ def run_chunked(
             print(f"note: ignoring checkpoint {ckpt_path}: {exc}", file=sys.stderr)
 
     def run_one(i, rng):
-        return i, chunk_fn(rng, min(chunk_size, trials - i * chunk_size))
+        return i, chunk_fn(rng, min(CHUNK_TRIALS, trials - i * CHUNK_TRIALS))
 
     root = rng_from_seed(seed)
     for i, agg in map_streams(run_one, root, num_chunks, threads, set(done)):
         done[i] = agg
-        # checkpoint after every completed chunk (chunk_size trials)
         if ckpt_path and len(done) < num_chunks:
             _save_ckpt(ckpt_path, key, done)
 
-    result = init
-    for i in range(num_chunks):
-        result = reduce_fn(result, done[i])
+    result = [sum(col) for col in zip(*(done[i] for i in range(num_chunks)))]
     if ckpt_path and os.path.exists(ckpt_path):
         os.remove(ckpt_path)
     return result
@@ -234,22 +226,11 @@ def cmd_ka(args) -> ExperimentReport:
     adv = None if args.adversary == "none" else _build_adversary(args.adversary, ell)
 
     def chunk(rng, size):
-        agree, leak_hits = keyagreement.count_rounds(
-            channel, ell, size, rng, adv, batch_size=size
-        )
-        return [agree, leak_hits, size]
+        return [*keyagreement.count_rounds(channel, ell, size, rng, adv), size]
 
-    agg = run_chunked(
-        config,
-        args.seed,
-        trials,
-        chunk,
-        lambda a, b: [a[0] + b[0], a[1] + b[1], a[2] + b[2]],
-        [0, 0, 0],
-        threads=args.threads,
-        out_path=args.out,
+    agree, leak_hits, total = run_chunked(
+        config, args.seed, trials, chunk, threads=args.threads, out_path=args.out
     )
-    agree, leak_hits, total = agg
     report = ExperimentReport("ka", args.seed, config)
     agreement = _rate_metric(report, "agreement", agree, total)
     leakage = None
@@ -339,20 +320,18 @@ def cmd_amplify(args) -> ExperimentReport:
     config = {"channel": cfg, "m": m, "trials": trials,
               "wrapper_runs": args.wrapper_runs}
 
+    channel = channels.channel_from_config(cfg)
+
     def chunk(rng, size):
-        channel = channels.channel_from_config(cfg)
         aborted, bit_a, bit_b = amplify.hashed_parity_trials(
             channel, m, size, rng
         )
         ok = ~aborted
         return [int(ok.sum()), int((bit_a[ok] == bit_b[ok]).sum()), size]
 
-    agg = run_chunked(
-        config, args.seed, trials, chunk,
-        lambda a, b: [a[0] + b[0], a[1] + b[1], a[2] + b[2]],
-        [0, 0, 0], threads=args.threads, out_path=args.out,
+    ok_count, match, total = run_chunked(
+        config, args.seed, trials, chunk, threads=args.threads, out_path=args.out
     )
-    ok_count, match, total = agg
     report = ExperimentReport("amplify", args.seed, config)
     abort_rate = _rate_metric(report, "abort_rate", total - ok_count, total)
     agreement = None
@@ -362,7 +341,6 @@ def cmd_amplify(args) -> ExperimentReport:
         )
 
     rng = rng_from_seed(args.seed + 1)
-    channel = channels.channel_from_config(cfg)
     all_failed = 0
     for _ in range(args.wrapper_runs):
         result = amplify.repeat_until_success(channel, alpha, rng, m=m)
@@ -547,6 +525,8 @@ _VALIDATORS = {
     "m": lambda v: v is None or v >= 1,
     "wrapper_runs": lambda v: v >= 1,
     "runs": lambda v: v >= 1,
+    "modulus": lambda v: v is None or v >= 2,
+    "noise": lambda v: 0 <= v <= 1,  # also rejects nan
 }
 
 

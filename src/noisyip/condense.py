@@ -35,7 +35,7 @@ import numpy as np
 
 from .channels import Channel, Transcript
 from .errors import PreconditionViolation, UnsupportedModel
-from .rng import hash_uniform01, rng_from_seed, spawn_rngs
+from .rng import hash_uniform01, map_streams, rng_from_seed
 from .signvectors import flip, random_signs
 from .reconstruct import EstimatorHandle, _expected_vote_table, reconstruct_bit
 from .sources import SvSourceSpec, laplace_from_uniform, round_half_away
@@ -597,10 +597,8 @@ def seeded_condense_experiment(
         raise PreconditionViolation("sources must have equal size")
     n = a.n
     pa, pb = a.one_probs(), b.one_probs()
-    outer_rngs = spawn_rngs(rng, trials_outer)
-    estimates = np.empty(trials_outer)
-    for o in range(trials_outer):
-        orng = outer_rngs[o]
+
+    def conditioned_bits(_, orng: np.random.Generator) -> float:
         x = np.where(orng.random(n) < pa, 1, -1)
         y = np.where(orng.random(n) < pb, 1, -1)
         r = random_signs(n, orng)
@@ -614,7 +612,9 @@ def seeded_condense_experiment(
         )
         vals = _grouped_signed_sum(term_probs, trials_inner, orng)
         freq = np.bincount(vals + n).max() / trials_inner
-        estimates[o] = -math.log2(freq)
+        return -math.log2(freq)
+
+    estimates = np.array(list(map_streams(conditioned_bits, rng, trials_outer)))
     return SeededCondenseReport(
         experiment="seeded",
         n=n,

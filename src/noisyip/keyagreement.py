@@ -26,6 +26,7 @@ import numpy as np
 
 from .channels import Channel, Transcript
 from .reporting import wald_half_width
+from .rng import CHUNK_TRIALS, sum_chunks
 from .signvectors import SIGN_DTYPE, random_signs
 
 
@@ -178,41 +179,37 @@ def count_rounds(
     trials: int,
     rng: np.random.Generator,
     adversary: Adversary | None = None,
-    batch_size: int = 65536,
 ) -> tuple[int, int]:
-    """Run `trials` rounds in batches of `batch_size`; return the number of
-    agreement events o_A = o_B and how many of them `adversary` guessed o_A
-    in (0 without an adversary).
+    """Run one batch of `trials` rounds; return the number of agreement
+    events o_A = o_B and how many of them `adversary` guessed o_A in (0
+    without an adversary).
 
-    The adversary sees each batch's eavesdropper views in one call.  Every
+    The adversary sees the batch's eavesdropper views in one call.  Every
     round is also checked against the structural implication that agreement
     forces |out(t) - <x,y>| < ell.
     """
-    events = hits = done = 0
-    while done < trials:
-        size = min(batch_size, trials - done)
-        batch = run_ka_rounds(channel, ell, size, rng)
-        agree = batch.o_a == batch.o_b
-        if np.any(np.abs(batch.outs - batch.ips)[agree] >= ell):
-            raise RuntimeError("agreement without out(t) being ell-close to <x,y>")
-        events += int(np.count_nonzero(agree))
-        if adversary is not None:
-            guess = adversary(batch.eve_views())
-            hits += int(np.count_nonzero(agree & (guess == batch.o_a)))
-        done += size
-    return events, hits
+    batch = run_ka_rounds(channel, ell, trials, rng)
+    agree = batch.o_a == batch.o_b
+    if np.any(np.abs(batch.outs - batch.ips)[agree] >= ell):
+        raise RuntimeError("agreement without out(t) being ell-close to <x,y>")
+    hits = 0
+    if adversary is not None:
+        guess = adversary(batch.eve_views())
+        hits = int(np.count_nonzero(agree & (guess == batch.o_a)))
+    return int(np.count_nonzero(agree)), hits
 
 
 def agreement_rate(
-    channel: Channel,
-    ell: int,
-    trials: int,
-    rng: np.random.Generator,
-    batch_size: int = 65536,
+    channel: Channel, ell: int, trials: int, rng: np.random.Generator
 ) -> RateReport:
-    """Monte Carlo Pr[o_A = o_B] over independent rounds (``count_rounds``)."""
-    events, _ = count_rounds(channel, ell, trials, rng, batch_size=batch_size)
-    return _rate_report(events, trials)
+    """Monte Carlo Pr[o_A = o_B] over independent rounds: ``count_rounds`` on
+    the ``ka`` command's chunks, so on ``rng_from_seed(s)`` it counts what
+    ``ka --seed s`` counts."""
+    events, _ = sum_chunks(
+        lambda stream, size: count_rounds(channel, ell, size, stream),
+        rng, trials, CHUNK_TRIALS,
+    )
+    return _rate_report(int(events), trials)
 
 
 @dataclass(frozen=True)
@@ -230,15 +227,17 @@ def equality_leakage_rate(
     adversary: Adversary,
     trials: int,
     rng: np.random.Generator,
-    batch_size: int = 8192,
 ) -> LeakageReport:
     """Adversary success at guessing o_A conditioned on o_A = o_B.
 
     The adversary maps an ``EveViews`` batch to an int64 guess per row; it
-    is called once per batch of `batch_size` rounds, on every round, and
-    scored on the agreeing ones.
+    is called once per chunk of rounds (as in ``agreement_rate``), on every
+    round, and scored on the agreeing ones.
     """
-    events, hits = count_rounds(channel, ell, trials, rng, adversary, batch_size)
+    events, hits = map(int, sum_chunks(
+        lambda stream, size: count_rounds(channel, ell, size, stream, adversary),
+        rng, trials, CHUNK_TRIALS,
+    ))
     base = _rate_report(hits, events)  # nan rate and width without events
     return LeakageReport(
         rate=base.rate,

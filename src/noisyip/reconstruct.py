@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import PreconditionViolation
-from .rng import keyed_uniform01, map_streams
+from .rng import CHUNK_TRIALS, keyed_uniform01, sum_chunks
 from .signvectors import (
     SIGN_DTYPE,
     as_signs,
@@ -330,24 +330,19 @@ class EstimatorProfile:
 
 
 def certify_estimator(
-    f: EstimatorHandle,
-    z,
-    ell: int,
-    trials: int,
-    rng: np.random.Generator,
-    batch_size: int = 65536,
+    f: EstimatorHandle, z, ell: int, trials: int, rng: np.random.Generator
 ) -> EstimatorProfile:
     """Estimate Pr[|f(R) - <z,R>| < ell] over uniform R and scale it."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     z = as_signs(z)
     n = len(z)
     z_packed = pack_signs(z)[0]
-    hits = 0
-    for start in range(0, trials, batch_size):
-        P = random_packed(n, min(batch_size, trials - start), rng)
+
+    def chunk_hits(stream, size):
+        P = random_packed(n, size, stream)
         errors = f.query_packed(P) - packed_inner_products(P, z_packed, n)
-        hits += int(np.count_nonzero(np.abs(errors) < ell))
+        return np.count_nonzero(np.abs(errors) < ell)
+
+    hits = int(sum_chunks(chunk_hits, rng, trials, CHUNK_TRIALS))
     rate = hits / trials
     return EstimatorProfile(
         lambda_hat=math.sqrt(n) / ell * rate,
@@ -407,22 +402,19 @@ def _vote_totals(f, z_masked, cols, ell, num_queries, rng, threads=1) -> np.ndar
     Chunks draw from spawned streams and the totals are exact int64 sums, so
     they depend neither on chunk order nor on ``threads``.
     """
-    if num_queries < 1:
-        raise ValueError("num_samples must be >= 1")
     if 4 * f.n >= 2**24:
         raise PreconditionViolation("the float32 vote kernel needs 4n < 2^24")
     table = _expected_vote_table(f.n, ell)
 
-    def chunk(c: int, stream: np.random.Generator) -> np.ndarray:
-        P = random_packed(f.n, min(_CHUNK_ROWS, num_queries - c * _CHUNK_ROWS), stream)
+    def chunk(stream: np.random.Generator, rows: int) -> np.ndarray:
+        P = random_packed(f.n, rows, stream)
         R = unpack_signs(P, f.n)
         # exact in float32: every value lies in [-4n, 4n] and 4n < 2^24
         shifted = (f.query_packed(P) + 2 * f.n).astype(np.float32)
         idx = shifted[:, None] - R.astype(np.float32) @ z_masked
         return (table[idx.astype(np.intp)] * R[:, cols]).sum(axis=0)
 
-    parts = map_streams(chunk, rng, -(-num_queries // _CHUNK_ROWS), threads)
-    return sum(parts, np.zeros(z_masked.shape[1], dtype=np.int64))
+    return sum_chunks(chunk, rng, num_queries, _CHUNK_ROWS, threads)
 
 
 def reconstruct_bit(

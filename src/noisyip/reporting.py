@@ -74,17 +74,18 @@ class ExperimentReport:
             "schema_version": SCHEMA_VERSION,
             "subcommand": self.subcommand,
             "seed": int(self.seed),
-            "config": self.config,
+            "config": _finite(self.config),
             "metrics": self.metrics,
             "query_counts": self.query_counts,
-            "record": self.record,
+            "record": _finite(self.record),
         }
         validate_report(payload)
         return payload
 
     def to_json_bytes(self) -> bytes:
         return (
-            json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+            json.dumps(self.to_dict(), sort_keys=True, indent=2, allow_nan=False)
+            + "\n"
         ).encode()
 
     def to_csv_bytes(self) -> bytes:
@@ -92,7 +93,7 @@ class ExperimentReport:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        config_json = json.dumps(payload["config"], sort_keys=True)
+        config_json = json.dumps(payload["config"], sort_keys=True, allow_nan=False)
         for name in sorted(payload["metrics"]):
             m = payload["metrics"][name]
             writer.writerow(
@@ -114,6 +115,18 @@ def wald_half_width(rate: float, trials: int) -> float:
     """Half-width 1.96 sqrt(p(1-p)/T) of the normal-approximation 95%
     interval of a rate p over T trials; it reads 0 at p = 0 or 1."""
     return 1.96 * math.sqrt(rate * (1 - rate) / trials)
+
+
+def _finite(value):
+    """``value`` with every non-finite float written as the string "inf",
+    "-inf" or "nan", which strict JSON can carry."""
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
+    return value
 
 
 def _fmt(v):

@@ -65,6 +65,25 @@ def map_streams(fn, rng: Generator, count: int, threads: int = 1, skip=()):
             yield future.result()
 
 
+# Trials per chunk in every Monte Carlo trial loop; the CLI checkpoints after
+# each one, so a library rate at seed s matches the CLI's count at --seed s.
+CHUNK_TRIALS = 10_000
+
+
+def sum_chunks(fn, rng: Generator, total: int, rows: int, threads: int = 1):
+    """Elementwise int64 sum of ``fn(stream_c, size_c)`` over the chunks of
+    ``total`` trials, ``rows`` per chunk (the last one smaller), each drawing
+    from its own stream of :func:`map_streams`.  Integer sums do not depend
+    on chunk order, so neither does the result on ``threads``."""
+    if total < 1:
+        raise ValueError(f"need at least one trial, got {total}")
+
+    def chunk(c: int, stream: Generator) -> np.ndarray:
+        return np.asarray(fn(stream, min(rows, total - c * rows)), dtype=np.int64)
+
+    return sum(map_streams(chunk, rng, -(-total // rows), threads), np.int64(0))
+
+
 _SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _SPLITMIX_M1 = np.uint64(0xBF58476D1CE4E5B9)
 _SPLITMIX_M2 = np.uint64(0x94D049BB133111EB)

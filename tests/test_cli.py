@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -108,17 +109,17 @@ def test_checkpoint_resume_matches_fresh(tmp_path):
     captured = {}
     orig = cli_mod.run_chunked
 
-    def capture_chunks(config, seed, trials, chunk_fn, reduce_fn, init, **kw):
+    def capture_chunks(config, seed, trials, chunk_fn, **kw):
         # run chunk 0 only and write it as a checkpoint, then delegate
         from noisyip.rng import rng_from_seed, spawn_rngs
 
-        num_chunks = (trials + cli_mod.CHECKPOINT_EVERY - 1) // cli_mod.CHECKPOINT_EVERY
+        num_chunks = (trials + cli_mod.CHUNK_TRIALS - 1) // cli_mod.CHUNK_TRIALS
         rngs = spawn_rngs(rng_from_seed(seed), num_chunks)
-        agg0 = chunk_fn(rngs[0], min(cli_mod.CHECKPOINT_EVERY, trials))
+        agg0 = chunk_fn(rngs[0], min(cli_mod.CHUNK_TRIALS, trials))
         key = cli_mod._config_hash({"config": config, "seed": seed, "trials": trials})
         with open(ckpt, "w") as fh:
             json.dump({"key": key, "chunks": {"0": agg0}}, fh)
-        return orig(config, seed, trials, chunk_fn, reduce_fn, init, **kw)
+        return orig(config, seed, trials, chunk_fn, **kw)
 
     cli_mod.run_chunked = capture_chunks
     try:
@@ -347,6 +348,11 @@ def test_exit_code_invalid_config(tmp_path, capsys):
                 ["--wrapper-runs", "0"], ["--wrapper-runs", "-3"], ["--m", "0"]):
         assert main(amplify + bad) == 2, bad
     assert main(["gl", "--n", "8", "--runs", "0", "--seed", "1"]) == 2
+    for noise in ("nan", "-0.1", "1.5"):
+        assert main(["gl", "--n", "8", "--runs", "1", "--noise", noise]) == 2, noise
+    for modulus in ("0", "1", "-4"):
+        assert main(["condense", "--mode", "mod", "--n", "16", "--trials", "10",
+                     "--modulus", modulus]) == 2, modulus
     assert main(["audit", "--channel", "laplace", "--eps", "1.0", "--n", "16",
                  "--trials", "10", "--distinguisher", "near:-1"]) == 2
 
@@ -377,14 +383,29 @@ def test_exit_code_nan_eps_from_config(tmp_path, capsys):
     assert main(RECON + ["--config", str(cfg)]) == 2
 
 
+def strict_json(text):
+    """Parse ``text`` as strict JSON, which has no Infinity or NaN."""
+    def reject(token):
+        raise ValueError(f"non-JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
 def test_infinite_eps_means_no_noise(tmp_path, capsys):
     # documented for the Laplace channel and estimator: scale 0, exact
     code, out = run_cli(RECON + ["--eps", "inf", "--ell", "1"], capsys)
     assert code == 0
-    assert json.loads(out)["metrics"]["frac_correct"]["value"] == 1.0
-    assert main(["ka", "--channel", "laplace", "--eps", "inf", "--n", "16",
-                 "--ell", "2", "--trials", "10", "--out",
-                 str(tmp_path / "ka.json")]) == 0
+    payload = strict_json(out)
+    assert payload["metrics"]["frac_correct"]["value"] == 1.0
+    assert payload["config"]["eps"] == "inf"
+    code, out = run_cli(["ka", "--channel", "laplace", "--eps", "inf", "--n", "16",
+                         "--ell", "2", "--trials", "10"], capsys)
+    assert code == 0
+    assert strict_json(out)["config"]["channel"]["eps"] == "inf"
+    code, out = run_cli(["ka", "--channel", "laplace", "--eps", "inf", "--n", "16",
+                         "--ell", "2", "--trials", "10", "--format", "csv"], capsys)
+    assert code == 0
+    config_json = next(csv.reader(out.splitlines()[1:]))[7]
+    assert strict_json(config_json)["channel"]["eps"] == "inf"
 
 
 def test_exit_code_precondition_violation(capsys):

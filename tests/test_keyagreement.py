@@ -118,6 +118,49 @@ def test_agreement_rate_rejects_agreement_far_from_ip(monkeypatch):
         agreement_rate(exact_ip_channel(16), 4, 100, rng_from_seed(5))
 
 
+@pytest.mark.parametrize("seed", [3, 4])
+def test_library_rates_count_what_the_ka_command_counts(seed, tmp_path):
+    # the library rates run the command's chunks from the same root seed
+    import json
+
+    from noisyip.cli import main
+
+    ch, ell, trials = laplace_ip_channel(64, 1.0), 4, 25_000
+    agreement = agreement_rate(ch, ell, trials, rng_from_seed(seed))
+    leak = equality_leakage_rate(ch, ell, blind_adversary(ell), trials,
+                                 rng_from_seed(seed))
+    assert leak.agreement_events == round(agreement.rate * trials)
+    for threads in ("1", "2"):
+        out = tmp_path / f"ka{threads}.json"
+        assert main(["ka", "--channel", "laplace", "--eps", "1.0", "--n", "64",
+                     "--ell", str(ell), "--trials", str(trials), "--adversary",
+                     "blind", "--threads", threads, "--seed", str(seed),
+                     "--out", str(out)]) == 0
+        metrics = json.loads(out.read_text())["metrics"]
+        assert metrics["agreement"]["value"] == agreement.rate
+        assert metrics["equality_leakage"]["trials"] == leak.agreement_events
+        assert metrics["equality_leakage"]["value"] == leak.rate
+
+
+def test_agreement_rate_runs_one_chunk_of_rounds_at_a_time(monkeypatch):
+    # at n = 1024 the round temporaries are ~n bytes per row each, so the
+    # batch size must not grow with the trial count
+    import noisyip.keyagreement as ka
+    from noisyip.rng import CHUNK_TRIALS
+
+    sizes = []
+    real = ka.run_ka_rounds
+
+    def spy(channel, ell, trials, rng):
+        sizes.append(trials)
+        return real(channel, ell, trials, rng)
+
+    monkeypatch.setattr(ka, "run_ka_rounds", spy)
+    agreement_rate(laplace_ip_channel(1024, 1.0), 8, 65_536, rng_from_seed(1))
+    assert max(sizes) <= CHUNK_TRIALS
+    assert sum(sizes) == 65_536
+
+
 def test_estimator_transform_identity():
     # out(t) - 2*(o_A + v) is within 3*ell of <x*y, r> whenever
     # |out(t) - <x,y>| < ell

@@ -5,6 +5,7 @@ rename in ``src/`` would break the benchmark's per-layer metrics without any
 other test noticing.
 """
 
+import inspect
 import sys
 from pathlib import Path
 
@@ -41,6 +42,19 @@ def test_tracer_installs_and_restores_every_named_target():
             assert lookup(tracer, *target) is not original, target
     for target, original in before.items():
         assert lookup(tracer, *target) is original, target
+
+
+def test_argument_callables_name_real_parameters():
+    # the tracer wraps the callable passed at this position or by this name
+    tracer = spans.Tracer(noisyip)
+    for name, (param, position, _) in spans.ARG_CALLABLES.items():
+        short, attr = name.split(".")
+        params = list(inspect.signature(lookup(tracer, short, None, attr)).parameters)
+        assert params[position] == param, name
+    assert spans.ARG_CALLABLES["amplify.gl_decode"][:2] == ("oracle", 0)
+    assert spans.ARG_CALLABLES["cli.run_chunked"][:2] == ("chunk_fn", 3)
+    # its pool-capacity hook reads the worker count from the keywords
+    assert "threads" in inspect.signature(noisyip.cli.run_chunked).parameters
 
 
 def test_traced_runs_write_untraced_bytes(tmp_path):
