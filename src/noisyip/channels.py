@@ -33,7 +33,7 @@ import numpy as np
 from .errors import DimensionMismatch
 from .reporting import wald_half_width
 from .rng import CHUNK_TRIALS, sum_chunks
-from .signvectors import SIGN_DTYPE, random_signs
+from .signvectors import SIGN_DTYPE, flip_pair, random_signs
 from .sources import SvSourceSpec, sample_rounded_laplace, sample_sv_source
 from .sources import laplace_from_uniform, round_half_away
 
@@ -313,12 +313,9 @@ def dp_audit(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     b = channel.sample_batch(trials, rng)
-    pairs = np.concatenate([b.xs, b.ys], axis=1)
-    pairs[:, flip_index] *= -1
     real = int(np.count_nonzero(distinguisher(flip_index, b.xs, b.ys, b)))
-    flipped = int(
-        np.count_nonzero(distinguisher(flip_index, pairs[:, :n], pairs[:, n:], b))
-    )
+    xf, yf = flip_pair(b.xs, b.ys, flip_index)
+    flipped = int(np.count_nonzero(distinguisher(flip_index, xf, yf, b)))
     floor = 1.0 / trials
     p_real = real / trials
     p_flipped = flipped / trials

@@ -13,6 +13,7 @@ Exit codes: 0 ok, 2 invalid configuration, 3 precondition violation.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -361,10 +362,17 @@ def cmd_amplify(args) -> ExperimentReport:
 
 def cmd_audit(args) -> ExperimentReport:
     cfg = _channel_config(args)
+    if args.search and cfg["kind"] != "exact_open":
+        raise ConfigError(
+            "--search reads inputs from the transcript and requires "
+            "--channel exact_open"
+        )
     channel = channels.channel_from_config(cfg)
     trials = args.trials if args.trials is not None else 2_000
+    search = args.search and {"ell": args.ell or 1, "eps": args.eps or 0.0,
+                              "budget": args.budget}
     config = {"channel": cfg, "trials": trials, "flip_index": args.flip_index,
-              "distinguisher": args.distinguisher, "search": args.search}
+              "distinguisher": args.distinguisher, "search": search}
     rng = rng_from_seed(args.seed)
     dist = _build_distinguisher(args.distinguisher)
     audit = channels.dp_audit(channel, dist, args.flip_index, trials, rng)
@@ -378,24 +386,14 @@ def cmd_audit(args) -> ExperimentReport:
         "seed": args.seed,
         "trials": trials,
     }
-    if args.search:
-        if cfg["kind"] != "exact_open":
-            raise ConfigError(
-                "--search reads inputs from the transcript and requires "
-                "--channel exact_open"
-            )
+    if search:
         source = condense.TripletSource.from_channel(channel)
         est = condense.open_transcript_estimator(channel.n)
-        ell = args.ell if args.ell is not None else 1
-        search = condense.search_eve_params(
-            source, est, ell, args.eps or 0.0, args.budget, rng
+        best = condense.search_eve_params(
+            source, est, search["ell"], search["eps"], search["budget"], rng
         )
-        report.add_metric("eve_gap", search.gap, search.num_triplets)
-        record["eve_params"] = {
-            "ell_hat": search.params.ell_hat,
-            "v_hat": search.params.v_hat,
-            "d": search.params.d,
-        }
+        report.add_metric("eve_gap", best.gap, best.num_triplets)
+        record["eve_params"] = dataclasses.asdict(best.params)
     report.record = record
     return report
 
@@ -492,7 +490,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flip-index", type=int)
     p.add_argument("--distinguisher")
     p.add_argument("--search", action="store_true", default=None)
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=int, help="--search queries (default 2,000,000): "
+                   "per (triplet, side) the gate and the reconstruction each get "
+                   "max(64, budget // 2E), E = 2 x 48 triplets x (up to 72) "
+                   "parameter triples, and every triple reads the same ones")
 
     p = sub.add_parser("gl", help="parity decoder benchmark")
     _add_common(p)
@@ -525,6 +526,7 @@ _VALIDATORS = {
     "m": lambda v: v is None or v >= 1,
     "wrapper_runs": lambda v: v >= 1,
     "runs": lambda v: v >= 1,
+    "budget": lambda v: v >= 1,
     "modulus": lambda v: v is None or v >= 2,
     "noise": lambda v: 0 <= v <= 1,  # also rejects nan
 }

@@ -18,7 +18,9 @@ one bit flipped, given only the transcript and the rest of the pair.
   partial masked product, and proceeds only when that empirical rate clears
   a threshold.
 * ``search_eve_params`` grid-searches the distinguisher parameters for the
-  largest empirical gap between acceptance on real and flipped pairs.
+  largest empirical gap between acceptance on real and flipped pairs.  It
+  evaluates each pair once, on one gate batch and one reconstruction batch,
+  and reads every parameter triple off that evaluation.
 
 The module also hosts the min-entropy experiments: the residual entropy of
 <X,Y> mod m for independent product sources, and of <X*Y, R> conditioned on
@@ -35,9 +37,9 @@ import numpy as np
 
 from .channels import Channel, Transcript
 from .errors import PreconditionViolation, UnsupportedModel
-from .rng import hash_uniform01, map_streams, rng_from_seed
-from .signvectors import flip, random_signs
-from .reconstruct import EstimatorHandle, _expected_vote_table, reconstruct_bit
+from .rng import hash_uniform01, map_streams, rng_from_seed, sum_chunks
+from .signvectors import flip, flip_pair, random_packed, random_signs, unpack_signs
+from .reconstruct import _CHUNK_ROWS, _expected_vote_table
 from .sources import SvSourceSpec, laplace_from_uniform, round_half_away
 
 
@@ -153,17 +155,38 @@ def open_transcript_estimator(
 # ---------------------------------------------------------------------------
 
 
-def _triplet_answers(f: TripletEstimator, x, y, t: Transcript, rng):
-    """f's answers to sign-row queries R on the masked views, clipped to [-n, n]."""
-    n = len(x)
-    return lambda R: np.clip(f.query_masked(R, *masked_views(R, x, y), t, rng), -n, n)
-
-
 def _residuals(j: int, x, y, t: Transcript, f: TripletEstimator, R, rng) -> np.ndarray:
-    """a - <(x*y)_{-j}, r_{-j}> per query row r of R; never reads (x*y)_j."""
+    """f's answers on the masked views, clipped to [-n, n], minus
+    <(x*y)_{-j}, r_{-j}> per sign row r of R; never reads (x*y)_j."""
+    n = len(x)
     z0 = np.asarray(x, dtype=np.int64) * np.asarray(y, dtype=np.int64)
     z0[j] = 0
-    return _triplet_answers(f, x, y, t, rng)(R) - R.astype(np.int64) @ z0
+    answers = np.clip(f.query_masked(R, *masked_views(R, x, y), t, rng), -n, n)
+    return answers - R.astype(np.int64) @ z0
+
+
+def _product_votes(j: int, x, y, t: Transcript, f, R, ells, rng) -> np.ndarray:
+    """The triplet attack's one scorer: the database attack's expected vote
+    for z_j on z = x*y, times the vote table's denominator D, per window in
+    ``ells`` (rows) and sign row r of R (columns), with f answering each r
+    on the masked views of (x, y)."""
+    n = len(x)
+    idx = _residuals(j, x, y, t, f, R, rng) + 2 * n
+    r_j = R[:, j].astype(np.int64)
+    return np.stack([_expected_vote_table(n, ell)[idx] * r_j for ell in ells])
+
+
+def _product_totals(j: int, pairs, t: Transcript, f, ells, samples: int, rng):
+    """Vote totals (len(pairs), len(ells)) over one batch of ``samples``
+    uniform queries shared by every pair (x, y) and window, drawn in the
+    database attack's chunks, so the totals are ``reconstruct_bit``'s."""
+    n = len(pairs[0][0])
+
+    def chunk(stream, size):
+        R = unpack_signs(random_packed(n, size, stream), n)
+        return [_product_votes(j, x, y, t, f, R, ells, rng).sum(1) for x, y in pairs]
+
+    return sum_chunks(chunk, rng, samples, _CHUNK_ROWS)
 
 
 def reconstruct_product_bit(
@@ -173,22 +196,15 @@ def reconstruct_product_bit(
     t: Transcript,
     f: TripletEstimator,
     ell: int,
-    samples: int | None,
+    samples: int,
     rng: np.random.Generator,
 ) -> int:
-    """Recover (x*y)_j by the database attack on z = x*y: ``reconstruct_bit``
-    on (x*y)_{-j}, querying f through the masked views of (x, y).
-
-    Ties resolve to -1.  The attack never reads position j of the product.
-    ``samples = None`` uses the analysis-scale default n^4; concrete
-    estimators need far fewer.
-    """
-    n = len(x)
-    if samples is None:
-        samples = n**4
-    z = np.asarray(x, dtype=np.int64) * np.asarray(y, dtype=np.int64)
-    f_xy = EstimatorHandle.from_signs(_triplet_answers(f, x, y, t, rng), n)
-    return reconstruct_bit(j, np.delete(z, j), f_xy, ell, samples, rng)
+    """Recover (x*y)_j by the database attack on z = x*y: the sign of the
+    expected vote over ``samples`` fresh queries, each answered by f on the
+    masked views of (x, y).  Ties resolve to -1.  The attack never reads
+    position j of the product."""
+    total = _product_totals(j, [(x, y)], t, f, [ell], samples, rng)[0, 0]
+    return 1 if total > 0 else -1
 
 
 def variant_vote_split(
@@ -212,9 +228,7 @@ def variant_vote_split(
 
     where ^ flips position j.
     """
-    n = len(x)
-    table = _expected_vote_table(n, ell)
-    r_j = R[:, j].astype(np.int64)
+    r_j = R[:, j]
     variants = {
         "xy": (x, y),
         "fx_y": (flip(x, j), y),
@@ -223,7 +237,7 @@ def variant_vote_split(
     }
     out = {}
     for name, (xx, yy) in variants.items():
-        votes = table[_residuals(j, xx, yy, t, f, R, rng) + 2 * n] * r_j
+        votes = _product_votes(j, xx, yy, t, f, R, [ell], rng)[0]
         out[name] = (int(votes[r_j == -1].sum()), int(votes[r_j == 1].sum()))
     return out
 
@@ -232,36 +246,28 @@ def variant_vote_split(
 # Flip distinguishers
 # ---------------------------------------------------------------------------
 
+# Flip pattern d -> (flip x_j, flip y_j, fires when i addresses the x half).
+_PATTERNS = {1: (True, False, True), 2: (False, True, False), 3: (True, True, True)}
 
-def _flip_pair(x: np.ndarray, y: np.ndarray, i: int):
+
+def _flip_outputs(i: int, x, y, t: Transcript, f, ells, samples: int, rng):
+    """Outputs (3, len(ells)) of the three flip patterns at each
+    reconstruction window in ``ells``; every pattern that fires is scored on
+    one shared reconstruction batch, and the others output 0."""
     n = len(x)
-    if i < n:
-        xf = x.copy()
-        xf[i] = -xf[i]
-        return xf, y
-    yf = y.copy()
-    yf[i - n] = -yf[i - n]
-    return x, yf
-
-
-def _base_distinguisher(
-    i: int,
-    x: np.ndarray,
-    y: np.ndarray,
-    t: Transcript,
-    f: TripletEstimator,
-    ell: int,
-    allowed_low_half: bool,
-    samples: int,
-    rng: np.random.Generator,
-) -> int:
-    n = len(x)
-    in_low = i < n
-    if in_low != allowed_low_half:
-        return 0
-    j = i if in_low else i - n
-    d = reconstruct_product_bit(j, x, y, t, f, ell, samples, rng)
-    return 1 if d != int(x[j]) * int(y[j]) else 0
+    if not 0 <= i < 2 * n:
+        raise PreconditionViolation("index must lie in [0, 2n)")
+    j = i % n
+    fired = {
+        d: (flip(x, j) if fx else x, flip(y, j) if fy else y)
+        for d, (fx, fy, low) in _PATTERNS.items()
+        if low == (i < n)
+    }
+    totals = _product_totals(j, list(fired.values()), t, f, ells, samples, rng)
+    out = np.zeros((3, len(ells)), dtype=bool)
+    for (d, (xf, yf)), total in zip(fired.items(), totals):
+        out[d - 1] = np.where(total > 0, 1, -1) != xf[j] * yf[j]
+    return out
 
 
 def flip_distinguisher(
@@ -283,23 +289,9 @@ def flip_distinguisher(
     reconstructs the product bit of the modified pair and outputs 1 when
     the reconstruction contradicts the modified pair.
     """
-    n = len(x)
-    if not 0 <= i < 2 * n:
-        raise PreconditionViolation("index must lie in [0, 2n)")
-    j = i if i < n else i - n
-    if d == 1:
-        xf, yf = _flip_pair(x, y, i)
-        return _base_distinguisher(i, xf, yf, t, f, ell, True, samples, rng)
-    if d == 2:
-        xf, yf = _flip_pair(x, y, i)
-        return _base_distinguisher(i, xf, yf, t, f, ell, False, samples, rng)
-    if d == 3:
-        xf = x.copy()
-        xf[j] = -xf[j]
-        yf = y.copy()
-        yf[j] = -yf[j]
-        return _base_distinguisher(i, xf, yf, t, f, ell, True, samples, rng)
-    raise ValueError("d must be 1, 2 or 3")
+    if d not in _PATTERNS:
+        raise ValueError("d must be 1, 2 or 3")
+    return int(_flip_outputs(i, x, y, t, f, [ell], samples, rng)[d - 1, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -316,10 +308,35 @@ class EveParams:
     d: int
 
     def __post_init__(self):
-        if self.d not in (1, 2, 3):
+        if self.d not in _PATTERNS:
             raise ValueError("d must be 1, 2 or 3")
         if self.v_hat < 0:
             raise ValueError("v_hat must be >= 0")
+
+
+def _eve_outputs(i: int, x, y, t: Transcript, f, ell_hats, v_min, samples: int, rng):
+    """Gate rates (len(ell_hats),) and flip-pattern outputs (3, len(ell_hats))
+    for every window in ``ell_hats``, from one gate batch and one
+    reconstruction batch: the triple (ell_hat, v_hat, d) at window index l
+    aborts when rates[l] <= v_hat and otherwise outputs outputs[d-1, l].
+    Windows whose rate is at most ``v_min`` abort for every threshold, so
+    they are never reconstructed."""
+    n = len(x)
+    if not 0 <= i < 2 * n:
+        raise PreconditionViolation("index must lie in [0, 2n)")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    j = i % n
+    R = random_signs(n, rng, samples)
+    R[:, j] = -1 if i < n else 1
+    distance = np.abs(_residuals(j, x, y, t, f, R, rng))
+    rates = np.array([np.count_nonzero(distance <= lh) for lh in ell_hats]) / samples
+    outputs = np.zeros((3, len(ell_hats)), dtype=bool)
+    live = rates > v_min
+    if live.any():
+        ells = [int(lh) + 1 for lh in np.asarray(ell_hats)[live]]
+        outputs[:, live] = _flip_outputs(i, x, y, t, f, ells, samples, rng)
+    return rates, outputs
 
 
 def eve_distinguisher(
@@ -329,9 +346,8 @@ def eve_distinguisher(
     y: np.ndarray,
     t: Transcript,
     f: TripletEstimator,
-    samples: int | None,
+    samples: int,
     rng: np.random.Generator,
-    rec_samples: int | None = None,
 ):
     """Abort-gated flip distinguisher; returns 0, 1 or ABORT.
 
@@ -341,36 +357,13 @@ def eve_distinguisher(
     product <(x*y)_{-j}, r_{-j}>.  Neither the seed restriction handed to f
     nor the partial product reads the flipped coordinate, so the abort
     decision is invariant to flipping bit i of the input pair.  If
-    q > v_hat, the flip-pattern test runs at window ell_hat + 1.
-
-    ``samples = None`` uses the analysis-scale default n^5 for the gate;
-    experiment drivers pass explicit desk-scale counts.
+    q > v_hat, the flip-pattern test runs at window ell_hat + 1.  The gate
+    and the reconstruction each ask ``samples`` queries.
     """
-    n = len(x)
-    if samples is None:
-        samples = n**5
-    if not 0 <= i < 2 * n:
-        raise PreconditionViolation("index must lie in [0, 2n)")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    j, b = (i, -1) if i < n else (i - n, 1)
-    R = random_signs(n, rng, samples)
-    R[:, j] = b
-    residuals = _residuals(j, x, y, t, f, R, rng)
-    q = float(np.count_nonzero(np.abs(residuals) <= params.ell_hat)) / samples
-    if q <= params.v_hat:
-        return ABORT
-    return flip_distinguisher(
-        params.d,
-        i,
-        x,
-        y,
-        t,
-        f,
-        params.ell_hat + 1,
-        rec_samples if rec_samples is not None else samples,
-        rng,
+    rates, outputs = _eve_outputs(
+        i, x, y, t, f, [params.ell_hat], params.v_hat, samples, rng
     )
+    return ABORT if rates[0] <= params.v_hat else int(outputs[params.d - 1, 0])
 
 
 def v_hat_grid(n: int, ell: int, eps: float, c_eps: float = 1.0) -> np.ndarray:
@@ -420,10 +413,13 @@ def search_eve_params(
         Pr[Eve = 1 on the real pair] - e^(-eps) Pr[Eve = 1 on a flipped pair]
 
     estimated over shared triplets, shared flip indices and shared internal
-    randomness (common random numbers) to cut comparison variance.  Each of
-    the E distinguisher calls gets max(64, budget // 2E) queries for its gate
-    and as many for its reconstruction, so ``budget`` caps the search's total
-    only above that 64-query floor; below it, up to 128 E queries are asked.
+    randomness (common random numbers) to cut comparison variance: each
+    (triplet, real-or-flipped) pair is evaluated once, on one gate batch and
+    one reconstruction batch from its own seed, and every triple reads its
+    outcome off that evaluation exactly as ``eve_distinguisher`` would.  The
+    gate and the reconstruction each get max(64, budget // 2E) queries, with
+    E = 2 * num_triplets * (number of triples), so the search asks at most
+    the budget only above that 64-query floor.  f must be pure.
     """
     if ell_hat_candidates is None:
         ell_hat_candidates = (ell + 1, ell + 2, ell + 4)
@@ -432,46 +428,38 @@ def search_eve_params(
         keep = np.unique(np.linspace(0, len(grid) - 1, grid_cap).astype(int))
         grid = grid[keep]
     combos = [
-        EveParams(ell_hat=int(lh), v_hat=float(v), d=int(d))
+        (EveParams(ell_hat=int(lh), v_hat=float(v), d=int(d)), l, g)
         for d in d_candidates
-        for lh in ell_hat_candidates
-        for v in grid
+        for l, lh in enumerate(ell_hat_candidates)
+        for g, v in enumerate(grid)
     ]
     evals = 2 * num_triplets * len(combos)
     samples = max(64, budget // (2 * evals))
 
-    triplets = []
-    seeds = rng.integers(0, 2**63, size=num_triplets)
-    for _ in range(num_triplets):
+    # hits[side, d - 1, l, g]: Eve = 1 on the real (0) or flipped (1) pair
+    hits = np.zeros((2, 3, len(ell_hat_candidates), len(grid)), dtype=np.int64)
+    aborts = np.zeros((len(ell_hat_candidates), len(grid)), dtype=np.int64)
+    for seed in rng.integers(0, 2**63, size=num_triplets):
         x, y, t = source.sample(rng)
         i = int(rng.integers(0, 2 * source.n))
-        triplets.append((x, y, t, i))
+        for side, pair in enumerate(((x, y), flip_pair(x, y, i))):
+            rates, outputs = _eve_outputs(
+                i, *pair, t, f, ell_hat_candidates, grid[0], samples,
+                rng_from_seed(int(seed)),
+            )
+            passed = rates[:, None] > grid
+            hits[side] += outputs[:, :, None] & passed
+            if side == 0:
+                aborts += ~passed
 
     best = None
-    for params in combos:
-        real_hits = flip_hits = aborts = 0
-        for (x, y, t, i), seed in zip(triplets, seeds):
-            out_real = eve_distinguisher(
-                params, i, x, y, t, f, samples, rng_from_seed(int(seed))
-            )
-            xf, yf = _flip_pair(x, y, i)
-            out_flip = eve_distinguisher(
-                params, i, xf, yf, t, f, samples, rng_from_seed(int(seed))
-            )
-            real_hits += int(out_real is not ABORT and out_real == 1)
-            flip_hits += int(out_flip is not ABORT and out_flip == 1)
-            aborts += int(out_real is ABORT)
-        real_rate = real_hits / num_triplets
-        flip_rate = flip_hits / num_triplets
+    for params, l, g in combos:
+        real_rate = int(hits[0, params.d - 1, l, g]) / num_triplets
+        flip_rate = int(hits[1, params.d - 1, l, g]) / num_triplets
         gap = real_rate - math.exp(-eps) * flip_rate
         report = SearchReport(
-            params=params,
-            gap=gap,
-            real_rate=real_rate,
-            flipped_rate=flip_rate,
-            abort_rate=aborts / num_triplets,
-            num_triplets=num_triplets,
-            samples=samples,
+            params, gap, real_rate, flip_rate, int(aborts[l, g]) / num_triplets,
+            num_triplets, samples,
         )
         if best is None or report.gap > best.gap:
             best = report

@@ -84,6 +84,13 @@ def flip(v, i: int) -> np.ndarray:
     return out
 
 
+def flip_pair(x, y, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y) with entry i of the concatenated pair negated.  Only the half
+    that entry lies in is copied; works on rows and on (batch, n) matrices."""
+    n = np.shape(x)[-1]
+    return (flip(x, i), y) if i < n else (x, flip(y, i - n))
+
+
 def signs_to_bits(v) -> np.ndarray:
     """Map signs to bits with the fixed convention bit = (1 - sign)/2."""
     v = np.asarray(v)

@@ -243,6 +243,8 @@ def test_audit_search_grid_membership(tmp_path):
 
     grid = v_hat_grid(64, 1, 0.0)
     assert np.any(np.isclose(payload["record"]["eve_params"]["v_hat"], grid))
+    # the search's own inputs, as used
+    assert payload["config"]["search"] == {"ell": 1, "eps": 0.0, "budget": 400000}
 
 
 def test_gl_command(capsys):
@@ -336,7 +338,7 @@ def test_search_requires_leaky_channel():
     assert code == 2
 
 
-def test_exit_code_invalid_config(tmp_path, capsys):
+def test_exit_code_invalid_config(tmp_path, capsys, monkeypatch):
     assert main(["recon", "--estimator", "bogus", "--n", "16", "--seed", "1",
                  "--samples", "10", "--trials", "10"]) == 2
     assert main(["ka", "--channel", "laplace", "--n", "16", "--seed", "1",
@@ -355,6 +357,18 @@ def test_exit_code_invalid_config(tmp_path, capsys):
                      "--modulus", modulus]) == 2, modulus
     assert main(["audit", "--channel", "laplace", "--eps", "1.0", "--n", "16",
                  "--trials", "10", "--distinguisher", "near:-1"]) == 2
+    for budget in ("-5", "0"):
+        assert main(["audit", "--channel", "exact_open", "--n", "64", "--search",
+                     "--budget", budget]) == 2, budget
+
+    # --search on a channel without inputs in its transcript is rejected
+    # before any audit trial runs
+    def no_audit(*args):
+        raise AssertionError("dp_audit ran before the --search check")
+
+    monkeypatch.setattr("noisyip.channels.dp_audit", no_audit)
+    assert main(["audit", "--channel", "laplace", "--eps", "1.0", "--n", "16",
+                 "--trials", "10", "--search"]) == 2
 
 
 RECON = ["recon", "--estimator", "laplace", "--n", "16", "--trials", "10",

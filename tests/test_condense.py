@@ -22,13 +22,14 @@ from noisyip import (
     seeded_condense_experiment,
     v_hat_grid,
 )
+from noisyip import condense
 from noisyip.condense import (
     ScalarTripletEstimator,
     TripletEstimator,
     masked_views,
     variant_vote_split,
 )
-from noisyip.signvectors import random_signs
+from noisyip.signvectors import flip_pair, random_signs
 
 
 class ZeroTripletEstimator(TripletEstimator):
@@ -283,6 +284,69 @@ def test_search_no_gap_on_constant_channel():
     )
     # best gap over the grid stays within selection noise of zero
     assert report.gap <= 4 * math.sqrt(0.25 / report.num_triplets)
+
+
+@pytest.mark.parametrize("name, c_eps", [("2.0", 1.6), ("masked-views", 0.2)])
+def test_search_counts_equal_separate_eve_calls(name, c_eps, monkeypatch):
+    # every triple's real, flipped and abort counts in the search are those
+    # of separate eve_distinguisher calls on the triplet's own seed
+    n, num_triplets = 36, 10
+    f = RHOMBUS_ESTIMATORS[name](n)
+    source = TripletSource.from_channel(exact_ip_channel(n, leak_inputs=True))
+    reports, report_type = [], condense.SearchReport
+
+    def record(*args, **kwargs):
+        reports.append(report_type(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(condense, "SearchReport", record)
+    search_eve_params(
+        source, f, ell=1, eps=0.5, budget=0, rng=rng_from_seed(22), c_eps=c_eps,
+        ell_hat_candidates=(1, 2, 3), num_triplets=num_triplets, grid_cap=4,
+    )
+    # the search's draws: one seed per triplet, then the triplets
+    rng = rng_from_seed(22)
+    seeds = rng.integers(0, 2**63, size=num_triplets)
+    triplets = []
+    for _ in range(num_triplets):
+        x, y, t = source.sample(rng)
+        triplets.append((x, y, t, int(rng.integers(0, 2 * n))))
+    assert len(reports) == 3 * 3 * 4
+    aborted = set()
+    for rep in reports:
+        counts = [0, 0, 0]
+        for (x, y, t, i), seed in zip(triplets, seeds):
+            for side, pair in enumerate(((x, y), flip_pair(x, y, i))):
+                out = eve_distinguisher(
+                    rep.params, i, *pair, t, f, rep.samples, rng_from_seed(int(seed))
+                )
+                counts[side] += int(out is not ABORT and out == 1)
+                counts[2] += int(side == 0 and out is ABORT)
+        assert [round(r * num_triplets) for r in
+                (rep.real_rate, rep.flipped_rate, rep.abort_rate)] == counts
+        aborted.add(counts[2])
+    # the thresholds sit where the gate passes for some triples, not others
+    assert len(aborted) > 1
+
+
+def test_search_queries_each_triplet_pair_a_bounded_number_of_times():
+    # per (triplet, side): the gate once and the reconstruction once per
+    # firing flip pattern (at most two), however many (ell_hat, v_hat, d)
+    # triples and windows read them
+    class Counting(TripletEstimator):
+        def __init__(self, n):
+            self.n, self.calls, self.inner = n, 0, open_transcript_estimator(n)
+
+        def query_masked(self, *args):
+            self.calls += 1
+            return self.inner.query_masked(*args)
+
+    n, num_triplets, ell_hats = 64, 8, (2, 3, 5)
+    f = Counting(n)
+    source = TripletSource.from_channel(exact_ip_channel(n, leak_inputs=True))
+    search_eve_params(source, f, 1, 0.0, 20_000, rng_from_seed(23),
+                      ell_hat_candidates=ell_hats, num_triplets=num_triplets)
+    assert 0 < f.calls <= 2 * num_triplets * 3
 
 
 # ---------------------------------------------------------------------------

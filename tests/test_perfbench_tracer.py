@@ -63,7 +63,9 @@ def test_traced_runs_write_untraced_bytes(tmp_path):
           "--seed", "3"]
     audit = ["audit", "--channel", "laplace", "--eps", "1.0", "--n", "16",
              "--trials", "500", "--seed", "3"]
-    for k, argv in enumerate((ka, audit)):
+    search = ["audit", "--channel", "exact_open", "--n", "64", "--search",
+              "--budget", "20000", "--seed", "3"]
+    for k, argv in enumerate((ka, audit, search)):
         plain, traced = tmp_path / f"plain{k}.json", tmp_path / f"traced{k}.json"
         assert noisyip.cli.main(argv + ["--out", str(plain)]) == 0
         tracer = spans.Tracer(noisyip)
@@ -77,7 +79,12 @@ def test_traced_runs_write_untraced_bytes(tmp_path):
             assert stats["keyagreement.adversary"]["calls"] == 3
             assert stats["keyagreement.run_ka_rounds"]["rows"] == 25000
             assert "keyagreement.ka_transcript" not in stats
-        else:
+        elif argv is audit:
             # the real pairs and the flipped pairs, one call each
             assert stats["channels.distinguisher"]["calls"] == 2
             assert "channels.transcript" not in stats
+        else:
+            # per (triplet, side) of 48 triplets: one gate call and one
+            # reconstruction call per firing flip pattern (at most two),
+            # however many of the 72 parameter triples read them
+            assert stats["condense.estimator"]["calls"] <= 2 * 48 * 3

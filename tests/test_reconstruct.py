@@ -566,26 +566,22 @@ def test_vote_kernel_exhaustive_total_is_brute_force_mean(n, monkeypatch):
     P = pack_signs(all_sign_vectors(n))
     monkeypatch.setattr(reconstruct, "_CHUNK_ROWS", 2**n)
     monkeypatch.setattr(reconstruct, "random_packed", lambda n, size, rng: P)
-    # the triplet attack's estimator: f read through masked views of a
-    # triplet with x*y = z, clipped, at noise 0 and 2
+    estimators = (exact_estimator(z), zero_estimator(n), laplace_estimator(z, 1.5, rng))
+    # the triplet attack: f read through the masked views of a triplet with
+    # x*y = z, at noise 0 and 2, scored row by row by condense's one scorer
+    # on all 2^n queries; the oracle asks the same f through a handle
     x = random_signs(n, rng)
     y = x * z
     ip = int(np.dot(x.astype(np.int64), y))
     t = Transcript((("x", x), ("y", y), ("out", ip)), ip)
-    estimators = (
-        exact_estimator(z),
-        zero_estimator(n),
-        laplace_estimator(z, 1.5, rng),
-        *(
-            EstimatorHandle.from_signs(
-                condense._triplet_answers(
-                    open_transcript_estimator(n, noise), x, y, t, rng
-                ),
-                n,
-            )
-            for noise in (0.0, 2.0)
-        ),
-    )
+    R = all_sign_vectors(n)
+    triplet = [open_transcript_estimator(n, noise) for noise in (0.0, 2.0)]
+    oracles = [
+        EstimatorHandle.from_signs(
+            lambda Q, g=g: g.query_masked(Q, *condense.masked_views(Q, x, y), t, rng), n
+        )
+        for g in triplet
+    ]
     z_masked = z.astype(np.float32)[:, None] * (1 - np.eye(n, dtype=np.float32))
     for ell in range(1, math.isqrt(n) - 1):
         denom = math.lcm(*(p.denominator for p in offset_pmf(n, ell).values()))
@@ -594,6 +590,12 @@ def test_vote_kernel_exhaustive_total_is_brute_force_mean(n, monkeypatch):
             for i in (0, 3, n - 1):
                 assert Fraction(int(totals[i]), denom * 2**n) == (
                     brute_force_vote_mean(i, z, f, ell)
+                )
+        for g, oracle in zip(triplet, oracles):
+            for j in (0, 3, n - 1):
+                total = condense._product_votes(j, x, y, t, g, R, [ell], rng).sum()
+                assert Fraction(int(total), denom * 2**n) == (
+                    brute_force_vote_mean(j, z, oracle, ell)
                 )
 
 

@@ -19,6 +19,7 @@ from noisyip import (
     signs_to_bits,
 )
 from noisyip.signvectors import (
+    flip_pair,
     pack_signs,
     packed_inner_products,
     packed_width,
@@ -123,6 +124,21 @@ def test_flip_involution_and_example():
     assert np.array_equal(flip(flip(w, 4), 4), w)
     with pytest.raises(IndexError):
         flip(w, 11)
+
+
+def test_flip_pair_negates_one_entry_of_the_concatenated_pair():
+    rng = rng_from_seed(3)
+    n = 7
+    for x, y in ((random_signs(n, rng), random_signs(n, rng)),
+                 (random_signs(n, rng, 5), random_signs(n, rng, 5))):
+        pair = np.concatenate([x, y], axis=-1)
+        for i in (0, 3, n, 2 * n - 1):
+            xf, yf = flip_pair(x, y, i)
+            assert np.array_equal(np.concatenate([xf, yf], axis=-1), flip(pair, i))
+            # the half without entry i is passed through, not copied
+            assert (yf is y) if i < n else (xf is x)
+        with pytest.raises(IndexError):
+            flip_pair(x, y, 2 * n)
 
 
 @given(paired())
