@@ -20,8 +20,8 @@ import numpy as np
 
 from .channels import Channel, Transcript
 from .hashing import ToeplitzHash, sample_toeplitz_hash, toeplitz_hash
-from .rng import hash_uniform01
-from .signvectors import signs_to_bits
+from .rng import keyed_uniform01
+from .signvectors import pack_bits, signs_to_bits
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,6 +132,27 @@ def repeat_until_success(
 # ---------------------------------------------------------------------------
 
 
+def _majority_bits(votes: np.ndarray) -> np.ndarray:
+    """Row g, bit i: the majority over subset codes S >= 1 of the 0/1 votes
+    ``votes[S - 1, i] xor <S, g>``, read off the Walsh-Hadamard transform W
+    of the +-1 votes (Kushilevitz-Mansour) in int32: the bit is W < 0, and W
+    is never 0 since the 2^t - 1 subsets are odd in number."""
+    n = votes.shape[1]
+    w = np.pad(1 - 2 * votes.astype(np.int32), ((1, 0), (0, 0)))
+    for k in range(len(w).bit_length() - 1):  # butterfly on bit k of the row
+        w = w.reshape(-1, 2, 2**k, n)
+        w = np.stack((w[:, 0] + w[:, 1], w[:, 0] - w[:, 1]), axis=1)
+    return (w.reshape(-1, n) < 0).astype(np.uint8)
+
+
+def _packed_parities(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """<p, q> mod 2 for every packed row p of P and q of Q: shape (|P|, |Q|)."""
+    par = np.zeros((len(P), len(Q)), dtype=np.uint8)
+    for j in range(P.shape[1]):
+        par ^= np.bitwise_count(P[:, j, None] & Q[None, :, j])
+    return par & 1
+
+
 def gl_decode(
     oracle: Callable[[np.ndarray], np.ndarray],
     n: int,
@@ -146,60 +167,36 @@ def gl_decode(
     guesses of their parities, and under each guess recover every bit by
     majority vote over the 2^t - 1 pairwise-independent subset-XOR probes
     shifted by the unit vector of that bit.  The candidate with the best
-    empirical agreement against fresh probes wins.  t is sized by Chebyshev
-    over the pairwise-independent votes so that, whenever the oracle agrees
-    with the parity on at least ``agreement_floor`` of all inputs, the
-    correct guess yields x itself with failure probability about
-    ``fail_budget``.
+    empirical agreement against fresh probes wins, the lexicographically
+    first bit row among equals.  t is sized by Chebyshev over the
+    pairwise-independent votes so that, whenever the oracle agrees with the
+    parity on at least ``agreement_floor`` of all inputs, the correct guess
+    yields x itself with failure probability about ``fail_budget``.
 
     ``oracle`` maps a (batch, n) bit matrix to a (batch,) bit vector.
     """
     delta = agreement_floor - 0.5
-    if delta <= 0:
-        raise ValueError("agreement_floor must exceed 1/2")
+    if delta <= 0 or fail_budget <= 0 or check_probes < 1:
+        raise ValueError(
+            "need agreement_floor > 1/2, fail_budget > 0 and check_probes >= 1")
     need = n * agreement_floor * (1 - agreement_floor) / (fail_budget * delta**2)
-    t = max(3, math.ceil(math.log2(need + 1)))
-    t = min(t, 14)  # 2^t candidate enumeration cap
-    num_subsets = 2**t - 1
+    t = min(max(3, math.ceil(math.log2(need + 1))), 14)  # 2^t candidates, capped
 
-    base = rng.integers(0, 2, size=(t, n), dtype=np.uint8)
-    codes = np.arange(1, 2**t, dtype=np.uint32)
-    subset_bits = ((codes[:, None] >> np.arange(t)[None, :]) & 1).astype(np.uint8)
-    # float32 matmul stays exact here (counts bounded by 2^t << 2^24) and
-    # dispatches to BLAS, unlike integer matmuls
-    probes = (
-        (subset_bits.astype(np.float32) @ base.astype(np.float32)) % 2
-    ).astype(np.uint8)  # (S, n)
+    # probe row c is the XOR of the base rows at the set bits of c
+    probes = np.zeros((1, n), dtype=np.uint8)
+    for row in rng.integers(0, 2, size=(t, n), dtype=np.uint8):
+        probes = np.concatenate((probes, probes ^ row))
 
-    # votes[S, i] = oracle(probe_S xor e_i); one batched call per bit
-    votes = np.empty((num_subsets, n), dtype=np.uint8)
-    for i in range(n):
-        shifted = probes.copy()
-        shifted[:, i] ^= 1
-        votes[:, i] = oracle(shifted)
-
-    # parity of subset S under guess sigma = popcount(code(S) & code(sigma))
-    guesses = np.arange(2**t, dtype=np.uint32)
-    subset_parities = (
-        np.bitwise_count(codes[:, None] & guesses[None, :]) & 1
-    ).astype(np.uint8)  # (S, G)
-
-    # majority of votes[S, i] xor subset_parities[S, g] over S, per (g, i):
-    # count = sum_S votes + sum_S par - 2 * votes . par
-    v_sum = votes.sum(axis=0, dtype=np.int64)  # (n,)
-    p_sum = subset_parities.sum(axis=0, dtype=np.int64)  # (G,)
-    cross = votes.T.astype(np.float32) @ subset_parities.astype(np.float32)  # (n, G)
-    counts = v_sum[:, None] + p_sum[None, :] - 2.0 * cross
-    candidates = (counts.T > num_subsets / 2).astype(np.uint8)  # (G, n)
-    candidates = np.unique(candidates, axis=0)
+    # votes[c - 1, i] = oracle(probe_c xor e_i); one batched call per bit
+    units = np.eye(n, dtype=np.uint8)
+    votes = np.stack([oracle(probes[1:] ^ e) for e in units], axis=1)
+    candidates = _majority_bits(votes)  # row g: the bits under guess g
 
     fresh = rng.integers(0, 2, size=(check_probes, n), dtype=np.uint8)
-    answers = oracle(fresh).astype(np.int64)
-    cand_parities = (
-        (candidates.astype(np.float32) @ fresh.T.astype(np.float32)) % 2
-    ).astype(np.int64)
-    agreement = (cand_parities == answers[None, :]).mean(axis=1)
-    return candidates[int(np.argmax(agreement))]
+    answers = oracle(fresh)
+    parities = _packed_parities(pack_bits(candidates), pack_bits(fresh))
+    agreement = (parities == answers).sum(axis=1)
+    return min(candidates[agreement == agreement.max()], key=bytes)
 
 
 def parity_oracle(
@@ -207,14 +204,16 @@ def parity_oracle(
 ) -> Callable[[np.ndarray], np.ndarray]:
     """An oracle for <x, r> mod 2 as :func:`gl_decode` takes it, wrong at r
     exactly when ``hash_uniform01(r, seed) < noise``: a fixed function of r
-    that errs on each distinct query with probability ``noise``."""
-    x64 = x.astype(np.int64)
+    that errs on each distinct query with probability ``noise``.  Each query
+    batch is packed once, for both the parity and the noise key."""
+    x_lanes = pack_bits(x[None])
 
     def oracle(R):
-        par = R.astype(np.int64) @ x64 % 2
+        lanes = pack_bits(R)
+        par = _packed_parities(lanes, x_lanes)[:, 0]
         if noise > 0:
-            par = par ^ (hash_uniform01(R, seed) < noise)
-        return par.astype(np.uint8)
+            par ^= keyed_uniform01(lanes, seed) < noise
+        return par
 
     return oracle
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from itertools import product
 
@@ -14,8 +15,14 @@ from noisyip import (
     run_hashed_parity_round,
     sample_toeplitz_hash,
 )
-from noisyip.amplify import default_hash_width, hashed_parity_trials, parity_oracle
+from noisyip.amplify import (
+    _majority_bits,
+    default_hash_width,
+    hashed_parity_trials,
+    parity_oracle,
+)
 from noisyip.hashing import all_toeplitz_hashes, toeplitz_hash
+from noisyip.rng import hash_uniform01
 
 
 # ---------------------------------------------------------------------------
@@ -208,13 +215,75 @@ def test_repeat_until_success_attempt_cap_and_all_fail_rate():
 # ---------------------------------------------------------------------------
 
 
+def test_majority_bits_is_the_subset_parity_majority():
+    # exhaustively over every guess g: bit i of row g is 1 exactly when more
+    # than half of the 2^t - 1 votes disagree with the subset parity <S, g>
+    rng = rng_from_seed(12)
+    for t in range(1, 7):
+        votes = rng.integers(0, 2, size=(2**t - 1, 9), dtype=np.uint8)
+        codes = np.arange(1, 2**t)
+        guesses = np.arange(2**t)
+        subset_parities = np.bitwise_count(codes[:, None] & guesses[None, :]) & 1
+        counts = (votes[:, None, :] ^ subset_parities[:, :, None]).sum(axis=0)
+        expected = (counts > (2**t - 1) / 2).astype(np.uint8)
+        assert np.array_equal(_majority_bits(votes), expected), t
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+def test_parity_oracle_is_the_keyed_noisy_parity(n):
+    rng = rng_from_seed(n)
+    x = rng.integers(0, 2, size=n, dtype=np.uint8)
+    R = rng.integers(0, 2, size=(300, n), dtype=np.uint8)
+    exact = R.astype(np.int64) @ x % 2
+    for noise in (0.0, 0.2, 1.0):
+        wrong = hash_uniform01(R, 7) < noise
+        assert np.array_equal(parity_oracle(x, noise, 7)(R), exact ^ wrong)
+
+
 def test_gl_decode_noiseless():
+    # n = 70 spans two packed lanes in the candidate check and the oracle
     rng = rng_from_seed(8)
-    n = 64
-    for trial in range(10):
-        x = rng.integers(0, 2, size=n, dtype=np.uint8)
-        got = gl_decode(parity_oracle(x, 0.0, trial), n, rng)
-        assert np.array_equal(got, x)
+    for n in (64, 70):
+        for trial in range(10):
+            x = rng.integers(0, 2, size=n, dtype=np.uint8)
+            got = gl_decode(parity_oracle(x, 0.0, trial), n, rng)
+            assert np.array_equal(got, x)
+
+
+def test_gl_decode_failures_are_pinned():
+    # near the noise limit some decodes return a wrong candidate; which one
+    # (best agreement, then the lexicographically first bit row) is pinned
+    rng = rng_from_seed(4)
+    xs, got = [], []
+    for _ in range(40):
+        xs.append(rng.integers(0, 2, size=16, dtype=np.uint8))
+        oracle = parity_oracle(xs[-1], 0.45, int(rng.integers(0, 2**62)))
+        got.append(gl_decode(oracle, 16, rng))
+    got = np.stack(got).astype(np.uint8)
+    assert np.all(got == np.stack(xs), axis=1).sum() == 36
+    assert hashlib.sha256(got.tobytes()).hexdigest() == (
+        "90353a1ea437d0dbdce1225afe94e7916f26be6df15fc89b8ace767ae08aec13"
+    )
+
+
+def test_gl_decode_ties_go_to_the_lexicographically_first_row():
+    # one check probe leaves every candidate of the right parity tied
+    rng = rng_from_seed(5)
+    got = []
+    for _ in range(6):
+        x = rng.integers(0, 2, size=8, dtype=np.uint8)
+        row = gl_decode(parity_oracle(x, 0.3, 3), 8, rng, check_probes=1)
+        got.append("".join(map(str, row)))
+    assert got == ["00000000", "00000001", "00001001",
+                   "00001101", "00000011", "00000001"]
+
+
+@pytest.mark.parametrize("kwargs", [{"fail_budget": 0}, {"check_probes": 0},
+                                    {"agreement_floor": 0.5}])
+def test_gl_decode_rejects_bad_arguments(kwargs):
+    x = np.ones(8, dtype=np.uint8)
+    with pytest.raises(ValueError, match="fail_budget > 0"):
+        gl_decode(parity_oracle(x, 0.0, 1), 8, rng_from_seed(1), **kwargs)
 
 
 def test_gl_decode_noisy():

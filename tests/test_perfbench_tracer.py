@@ -65,7 +65,8 @@ def test_traced_runs_write_untraced_bytes(tmp_path):
              "--trials", "500", "--seed", "3"]
     search = ["audit", "--channel", "exact_open", "--n", "64", "--search",
               "--budget", "20000", "--seed", "3"]
-    for k, argv in enumerate((ka, audit, search)):
+    gl = ["gl", "--n", "24", "--noise", "0.2", "--runs", "3", "--seed", "31"]
+    for k, argv in enumerate((ka, audit, search, gl)):
         plain, traced = tmp_path / f"plain{k}.json", tmp_path / f"traced{k}.json"
         assert noisyip.cli.main(argv + ["--out", str(plain)]) == 0
         tracer = spans.Tracer(noisyip)
@@ -83,6 +84,11 @@ def test_traced_runs_write_untraced_bytes(tmp_path):
             # the real pairs and the flipped pairs, one call each
             assert stats["channels.distinguisher"]["calls"] == 2
             assert "channels.transcript" not in stats
+        elif argv is gl:
+            # per decode: 24 vote calls of 2^11 - 1 probes, one check call
+            # of 2,048 fresh probes
+            assert stats["amplify.gl_oracle"]["calls"] == 3 * 25
+            assert stats["amplify.gl_oracle"]["rows"] == 3 * (24 * 2047 + 2048)
         else:
             # per (triplet, side) of 48 triplets: one gate call and one
             # reconstruction call per firing flip pattern (at most two),
