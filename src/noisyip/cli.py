@@ -153,6 +153,9 @@ def _replay_estimator(path: str, n: int):
         raise ConfigError(f"cannot read replay file {path!r}: {exc!r}") from exc
     if file_n != n:
         raise ConfigError(f"replay file is for n={file_n}, expected {n}")
+    for key in table:
+        if len(key) != n or set(key) - {"+", "-"}:
+            raise ConfigError(f"replay key {key!r} is not {n} characters of '+'/'-'")
 
     def batch(R):
         out = np.empty(R.shape[0], dtype=np.int64)
@@ -263,10 +266,10 @@ def _build_adversary(spec: str, ell: int):
 def cmd_condense(args) -> ExperimentReport:
     alphas = [float(a) for a in str(args.alpha or "1.0").split(",")]
     if args.mode == "mod":
-        trials = args.trials if args.trials is not None else 100_000
+        trials = None  # exact laws: nothing is sampled
         modulus = args.modulus or max(2, math.isqrt(args.n))
     else:
-        trials = args.trials if args.trials is not None else 64  # outer loop
+        trials = args.trials if args.trials is not None else 64  # conditionings
         modulus = None
     config = {
         "mode": args.mode,
@@ -274,7 +277,6 @@ def cmd_condense(args) -> ExperimentReport:
         "alphas": alphas,
         "modulus": modulus,
         "trials": trials,
-        "inner": args.inner,
     }
     report = ExperimentReport("condense", args.seed, config)
     rng = rng_from_seed(args.seed)
@@ -283,26 +285,18 @@ def cmd_condense(args) -> ExperimentReport:
     for alpha, crng in zip(alphas, child):
         spec = SvSourceSpec(alpha=alpha, n=args.n)
         if args.mode == "mod":
-            rep = condense.condense_mod_experiment(
-                spec, spec, modulus, trials, crng
-            )
-            report.add_metric(f"min_entropy_bits[alpha={alpha:g}]",
-                              rep.min_entropy_bits, trials)
-            record_estimates[f"{alpha:g}"] = rep.min_entropy_bits
+            rep = condense.condense_mod_experiment(spec, spec, modulus)
+            name, bits = "min_entropy_bits", rep.min_entropy_bits
         else:
-            rep = condense.seeded_condense_experiment(
-                spec, spec, trials, args.inner, crng
-            )
-            report.add_metric(
-                f"quantile_bits[alpha={alpha:g}]", rep.quantile_bits,
-                rep.trials_outer,
-            )
-            record_estimates[f"{alpha:g}"] = rep.quantile_bits
+            rep = condense.seeded_condense_experiment(spec, spec, trials, crng)
+            name, bits = "quantile_bits", rep.quantile_bits
+        report.add_metric(f"{name}[alpha={alpha:g}]", bits, trials or 0)
+        record_estimates[f"{alpha:g}"] = bits
     report.record = {
         "experiment": args.mode,
         "n": args.n,
         "alpha": alphas[0] if len(alphas) == 1 else None,
-        "params": {"modulus": modulus, "inner": args.inner},
+        "params": {"modulus": modulus},
         "estimate": record_estimates,
         "ci": None,
         "seed": args.seed,
@@ -476,7 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--mode", choices=("mod", "seeded"))
     p.add_argument("--modulus", type=int, default=None)
-    p.add_argument("--inner", type=int)
 
     p = sub.add_parser("amplify", help="hash-and-parity amplification statistics")
     _add_common(p)
@@ -509,7 +502,7 @@ _DEFAULTS = {"n": 64, "seed": 1, "threads": 1, "format": "json"}
 _COMMAND_DEFAULTS = {
     "recon": {"estimator": "laplace"},
     "ka": {"channel": "exact", "z": 0, "adversary": "none"},
-    "condense": {"mode": "mod", "inner": 4096},
+    "condense": {"mode": "mod"},
     "amplify": {"wrapper_runs": 2000},
     "audit": {"channel": "laplace", "z": 0, "flip_index": 0,
               "distinguisher": "near:0", "search": False, "budget": 2_000_000},
@@ -566,6 +559,10 @@ def _merge_config(args, parser: argparse.ArgumentParser) -> None:
     for key, value in {**_DEFAULTS, **_COMMAND_DEFAULTS[args.subcommand]}.items():
         if getattr(args, key) is None:
             setattr(args, key, value)
+    if args.subcommand == "condense":
+        unused = {"mod": "trials", "seeded": "modulus"}[args.mode]
+        if getattr(args, unused) is not None:
+            raise ConfigError(f"--{unused} does not apply to --mode {args.mode}")
     if getattr(args, "alpha", None) is not None and args.subcommand != "condense":
         args.alpha = float(args.alpha)
     for key, check in _VALIDATORS.items():

@@ -486,7 +486,7 @@ def _grouped_signed_sum(
 
     Independence across positions lets the sum be drawn as grouped
     binomials over distinct probability values: exact, and far cheaper
-    than materializing the vectors.
+    than materializing the vectors; the reference for ``_signed_sum_pmf``.
     """
     n = probs.size
     values, counts = np.unique(np.round(probs, 12), return_counts=True)
@@ -496,34 +496,49 @@ def _grouped_signed_sum(
     return 2 * plus - n
 
 
+def _signed_sum_pmf(probs: np.ndarray) -> np.ndarray:
+    """Exact law of the sum of independent +-1 variables with the given +1
+    probs: entry k is Pr[k of them are +1], that is Pr[sum = 2k - n].
+
+    Equal probabilities are grouped as in ``_grouped_signed_sum``; each
+    group's binomial pmf is computed in log space, its entries below 2^-60
+    of its mode are dropped, and the groups are convolved directly.
+    """
+    n = probs.size
+    _, first, counts = np.unique(np.round(probs, 12), return_index=True,
+                                 return_counts=True)
+    pmf, lo = np.ones(1), 0
+    for p, c in zip(probs[first], counts):  # a member's own probability
+        k = np.arange(c + 1)
+        log_fact = np.concatenate(([0.0], np.cumsum(np.log(k[1:]))))
+        with np.errstate(divide="ignore", invalid="ignore"):  # p = 0 or 1
+            logs = (log_fact[c] - log_fact - log_fact[::-1]
+                    + np.where(k > 0, k * np.log(p), 0)
+                    + np.where(k < c, (c - k) * np.log1p(-p), 0))
+        kept = np.flatnonzero(logs >= logs.max() - 60 * math.log(2))
+        pmf = np.convolve(pmf, np.exp(logs[kept[0]:kept[-1] + 1]))
+        lo += kept[0]
+    return np.pad(pmf, (lo, n + 1 - lo - pmf.size))
+
+
 @dataclass(frozen=True)
 class CondenseReport:
     experiment: str
     n: int
     modulus: int
-    trials: int
-    max_freq: float
+    max_prob: float
     min_entropy_bits: float
-    reliable: bool
-    note: str
 
 
 def condense_mod_experiment(
-    source_a: SvSourceSpec,
-    source_b: SvSourceSpec,
-    modulus: int,
-    trials: int,
-    rng: np.random.Generator,
+    source_a: SvSourceSpec, source_b: SvSourceSpec, modulus: int
 ) -> CondenseReport:
-    """Plug-in min-entropy of <X,Y> mod modulus for independent sources.
+    """Exact min-entropy of <X,Y> mod modulus for independent sources.
 
-    Returns -log2 of the largest empirical bucket frequency.  The plug-in
-    estimator is one-sided: the empirical maximum overestimates the true
-    maximum probability, so the reported entropy is a conservative
-    lower-bound witness only when trials >> modulus^2.
-
-    X*Y of independent product sources is again a product source, so the
-    inner product is sampled exactly as a grouped-binomial signed sum.
+    X*Y of independent product sources is again a product source, so <X,Y>
+    is a sum of independent +-1 variables: its law is ``_signed_sum_pmf``
+    of the product's +1 probabilities.  That law reduced mod modulus gives
+    the largest bucket probability and -log2 of it, with no sampling.
     """
     if modulus < 2:
         raise PreconditionViolation("modulus must be >= 2")
@@ -532,20 +547,10 @@ def condense_mod_experiment(
     if a.n != b.n:
         raise PreconditionViolation("sources must have equal size")
     pa, pb = a.one_probs(), b.one_probs()
-    p_plus = pa * pb + (1 - pa) * (1 - pb)
-    ips = _grouped_signed_sum(p_plus, trials, rng)
-    counts = np.bincount(np.mod(ips, modulus), minlength=modulus)
-    max_freq = float(counts.max()) / trials
-    return CondenseReport(
-        experiment="mod",
-        n=a.n,
-        modulus=modulus,
-        trials=trials,
-        max_freq=max_freq,
-        min_entropy_bits=-math.log2(max_freq),
-        reliable=trials >= 100 * modulus**2,
-        note="plug-in estimate; one-sided (overestimates max frequency)",
-    )
+    pmf = _signed_sum_pmf(pa * pb + (1 - pa) * (1 - pb))
+    sums = 2 * np.arange(a.n + 1) - a.n
+    max_prob = float(np.bincount(sums % modulus, pmf, minlength=modulus).max())
+    return CondenseReport("mod", a.n, modulus, max_prob, -math.log2(max_prob))
 
 
 @dataclass(frozen=True)
@@ -555,7 +560,6 @@ class SeededCondenseReport:
     alpha_a: float
     alpha_b: float
     trials_outer: int
-    trials_inner: int
     delta: float
     quantile_bits: float
     median_bits: float
@@ -566,18 +570,19 @@ def seeded_condense_experiment(
     source_a: SvSourceSpec,
     source_b: SvSourceSpec,
     trials_outer: int,
-    trials_inner: int,
     rng: np.random.Generator,
     delta: float = 0.5,
 ) -> SeededCondenseReport:
     """Conditional min-entropy of <X*Y, R> given (R, X_{R+}, Y_{R-}).
 
-    The outer loop fixes a conditioning (r, x_{r+}, y_{r-}); the inner loop
-    resamples the free coordinates (x on the -1 side, y on the +1 side)
-    from their marginals -- valid because the sources are product form --
-    and histograms the masked product.  Reports the delta-quantile of the
-    per-conditioning plug-in entropy estimates, matching the "at least
-    1 - delta of conditionings retain this much entropy" reading.
+    Each of ``trials_outer`` streams samples a conditioning
+    (r, x_{r+}, y_{r-}).  Given it, the masked product is a sum of
+    independent signs over the free coordinates (x on the -1 side, y on the
+    +1 side) -- independent because the sources are product form -- so its
+    exact law is ``_signed_sum_pmf`` and the conditioning's min-entropy is
+    -log2 of its largest entry.  Reports the delta-quantile over
+    conditionings, matching the "at least 1 - delta of conditionings retain
+    this much entropy" reading.
     """
     a = _require_product_source(source_a)
     b = _require_product_source(source_b)
@@ -598,9 +603,7 @@ def seeded_condense_experiment(
             np.where(x == 1, pb, 1 - pb),
             np.where(y == 1, 1 - pa, pa),
         )
-        vals = _grouped_signed_sum(term_probs, trials_inner, orng)
-        freq = np.bincount(vals + n).max() / trials_inner
-        return -math.log2(freq)
+        return -math.log2(_signed_sum_pmf(term_probs).max())
 
     estimates = np.array(list(map_streams(conditioned_bits, rng, trials_outer)))
     return SeededCondenseReport(
@@ -609,7 +612,6 @@ def seeded_condense_experiment(
         alpha_a=a.alpha,
         alpha_b=b.alpha,
         trials_outer=trials_outer,
-        trials_inner=trials_inner,
         delta=delta,
         quantile_bits=float(np.quantile(estimates, delta)),
         median_bits=float(np.median(estimates)),

@@ -5,9 +5,9 @@ independently, each with Pr[X_i = +1] = p_i.  A product source with every
 odds ratio p_i/(1-p_i) inside [alpha, 1/alpha] satisfies the strong
 unpredictability requirement that each bit stays alpha-hard to guess even
 given all other bits (independence makes the conditioning vacuous).
-Correlated sources are deliberately out of scope: the conditional
-resampling used by the seeded condenser experiments is tractable only for
-product form.
+Correlated sources are deliberately out of scope: the condenser
+experiments compute exact laws that rely on product form, where the free
+coordinates stay independent under any conditioning.
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ from noisyip import (
     spawn_rngs,
 )
 from noisyip.amplify import hashed_parity_trials, parity_oracle
-from noisyip.condense import TripletEstimator, variant_vote_split
+from noisyip.condense import TripletEstimator, _grouped_signed_sum, variant_vote_split
 from noisyip.hashing import all_toeplitz_hashes
 from noisyip.keyagreement import agreement_rate
 from noisyip.reconstruct import (
@@ -386,21 +386,15 @@ def test_criterion_9_condenser_sanity():
     n, trials = 4096, 10_000_000
     modulus = math.isqrt(n)
     spec = SvSourceSpec.uniform(n)
-    rep = condense_mod_experiment(spec, spec, modulus, trials, rng)
+    rep = condense_mod_experiment(spec, spec, modulus)
     bound = 10 * math.log2(n) / math.sqrt(n)
-    freq_ok = rep.max_freq <= bound
-    # sharper sanity: empirical max bucket frequency close to the exact one
-    pmf = np.zeros(modulus)
-    signs = np.arange(0, n + 1)
-    logs = [
-        math.lgamma(n + 1) - math.lgamma(o + 1) - math.lgamma(n - o + 1)
-        - n * math.log(2)
-        for o in signs
-    ]
-    for ones, lp in zip(signs, logs):
-        pmf[(2 * ones - n) % modulus] += math.exp(lp)
-    exact_max = pmf.max()
-    close_ok = abs(rep.max_freq - exact_max) < 5 * math.sqrt(exact_max / trials)
+    freq_ok = rep.max_prob <= bound
+    # sharper sanity: the reference sampler's max bucket frequency is close
+    # to the library's exact max bucket probability
+    sums = _grouped_signed_sum(np.full(n, 0.5), trials, rng)
+    max_freq = np.bincount(sums % modulus, minlength=modulus).max() / trials
+    exact_max = rep.max_prob
+    close_ok = abs(max_freq - exact_max) < 5 * math.sqrt(exact_max / trials)
 
     # exchange identity fuzz: zero violations over 1e5 (triplet, seed) votes,
     # for a transcript reader and for an estimator of the masked views alone
@@ -430,8 +424,8 @@ def test_criterion_9_condenser_sanity():
         9,
         "condenser sanity",
         ok,
-        f"max bucket freq {rep.max_freq:.5f} <= {bound:.3f} "
-        f"(exact {exact_max:.5f}); exchange identity: {violations} violations over "
+        f"exact max bucket prob {exact_max:.5f} <= {bound:.3f} "
+        f"(sampled {max_freq:.5f}); exchange identity: {violations} violations over "
         f"{samples_done} fuzzed samples",
     )
     assert ok

@@ -1,10 +1,14 @@
 import csv
 import json
+import math
 import os
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from noisyip.cli import main
+from noisyip.cli import _merge_config, build_parser, main
 from noisyip.reporting import validate_report
 
 
@@ -163,11 +167,11 @@ def test_csv_format_and_column_order(tmp_path):
 
 def test_condense_modes(tmp_path):
     # with the modulus wider than the distribution spread, stronger bias
-    # concentrates the masked product and lowers the plug-in entropy
+    # concentrates the masked product and lowers the exact entropy
     out = tmp_path / "c.json"
     code = main([
         "condense", "--mode", "mod", "--n", "256", "--modulus", "128",
-        "--alpha", "1.0,0.2", "--trials", "50000", "--seed", "23",
+        "--alpha", "1.0,0.2", "--seed", "23",
         "--out", str(out),
     ])
     assert code == 0
@@ -175,21 +179,46 @@ def test_condense_modes(tmp_path):
     bits_uniform = payload["metrics"]["min_entropy_bits[alpha=1]"]["value"]
     bits_biased = payload["metrics"]["min_entropy_bits[alpha=0.2]"]["value"]
     assert bits_biased <= bits_uniform
+    # exact values: nothing sampled, no interval
+    for metric in payload["metrics"].values():
+        assert metric["trials"] == 0 and metric["half_width"] is None
+    assert payload["config"]["trials"] is None
+    assert payload["record"]["params"] == {"modulus": 128}
 
 
 def test_condense_seeded_mode(tmp_path):
     out = tmp_path / "s.json"
     code = main([
         "condense", "--mode", "seeded", "--n", "256", "--alpha", "1.0",
-        "--trials", "12", "--inner", "20000", "--seed", "5",
+        "--trials", "12", "--seed", "5",
         "--out", str(out),
     ])
     assert code == 0
     payload = json.loads(out.read_text())
-    # uniform sources: conditional masked product is a shifted binomial with
-    # about -log2(central binomial) ~ 4.3 bits of plug-in min-entropy
+    # uniform sources: every conditional masked product is a shifted
+    # binomial with -log2(central binomial) ~ 4.3 bits of min-entropy
     bits = payload["metrics"]["quantile_bits[alpha=1]"]["value"]
     assert 3.5 < bits < 5.0
+    assert bits == pytest.approx(-math.log2(math.comb(256, 128) / 2.0**256), abs=1e-9)
+    assert payload["metrics"]["quantile_bits[alpha=1]"]["trials"] == 12
+    assert "inner" not in payload["config"]
+
+
+@pytest.mark.parametrize("mode,flag,value", [
+    ("mod", "trials", 10),  # nothing is sampled
+    ("seeded", "modulus", 8),  # there is no reduction
+])
+def test_condense_rejects_flags_of_the_other_mode(tmp_path, capsys, mode, flag, value):
+    argv = ["condense", "--mode", mode, "--n", "16", "--seed", "1"]
+    assert main(argv + [f"--{flag}", str(value)]) == 2
+    assert f"--{flag} does not apply" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mode": mode, flag: value}))
+    assert main(["condense", "--config", str(cfg), "--n", "16"]) == 2
+    assert f"--{flag} does not apply" in capsys.readouterr().err
+    if mode == "mod":  # the default mode
+        assert main(["condense", "--n", "16", "--trials", "10"]) == 2
+    assert main(["condense", "--mode", mode, "--n", "16"]) == 0
 
 
 def test_amplify_command(tmp_path):
@@ -321,6 +350,16 @@ def test_replay_estimator(tmp_path):
     ])
     assert code == 2
 
+    # a key that no query can match: too short, too long, or not +/- signs
+    for key in ("+-", "+" * 10, "+-+-0+-+-", "+-+-++-+x"):
+        bad_key = tmp_path / "bad_key.json"
+        bad_key.write_text(json.dumps({"n": n, "answers": {**answers, key: 1}}))
+        code = main([
+            "recon", "--estimator", f"replay:{bad_key}", "--n", "9",
+            "--ell", "1", "--trials", "10", "--samples", "10", "--seed", "1",
+        ])
+        assert code == 2, key
+
 
 def test_openbook_requires_leaky_channel():
     code = main([
@@ -353,7 +392,7 @@ def test_exit_code_invalid_config(tmp_path, capsys, monkeypatch):
     for noise in ("nan", "-0.1", "1.5"):
         assert main(["gl", "--n", "8", "--runs", "1", "--noise", noise]) == 2, noise
     for modulus in ("0", "1", "-4"):
-        assert main(["condense", "--mode", "mod", "--n", "16", "--trials", "10",
+        assert main(["condense", "--mode", "mod", "--n", "16",
                      "--modulus", modulus]) == 2, modulus
     assert main(["audit", "--channel", "laplace", "--eps", "1.0", "--n", "16",
                  "--trials", "10", "--distinguisher", "near:-1"]) == 2
@@ -451,3 +490,22 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"frobnicate": 1}))
     assert main(["ka", "--config", str(cfg), "--n", "8"]) == 2
+
+
+def readme_examples():
+    """The command lines of the README's Examples block, continuations joined."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"^Examples:\n\n```sh\n(.*?)^```", readme, re.S | re.M).group(1)
+    commands = re.sub(r"\\\n\s*", "", block).splitlines()
+    return [shlex.split(line) for line in commands if line.startswith("noisyip ")]
+
+
+def test_readme_examples_parse_and_merge():
+    # every README example is a valid command line: it parses, and its flags
+    # pass the same config merge and validation a run does (nothing is run)
+    examples = readme_examples()
+    assert len(examples) >= 8
+    for argv in examples:
+        parser = build_parser()
+        args = parser.parse_args(argv[1:])
+        _merge_config(args, parser)

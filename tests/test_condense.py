@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from noisyip.condense import (
     masked_views,
     variant_vote_split,
 )
+from noisyip.rng import spawn_rngs
 from noisyip.signvectors import flip_pair, random_signs
 
 
@@ -354,52 +357,90 @@ def test_search_queries_each_triplet_pair_a_bounded_number_of_times():
 # ---------------------------------------------------------------------------
 
 
+def _enumerated_pmf(probs):
+    """Pr[k of the signs are +1], exactly, by enumerating all 2^n sign
+    vectors with rational arithmetic on the floats' exact values."""
+    law = [Fraction(0)] * (len(probs) + 1)
+
+    def visit(i, plus, weight):
+        if i == len(probs):
+            law[plus] += weight
+            return
+        p = Fraction(float(probs[i]))
+        visit(i + 1, plus + 1, weight * p)
+        visit(i + 1, plus, weight * (1 - p))
+
+    visit(0, 0, Fraction(1))
+    return law
+
+
+@pytest.mark.parametrize("probs", [
+    (0.5,) * 16,
+    (0.3,) * 16,  # iid-bias
+    (0.3, 0.7, 0.45, 0.3, 0.85, 0.7, 0.5, 0.3, 0.45, 0.6, 0.85, 0.7),  # per-index
+    (0.2, 0.35, 0.5, 0.65, 0.8, 0.95, 0.35, 0.2) * 2,
+    (0.9,),
+    (0.0, 1.0, 0.25, 1.0, 0.75),  # degenerate positions are constant signs
+], ids=["uniform-16", "iid-16", "per-index-12", "per-index-16", "single", "degenerate"])
+def test_signed_sum_pmf_matches_fraction_enumeration(probs):
+    pmf = condense._signed_sum_pmf(np.array(probs))
+    exact = _enumerated_pmf(probs)
+    assert pmf.shape == (len(probs) + 1,)
+    assert np.abs(pmf - np.array([float(v) for v in exact])).max() < 1e-12
+
+
+def test_signed_sum_pmf_matches_grouped_sampler():
+    # the law of the reference sampler, at a size no enumeration reaches
+    probs = np.repeat([0.2, 0.5, 0.55, 0.9], [300, 500, 200, 24])
+    trials = 400_000
+    sums = condense._grouped_signed_sum(probs, trials, rng_from_seed(26))
+    pmf = condense._signed_sum_pmf(probs)
+    freq = np.bincount((sums + probs.size) // 2, minlength=probs.size + 1) / trials
+    assert abs(pmf.sum() - 1) < 1e-9
+    assert np.all(np.abs(freq - pmf) <= 5 * np.sqrt(pmf / trials) + 1e-6)
+
+
 def test_condense_mod_near_constant_sources_have_no_entropy():
-    rng = rng_from_seed(19)
     alpha = 1e-6
     n = 64
     hi = 1.0 / (1.0 + alpha)
     spec = SvSourceSpec(alpha=alpha, n=n, model="per-index-bias", probs=(hi,) * n)
-    rep = condense_mod_experiment(spec, spec, 8, 50_000, rng)
+    rep = condense_mod_experiment(spec, spec, 8)
     assert rep.min_entropy_bits <= 0.01
 
 
 def test_condense_mod_uniform_matches_exact_binomial_oracle():
-    rng = rng_from_seed(20)
-    n, modulus, trials = 256, 16, 400_000
+    n, modulus = 256, 16
     spec = SvSourceSpec.uniform(n)
-    rep = condense_mod_experiment(spec, spec, modulus, trials, rng)
+    rep = condense_mod_experiment(spec, spec, modulus)
     # exact law: <X,Y> =d sum of n uniform signs; reduce the binomial mod m
     pmf = np.zeros(modulus)
     for ones in range(n + 1):
         s = 2 * ones - n
         pmf[s % modulus] += math.comb(n, ones) / 2.0**n
     exact_max = pmf.max()
-    sigma = math.sqrt(exact_max * (1 - exact_max) / trials)
-    assert rep.max_freq == pytest.approx(exact_max, abs=5 * sigma)
-    assert rep.reliable  # trials >> modulus^2
+    assert rep.max_prob == pytest.approx(exact_max, abs=1e-12)
+    assert rep.min_entropy_bits == pytest.approx(-math.log2(exact_max), abs=1e-9)
 
 
 def test_condense_mod_biased_within_constant_band_of_uniform():
-    rng = rng_from_seed(21)
-    n, modulus, trials = 1024, 32, 200_000
+    n, modulus = 1024, 32
     uniform = condense_mod_experiment(
-        SvSourceSpec.uniform(n), SvSourceSpec.uniform(n), modulus, trials, rng
+        SvSourceSpec.uniform(n), SvSourceSpec.uniform(n), modulus
     )
     alpha = math.exp(-1)
     biased_spec = SvSourceSpec(alpha=alpha, n=n)
-    biased = condense_mod_experiment(biased_spec, biased_spec, modulus, trials, rng)
+    biased = condense_mod_experiment(biased_spec, biased_spec, modulus)
     assert biased.min_entropy_bits <= uniform.min_entropy_bits + 1e-9
     assert biased.min_entropy_bits >= uniform.min_entropy_bits - math.log2(math.e**2)
 
 
 def test_condense_mod_rejects_bad_modulus_and_model():
-    rng = rng_from_seed(22)
     spec = SvSourceSpec.uniform(8)
     with pytest.raises(PreconditionViolation):
-        condense_mod_experiment(spec, spec, 1, 100, rng)
+        condense_mod_experiment(spec, spec, 1)
     with pytest.raises(UnsupportedModel):
-        condense_mod_experiment("markov", spec, 4, 100, rng)
+        condense_mod_experiment("markov", spec, 4)
 
 
 def test_seeded_condense_uniform_matches_binomial_oracle():
@@ -408,11 +449,42 @@ def test_seeded_condense_uniform_matches_binomial_oracle():
     rng = rng_from_seed(23)
     n = 256
     spec = SvSourceSpec.uniform(n)
-    rep = seeded_condense_experiment(spec, spec, 24, 200_000, rng)
+    rep = seeded_condense_experiment(spec, spec, 24, rng)
     central = math.comb(n, n // 2) / 2.0**n
     expected_bits = -math.log2(central)
-    assert abs(rep.median_bits - expected_bits) < 0.25
+    assert abs(rep.median_bits - expected_bits) < 1e-9
+    assert abs(rep.min_bits - expected_bits) < 1e-9
     assert rep.quantile_bits >= math.log2(math.sqrt(n)) - 3
+
+
+def test_seeded_condense_conditioning_matches_enumeration():
+    # one conditioning, redrawn from the experiment's stream 0; its free
+    # coordinates (x on r-, y on r+) are enumerated with exact rationals
+    n = 10
+    pa = (0.3, 0.45, 0.6, 0.7, 0.5, 0.3, 0.65, 0.4, 0.55, 0.35)
+    pb = (0.6, 0.4, 0.5, 0.35, 0.7, 0.65, 0.3, 0.45, 0.6, 0.5)
+    a = SvSourceSpec(alpha=0.4, n=n, model="per-index-bias", probs=pa)
+    b = SvSourceSpec(alpha=0.4, n=n, model="per-index-bias", probs=pb)
+    rep = seeded_condense_experiment(a, b, 1, rng_from_seed(27))
+
+    orng = spawn_rngs(rng_from_seed(27), 1)[0]
+    x = np.where(orng.random(n) < np.array(pa), 1, -1)
+    y = np.where(orng.random(n) < np.array(pb), 1, -1)
+    r = random_signs(n, orng)
+    law = {}
+    for free in itertools.product((1, -1), repeat=n):
+        xx = np.where(r == 1, x, free)  # x is free where r = -1
+        yy = np.where(r == 1, free, y)  # y is free where r = +1
+        weight = Fraction(1)
+        for i, s in enumerate(free):
+            p = Fraction(pa[i] if r[i] == -1 else pb[i])
+            weight *= p if s == 1 else 1 - p
+        value = int(np.dot(xx * yy, r))
+        law[value] = law.get(value, 0) + weight
+    assert sum(law.values()) == 1
+    expected = -math.log2(float(max(law.values())))
+    assert rep.min_bits == pytest.approx(expected, abs=1e-12)
+    assert rep.median_bits == rep.quantile_bits == rep.min_bits
 
 
 def test_seeded_condense_degrades_for_near_constant_sources():
@@ -421,7 +493,7 @@ def test_seeded_condense_degrades_for_near_constant_sources():
     alpha = 1e-6
     hi = 1.0 / (1.0 + alpha)
     spec = SvSourceSpec(alpha=alpha, n=n, model="per-index-bias", probs=(hi,) * n)
-    rep = seeded_condense_experiment(spec, spec, 16, 20_000, rng)
+    rep = seeded_condense_experiment(spec, spec, 16, rng)
     assert rep.median_bits <= 0.05
 
 
