@@ -15,9 +15,7 @@ from .signvectors import (
     as_signs,
     bits_to_signs,
     flip,
-    hamming_distance,
     inner_product,
-    masked_inner_products,
     minus_set,
     plus_set,
     random_signs,

@@ -21,7 +21,7 @@ import numpy as np
 from .channels import Channel, Transcript
 from .hashing import ToeplitzHash, sample_toeplitz_hash, toeplitz_hash
 from .rng import keyed_uniform01
-from .signvectors import pack_bits, signs_to_bits
+from .signvectors import pack_bits, unpack_bits
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,8 +55,8 @@ def _draw_rounds(channel: Channel, m: int, size: int, rng: np.random.Generator):
     are read as bit strings with the global convention bit = (1 - sign)/2."""
     n = channel.n
     b = channel.sample_batch(size, rng)
-    xbits = signs_to_bits(b.xs)
-    ybits = signs_to_bits(b.ys)
+    xbits = unpack_bits(b.px, n)
+    ybits = unpack_bits(b.py, n)
     diag = rng.integers(0, 2, size=(size, n + m - 1), dtype=np.uint8)
     offset = rng.integers(0, 2, size=(size, m), dtype=np.uint8)
     r2 = rng.integers(0, 2, size=(size, n), dtype=np.uint8)

@@ -24,6 +24,7 @@ channel in attack experiments.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -33,7 +34,8 @@ import numpy as np
 from .errors import DimensionMismatch
 from .reporting import wald_half_width
 from .rng import CHUNK_TRIALS, sum_chunks
-from .signvectors import SIGN_DTYPE, flip_pair, random_signs
+from .signvectors import flip_pair, pack_bits, packed_inner_products
+from .signvectors import random_packed, unpack_signs
 from .sources import SvSourceSpec, sample_rounded_laplace, sample_sv_source
 from .sources import laplace_from_uniform, round_half_away
 
@@ -74,15 +76,26 @@ class ChannelSample:
 
 @dataclass(eq=False)
 class ChannelBatch:
-    """Column-major batch of channel samples."""
+    """Column-major batch of channel samples.  The inputs are held only as
+    packed uint64 lanes ``px``/``py`` (``noisyip.signvectors`` layout); the
+    (size, n) int8 sign rows ``xs``/``ys`` are unpacked on first read."""
 
-    xs: np.ndarray       # (size, n) int8
-    ys: np.ndarray       # (size, n) int8
+    n: int
+    px: np.ndarray       # (size, packed_width(n)) uint64
+    py: np.ndarray       # (size, packed_width(n)) uint64
     outs: np.ndarray     # (size,) int64
     extras: dict[str, np.ndarray] = field(default_factory=dict)
 
+    @functools.cached_property
+    def xs(self) -> np.ndarray:
+        return unpack_signs(self.px, self.n)
+
+    @functools.cached_property
+    def ys(self) -> np.ndarray:
+        return unpack_signs(self.py, self.n)
+
     def __len__(self) -> int:
-        return self.xs.shape[0]
+        return self.px.shape[0]
 
     def transcript(self, i: int) -> Transcript:
         messages = []
@@ -114,19 +127,15 @@ class Channel:
         return f"Channel(kind={self.kind!r}, n={self.n}, params={self.params})"
 
 
-def _row_ips(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    return (xs * ys).sum(axis=1, dtype=np.int64)
-
-
 def exact_ip_channel(n: int, leak_inputs: bool = False) -> Channel:
     """Channel with uniform inputs whose output is the exact inner product."""
 
     def batch(size, rng):
-        xs = random_signs(n, rng, size)
-        ys = random_signs(n, rng, size)
-        outs = _row_ips(xs, ys)
-        extras = {"x": xs, "y": ys} if leak_inputs else {}
-        return ChannelBatch(xs, ys, outs, extras)
+        px, py = random_packed(n, size, rng), random_packed(n, size, rng)
+        b = ChannelBatch(n, px, py, packed_inner_products(px, py, n))
+        if leak_inputs:
+            b.extras.update(x=b.xs, y=b.ys)
+        return b
 
     kind = "exact_open" if leak_inputs else "exact"
     return Channel(n, kind, {"leak_inputs": leak_inputs}, batch)
@@ -142,20 +151,23 @@ def laplace_ip_channel(n: int, eps: float) -> Channel:
     scale = 0.0 if math.isinf(eps) else 2.0 / eps
 
     def batch(size, rng):
-        xs = random_signs(n, rng, size)
-        ys = random_signs(n, rng, size)
+        px, py = random_packed(n, size, rng), random_packed(n, size, rng)
         noise = sample_rounded_laplace(scale, rng, size)
-        outs = _row_ips(xs, ys) + noise
-        return ChannelBatch(xs, ys, outs)
+        return ChannelBatch(n, px, py, packed_inner_products(px, py, n) + noise)
 
     return Channel(n, "laplace", {"eps": eps, "scale": scale}, batch)
 
 
 def randomized_response_p(eps: float) -> float:
-    """Bias parameter p = e^eps/(e^eps+1) - 1/2 of the per-entry flip."""
+    """Bias parameter p = e^eps/(e^eps+1) - 1/2 of the per-entry flip.
+    Below eps ~ 1e-16 p rounds to 0, leaving no Laplace scale 1/(p*eps), and
+    eps is rejected; a positive p is at least 2^-53, so 1/(p*eps) is finite."""
     if not 0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
-    return math.exp(eps) / (math.exp(eps) + 1.0) - 0.5
+    p = math.exp(eps) / (math.exp(eps) + 1.0) - 0.5
+    if not p > 0:
+        raise ValueError(f"eps={eps} is too small: p = e^eps/(e^eps+1) - 1/2 is 0")
+    return p
 
 
 def randomized_response_variance(n: int, eps: float) -> float:
@@ -183,14 +195,13 @@ def randomized_response_channel(n: int, eps: float) -> Channel:
     lap_scale = 1.0 / (p * eps)
 
     def batch(size, rng):
-        xs = random_signs(n, rng, size)
-        ys = random_signs(n, rng, size)
-        keep = rng.random((size, n)) < 0.5 + p
-        xhat = np.where(keep, xs, -xs).astype(SIGN_DTYPE)
+        px, py = random_packed(n, size, rng), random_packed(n, size, rng)
+        # xhat keeps x_i with probability 1/2 + p: flip where the draw is above
+        pxhat = px ^ pack_bits(rng.random((size, n)) >= 0.5 + p)
         lap = laplace_from_uniform(rng.random(size), lap_scale)
-        z = _row_ips(ys, xhat) / (2.0 * p) + lap
-        outs = round_half_away(z)
-        return ChannelBatch(xs, ys, outs, {"flipped": xhat, "release": z})
+        z = packed_inner_products(py, pxhat, n) / (2.0 * p) + lap
+        extras = {"flipped": unpack_signs(pxhat, n), "release": z}
+        return ChannelBatch(n, px, py, round_half_away(z), extras)
 
     return Channel(n, "randomized_response", {"eps": eps, "p": p}, batch)
 
@@ -215,10 +226,9 @@ def constant_channel(
         raise DimensionMismatch("source specs must match the channel size")
 
     def batch(size, rng):
-        xs = sample_sv_source(source_a, rng, size)
-        ys = sample_sv_source(source_b, rng, size)
-        outs = np.full(size, int(z_out), dtype=np.int64)
-        return ChannelBatch(xs, ys, outs)
+        px = sample_sv_source(source_a, rng, size)
+        py = sample_sv_source(source_b, rng, size)
+        return ChannelBatch(n, px, py, np.full(size, int(z_out), dtype=np.int64))
 
     return Channel(
         n,
@@ -238,12 +248,10 @@ def equality_channel(n: int, alpha: float) -> Channel:
         raise ValueError("alpha must lie in (0, 1]")
 
     def batch(size, rng):
-        xs = random_signs(n, rng, size)
-        ys = random_signs(n, rng, size)
+        px, py = random_packed(n, size, rng), random_packed(n, size, rng)
         same = rng.random(size) < alpha
-        ys[same] = xs[same]
-        outs = np.zeros(size, dtype=np.int64)
-        return ChannelBatch(xs, ys, outs)
+        py[same] = px[same]
+        return ChannelBatch(n, px, py, np.zeros(size, dtype=np.int64))
 
     return Channel(n, "equality", {"alpha": alpha}, batch)
 
@@ -269,7 +277,8 @@ def estimate_accuracy(
 
     def hits(stream, size):
         b = channel.sample_batch(size, stream)
-        return np.count_nonzero(np.abs(b.outs - _row_ips(b.xs, b.ys)) <= alpha)
+        ips = packed_inner_products(b.px, b.py, b.n)
+        return np.count_nonzero(np.abs(b.outs - ips) <= alpha)
 
     gamma = int(sum_chunks(hits, rng, trials, CHUNK_TRIALS)) / trials
     half = wald_half_width(gamma, trials)

@@ -550,7 +550,8 @@ def condense_mod_experiment(
     pmf = _signed_sum_pmf(pa * pb + (1 - pa) * (1 - pb))
     sums = 2 * np.arange(a.n + 1) - a.n
     max_prob = float(np.bincount(sums % modulus, pmf, minlength=modulus).max())
-    return CondenseReport("mod", a.n, modulus, max_prob, -math.log2(max_prob))
+    # 0.0 - log2(1) is 0.0, where -log2(1) would be written as -0.0
+    return CondenseReport("mod", a.n, modulus, max_prob, 0.0 - math.log2(max_prob))
 
 
 @dataclass(frozen=True)
@@ -603,7 +604,7 @@ def seeded_condense_experiment(
             np.where(x == 1, pb, 1 - pb),
             np.where(y == 1, 1 - pa, pa),
         )
-        return -math.log2(_signed_sum_pmf(term_probs).max())
+        return 0.0 - math.log2(_signed_sum_pmf(term_probs).max())  # never -0.0
 
     estimates = np.array(list(map_streams(conditioned_bits, rng, trials_outer)))
     return SeededCondenseReport(

@@ -24,10 +24,11 @@ from typing import Callable
 
 import numpy as np
 
-from .channels import Channel, Transcript
+from .channels import Channel, ChannelBatch, Transcript
 from .reporting import wald_half_width
 from .rng import CHUNK_TRIALS, sum_chunks
-from .signvectors import SIGN_DTYPE, random_signs
+from .signvectors import SIGN_DTYPE, pack_signs, packed_inner_products
+from .signvectors import random_packed, unpack_signs
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,7 +71,8 @@ def _quantize(u: np.ndarray, v: np.ndarray, ell: int) -> np.ndarray:
 
 @dataclass(eq=False)
 class KARoundBatch:
-    """Vectorized outcomes of many independent protocol rounds."""
+    """Vectorized outcomes of many independent protocol rounds; the masks
+    are packed lanes ``pr``, unpacked to sign rows ``R`` on first read."""
 
     o_a: np.ndarray
     o_b: np.ndarray
@@ -78,25 +80,27 @@ class KARoundBatch:
     u_b: np.ndarray
     outs: np.ndarray
     ips: np.ndarray
-    R: np.ndarray
+    pr: np.ndarray
     V: np.ndarray
-    xs: np.ndarray
-    ys: np.ndarray
-    channel_batch: object
+    channel_batch: ChannelBatch
+
+    @functools.cached_property
+    def R(self) -> np.ndarray:
+        return unpack_signs(self.pr, self.channel_batch.n)
 
     def ka_transcript(self, i: int) -> KATranscript:
-        r = self.R[i]
+        r, b = self.R[i], self.channel_batch
         return KATranscript(
-            x_plus=self.xs[i][r == 1],
-            y_minus=self.ys[i][r == -1],
-            t=self.channel_batch.transcript(i),
+            x_plus=b.xs[i][r == 1],
+            y_minus=b.ys[i][r == -1],
+            t=b.transcript(i),
             r=r,
             v=int(self.V[i]),
         )
 
     def eve_views(self) -> "EveViews":
-        extras = self.channel_batch.extras
-        return EveViews(self.R, self.V, self.outs, extras, self.xs, self.ys)
+        b = self.channel_batch
+        return EveViews(b.n, self.pr, self.V, self.outs, b.extras, b.px, b.py)
 
 
 class EveViews:
@@ -104,21 +108,26 @@ class EveViews:
 
     It shows the masks ``R``, the shifts ``V``, the channel outputs
     ``outs``, the transcript ``extras`` (name -> per-row array), and x on r+
-    and y on r- as zero-masked int8 rows ``x_plus``/``y_minus``, built on
-    first read.  The parties' full inputs are not part of the view.
+    and y on r- as zero-masked int8 rows ``x_plus``/``y_minus``; these three
+    are unpacked from packed lanes on first read.  The parties' full inputs
+    are not part of the view.
     """
 
-    def __init__(self, R, V, outs, extras, xs, ys):
-        self.R, self.V, self.outs, self.extras = R, V, outs, extras
-        self._xs, self._ys = xs, ys
+    def __init__(self, n, pr, V, outs, extras, px, py):
+        self.V, self.outs, self.extras = V, outs, extras
+        self._n, self._pr, self._px, self._py = n, pr, px, py
+
+    @functools.cached_property
+    def R(self) -> np.ndarray:
+        return unpack_signs(self._pr, self._n)
 
     @functools.cached_property
     def x_plus(self) -> np.ndarray:
-        return (self.R == 1) * self._xs
+        return (self.R == 1) * unpack_signs(self._px, self._n)
 
     @functools.cached_property
     def y_minus(self) -> np.ndarray:
-        return (self.R == -1) * self._ys
+        return (self.R == -1) * unpack_signs(self._py, self._n)
 
 
 # maps a batch of eavesdropper views to an int64 guess of o_A per row
@@ -128,21 +137,21 @@ Adversary = Callable[[EveViews], np.ndarray]
 def run_ka_rounds(
     channel: Channel, ell: int, trials: int, rng: np.random.Generator
 ) -> KARoundBatch:
-    """Execute `trials` independent rounds, vectorized."""
+    """Execute `trials` independent rounds on packed lanes, where <x,y> =
+    n - 2 popcount(x ^ y) and <x*y, r> = n - 2 popcount(x ^ y ^ r)."""
     if ell < 1:
         raise ValueError("ell must be >= 1")
     n = channel.n
     b = channel.sample_batch(trials, rng)
-    R = random_signs(n, rng, trials)
+    pr = random_packed(n, trials, rng)
     V = rng.integers(1, ell + 1, size=trials)
-    prods = b.xs * b.ys
-    ips = prods.sum(axis=1, dtype=np.int64)
+    ips = packed_inner_products(b.px, b.py, n)
     # u_a = ip_minus = (ips - <x*y, r>) / 2 exactly; u_b = out - ip_plus
-    u_a = (ips - (prods * R).sum(axis=1, dtype=np.int64)) // 2
+    u_a = (ips - packed_inner_products(b.px ^ b.py, pr, n)) // 2
     u_b = b.outs - (ips - u_a)
     return KARoundBatch(
         o_a=_quantize(u_a, V, ell), o_b=_quantize(u_b, V, ell), u_a=u_a, u_b=u_b,
-        outs=b.outs, ips=ips, R=R, V=V, xs=b.xs, ys=b.ys, channel_batch=b,
+        outs=b.outs, ips=ips, pr=pr, V=V, channel_batch=b,
     )
 
 
@@ -311,7 +320,8 @@ def adversary_to_ip_estimator(adversary: Adversary, ell: int) -> Callable:
         x[r == 1], y[r == -1] = x_plus, y_minus
         extras = {k: np.asarray([m]) for k, m in t.messages if k != "out"}
         out = np.array([t.out], dtype=np.int64)
-        views = EveViews(r, np.array([v]), out, extras, x, y)
+        views = EveViews(r.shape[1], pack_signs(r), np.array([v]), out, extras,
+                         pack_signs(x), pack_signs(y))
         return int(t.out) - 2 * (int(adversary(views)[0]) + v)
 
     return estimator

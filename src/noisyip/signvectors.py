@@ -44,36 +44,6 @@ def inner_product(x, y) -> int:
     return int(np.dot(x.astype(np.int64), y.astype(np.int64)))
 
 
-def hamming_distance(x, y) -> int:
-    """Number of positions where the sign vectors differ."""
-    x = np.asarray(x)
-    y = np.asarray(y)
-    if x.shape != y.shape:
-        raise DimensionMismatch(f"length mismatch: {x.shape} vs {y.shape}")
-    return int(np.count_nonzero(x != y))
-
-
-def masked_inner_products(x, y, r) -> tuple[int, int]:
-    """Split <x,y> by the sign of the mask r.
-
-    Returns ``(ip_plus, ip_minus)`` where ``ip_plus`` sums x_i*y_i over
-    positions with r_i = +1 and ``ip_minus`` over positions with r_i = -1.
-    Always ``ip_plus + ip_minus == <x,y>`` and
-    ``ip_plus - ip_minus == <x*y, r>``.
-    """
-    x = np.asarray(x, dtype=np.int64)
-    y = np.asarray(y, dtype=np.int64)
-    r = np.asarray(r)
-    if not (x.shape == y.shape == r.shape):
-        raise DimensionMismatch(
-            f"length mismatch: {x.shape}, {y.shape}, {r.shape}"
-        )
-    prod = x * y
-    ip_plus = int(prod[r == 1].sum())
-    ip_minus = int(prod[r == -1].sum())
-    return ip_plus, ip_minus
-
-
 def flip(v, i: int) -> np.ndarray:
     """Copy of v with entry i negated."""
     v = np.asarray(v)
@@ -145,9 +115,9 @@ def minus_set(r) -> IndexSet:
 #
 # Bit j (little-endian within each word) of lane i//64 holds position i with
 # the package-wide convention bit = (1 - sign)/2, so +1 packs to 0.  Unused
-# high bits of the last lane are zero.  The packed form is an internal
-# representation for streaming workloads; the external contract everywhere
-# is sign-valued.
+# high bits of the last lane are zero.  The packed form is the internal
+# representation of queries, channel batches and key-agreement rounds; the
+# external contract everywhere is sign-valued.
 
 
 def packed_width(n: int) -> int:
@@ -168,10 +138,15 @@ def pack_signs(v) -> np.ndarray:
     return pack_bits(np.atleast_2d(v) < 0)
 
 
+def unpack_bits(P: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of :func:`pack_bits` for rows of n bits: shape (m, n) uint8."""
+    bytes_ = np.ascontiguousarray(P).view(np.uint8)
+    return np.unpackbits(bytes_, axis=-1, count=n, bitorder="little")
+
+
 def unpack_signs(P: np.ndarray, n: int) -> np.ndarray:
     """Inverse of :func:`pack_signs` for rows of n signs: shape (m, n)."""
-    bytes_ = np.ascontiguousarray(P).view(np.uint8)
-    return bits_to_signs(np.unpackbits(bytes_, axis=-1, count=n, bitorder="little"))
+    return bits_to_signs(unpack_bits(P, n))
 
 
 def random_packed(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -185,14 +160,15 @@ def random_packed(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
     return raw
 
 
-def packed_inner_products(P: np.ndarray, q: np.ndarray, n: int) -> np.ndarray:
-    """<p, q> for each packed row p against a single packed vector q.
+def packed_inner_products(P: np.ndarray, Q: np.ndarray, n: int) -> np.ndarray:
+    """<p, q> for each packed row p of P against Q: a single packed vector,
+    or one packed row per row of P.
 
     Signs agree exactly where the packed bits agree, so the inner product
     is n - 2 * popcount(p xor q).
     """
     ham = np.zeros(P.shape[0], dtype=np.int64)
     for j in range(P.shape[1]):
-        ham += np.bitwise_count(P[:, j] ^ q[j])
+        ham += np.bitwise_count(P[:, j] ^ Q[..., j])
     return n - 2 * ham
 

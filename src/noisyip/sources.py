@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedModel
-from .signvectors import SIGN_DTYPE
+from .signvectors import pack_bits, random_packed
 
 IID_BIAS = "iid-bias"
 PER_INDEX_BIAS = "per-index-bias"
@@ -75,13 +75,17 @@ class SvSourceSpec:
 
 
 def sample_sv_source(
-    spec: SvSourceSpec, rng: np.random.Generator, size: int | None = None
+    spec: SvSourceSpec, rng: np.random.Generator, size: int
 ) -> np.ndarray:
-    """Draw sign vector(s) from a product source: shape (n,) or (size, n)."""
-    shape = (spec.n,) if size is None else (size, spec.n)
+    """Draw ``size`` vectors from a product source as packed uint64 lanes,
+    shape (size, packed_width(n)) (``noisyip.signvectors`` layout; read the
+    signs with ``unpack_signs``).  A uniform source is Bernoulli(1/2) bits,
+    drawn packed; a biased one compares one float64 per entry with
+    Pr[X_i = +1], the sign being -1 (bit 1) where the draw is >= p_i."""
     p = spec.one_probs()
-    u = rng.random(shape)
-    return np.where(u < p, np.int8(1), np.int8(-1)).astype(SIGN_DTYPE)
+    if np.all(p == 0.5):
+        return random_packed(spec.n, size, rng)
+    return pack_bits(rng.random((size, spec.n)) >= p)
 
 
 def laplace_from_uniform(u: np.ndarray, scale: float) -> np.ndarray:

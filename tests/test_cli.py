@@ -82,6 +82,9 @@ def test_threads_do_not_change_bytes(tmp_path):
     for base in (
         ["ka", "--channel", "constant", "--n", "64", "--ell", "8",
          "--trials", "25000", "--seed", "13"],
+        # the benchmark's channel and adversary
+        ["ka", "--channel", "laplace", "--eps", "1.0", "--n", "100", "--ell", "8",
+         "--trials", "25000", "--adversary", "blind", "--seed", "13"],
         # a randomized estimator: its noise is keyed by the query
         ["recon", "--estimator", "laplace", "--eps", "0.25", "--n", "64",
          "--samples", "2000", "--seed", "7"],
@@ -202,6 +205,18 @@ def test_condense_seeded_mode(tmp_path):
     assert bits == pytest.approx(-math.log2(math.comb(256, 128) / 2.0**256), abs=1e-9)
     assert payload["metrics"]["quantile_bits[alpha=1]"]["trials"] == 12
     assert "inner" not in payload["config"]
+
+
+def test_condense_zero_min_entropy_is_written_as_zero(tmp_path):
+    # alpha = 1e-20 makes every entry all but certain, so a probability is 1
+    for mode in ("mod", "seeded"):
+        out = tmp_path / f"{mode}.json"
+        assert main(["condense", "--mode", mode, "--n", "16", "--alpha", "1e-20",
+                     "--seed", "1", "--out", str(out)]) == 0
+        text = out.read_text()
+        assert "-0.0" not in text, mode
+        (metric,) = json.loads(text)["metrics"].values()
+        assert metric["value"] == 0.0
 
 
 @pytest.mark.parametrize("mode,flag,value", [
@@ -423,8 +438,14 @@ RECON = ["recon", "--estimator", "laplace", "--n", "16", "--trials", "10",
      "--trials", "10"],
     ["ka", "--channel", "randomized_response", "--eps", "inf", "--n", "16",
      "--trials", "10"],  # p = nan
+    # p underflows to 0: these were ZeroDivisionError tracebacks
+    ["ka", "--channel", "randomized_response", "--eps", "1e-17", "--n", "4",
+     "--trials", "10"],
+    ["audit", "--channel", "randomized_response", "--eps", "1e-20", "--n", "4",
+     "--trials", "10"],
 ], ids=["recon-eps-0", "recon-eps-neg", "recon-eps-nan", "ka-laplace-eps-nan",
-        "audit-rr-eps-nan", "ka-rr-eps-inf"])
+        "audit-rr-eps-nan", "ka-rr-eps-inf", "ka-rr-eps-underflow",
+        "audit-rr-eps-underflow"])
 def test_exit_code_bad_eps(argv, capsys):
     assert main(argv) == 2
     assert "eps" in capsys.readouterr().err

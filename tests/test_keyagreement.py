@@ -13,18 +13,24 @@ from noisyip import (
     agreement_rate,
     blind_adversary,
     constant_channel,
+    count_rounds,
+    equality_channel,
     equality_leakage_rate,
     exact_ip_channel,
     inner_product,
     laplace_ip_channel,
     openbook_adversary,
+    randomized_response_channel,
     readout_adversary,
     rng_from_seed,
     run_ka_round,
 )
+from noisyip import channels as channels_module
+from noisyip import keyagreement, signvectors
 from noisyip.channels import Channel, ChannelBatch
 from noisyip.keyagreement import KATranscript, _quantize, run_ka_rounds
-from noisyip.signvectors import random_signs
+from noisyip.signvectors import pack_signs, random_packed, random_signs
+from noisyip.sources import laplace_from_uniform, round_half_away, sample_rounded_laplace
 
 
 def bounded_noise_channel(n: int, half_window: int) -> Channel:
@@ -35,7 +41,7 @@ def bounded_noise_channel(n: int, half_window: int) -> Channel:
         ys = random_signs(n, rng, size)
         noise = rng.integers(-(half_window - 1), half_window, size=size)
         outs = np.einsum("ij,ij->i", xs.astype(np.int64), ys.astype(np.int64)) + noise
-        return ChannelBatch(xs, ys, outs)
+        return ChannelBatch(n, pack_signs(xs), pack_signs(ys), outs)
 
     return Channel(n, "bounded", {"half_window": half_window}, batch)
 
@@ -168,9 +174,10 @@ def test_estimator_transform_identity():
     ell = 6
     ch = laplace_ip_channel(128, 2.0)
     batch = run_ka_rounds(ch, ell, 4000, rng)
+    b = batch.channel_batch
     masked = np.einsum(
         "ij,ij->i",
-        (batch.xs.astype(np.int64) * batch.ys.astype(np.int64)),
+        (b.xs.astype(np.int64) * b.ys.astype(np.int64)),
         batch.R.astype(np.int64),
     )
     close = np.abs(batch.outs - batch.ips) < ell
@@ -285,8 +292,9 @@ def test_batch_adversaries_match_scalar_definitions(channel, names):
     batch = run_ka_rounds(channel, ell, 300, rng_from_seed(13))
     views = batch.eve_views()
     assert not hasattr(views, "xs") and not hasattr(views, "ys")
-    assert np.array_equal(views.x_plus, np.where(batch.R == 1, batch.xs, 0))
-    assert np.array_equal(views.y_minus, np.where(batch.R == -1, batch.ys, 0))
+    b = batch.channel_batch
+    assert np.array_equal(views.x_plus, np.where(batch.R == 1, b.xs, 0))
+    assert np.array_equal(views.y_minus, np.where(batch.R == -1, b.ys, 0))
     factories = {"blind": blind_adversary, "readout": readout_adversary,
                  "openbook": openbook_adversary}
     for name in names:
@@ -361,3 +369,92 @@ def test_ka_transcript_validation():
     for x_plus, y_minus in (([1], []), ([], [1, -1]), ([1, 1], [1])):
         with pytest.raises(ValueError):
             est(r, np.array(x_plus), np.array(y_minus), t, rng_from_seed(13))
+
+
+# ---------------------------------------------------------------------------
+# Packed lanes: the round algebra against the sign algebra
+# ---------------------------------------------------------------------------
+
+
+def _replay_uniform_inputs(seed, n, size):
+    """A generator positioned after a channel's two uniform lane draws."""
+    rng = rng_from_seed(seed)
+    random_packed(n, size, rng), random_packed(n, size, rng)
+    return rng
+
+
+def _laplace_noise(channel, seed, size, xs, ys):
+    rng = _replay_uniform_inputs(seed, channel.n, size)
+    return sample_rounded_laplace(channel.params["scale"], rng, size)
+
+
+def _randomized_response_noise(channel, seed, size, xs, ys):
+    # x-hat keeps x_i where the per-entry draw is below 1/2 + p; the release
+    # adds Laplace(1/(p eps)) to the debiased <y, x-hat> and is rounded
+    p, eps = channel.params["p"], channel.params["eps"]
+    rng = _replay_uniform_inputs(seed, channel.n, size)
+    xhat = np.where(rng.random(xs.shape) < 0.5 + p, xs, -xs)
+    lap = laplace_from_uniform(rng.random(size), 1.0 / (p * eps))
+    release = (ys * xhat).sum(axis=1) / (2.0 * p) + lap
+    return round_half_away(release) - (xs * ys).sum(axis=1)
+
+
+LANE_N = 100  # not a multiple of 64: the last lane has 28 pad bits
+LANE_CHANNELS = {
+    "exact": (exact_ip_channel(LANE_N), lambda *a: 0),
+    "exact_open": (exact_ip_channel(LANE_N, leak_inputs=True), lambda *a: 0),
+    "laplace": (laplace_ip_channel(LANE_N, 0.5), _laplace_noise),
+    "randomized_response": (randomized_response_channel(LANE_N, 2.0),
+                            _randomized_response_noise),
+    "constant": (constant_channel(LANE_N, 4),
+                 lambda ch, s, m, xs, ys: 4 - (xs * ys).sum(axis=1)),
+    "constant_biased": (
+        constant_channel(LANE_N, -2, SvSourceSpec(0.3, LANE_N), SvSourceSpec(0.6, LANE_N)),
+        lambda ch, s, m, xs, ys: -2 - (xs * ys).sum(axis=1)),
+    "equality": (equality_channel(LANE_N, 0.5),
+                 lambda ch, s, m, xs, ys: -(xs * ys).sum(axis=1)),
+}
+
+
+@pytest.mark.parametrize("name", LANE_CHANNELS)
+def test_lane_round_algebra_matches_sign_algebra(name):
+    channel, noise = LANE_CHANNELS[name]
+    seed, size, ell = 29, 600, 6
+    batch = run_ka_rounds(channel, ell, size, rng_from_seed(seed))
+    b = batch.channel_batch
+    for lanes in (b.px, b.py, batch.pr):
+        assert lanes.dtype == np.uint64 and lanes.shape == (size, 2)
+        assert not np.any(lanes[:, -1] >> np.uint64(LANE_N % 64)), "pad bits set"
+    xs, ys, R = (a.astype(np.int64) for a in (b.xs, b.ys, batch.R))
+    assert set(np.unique(R)) == {-1, 1}
+    prods = xs * ys
+    assert np.array_equal(batch.ips, prods.sum(axis=1))
+    assert np.array_equal(batch.u_a, (prods * (R == -1)).sum(axis=1))
+    assert np.array_equal(batch.u_b, batch.outs - (prods * (R == 1)).sum(axis=1))
+    assert np.array_equal(
+        batch.outs - batch.ips, np.broadcast_to(noise(channel, seed, size, xs, ys), size))
+    views = batch.eve_views()
+    assert np.array_equal(views.R, batch.R)
+    assert np.array_equal(views.x_plus, np.where(R == 1, xs, 0))
+    assert np.array_equal(views.y_minus, np.where(R == -1, ys, 0))
+
+
+@pytest.mark.parametrize("make_adversary", [blind_adversary, readout_adversary])
+def test_transcript_adversaries_build_no_sign_rows(make_adversary, monkeypatch):
+    unpacked = []
+
+    def counting_unpack(P, n):
+        unpacked.append(P.shape)
+        return signvectors.bits_to_signs(signvectors.unpack_bits(P, n))
+
+    for module in (signvectors, channels_module, keyagreement):
+        monkeypatch.setattr(module, "unpack_signs", counting_unpack)
+    ell = 8
+    adversary = make_adversary(ell)
+    for channel in (laplace_ip_channel(LANE_N, 1.0), constant_channel(LANE_N, 0)):
+        agree, hits = count_rounds(channel, ell, 2000, rng_from_seed(31), adversary)
+        assert 0 < hits <= agree
+    assert unpacked == []
+    # the counter does see a read at the public boundary
+    run_ka_rounds(laplace_ip_channel(LANE_N, 1.0), ell, 10, rng_from_seed(1)).R
+    assert unpacked == [(10, 2)]

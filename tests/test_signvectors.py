@@ -9,9 +9,7 @@ from noisyip import (
     as_signs,
     bits_to_signs,
     flip,
-    hamming_distance,
     inner_product,
-    masked_inner_products,
     minus_set,
     plus_set,
     random_signs,
@@ -55,19 +53,26 @@ def test_inner_product_length_mismatch():
 @given(paired())
 @settings(max_examples=100, deadline=None)
 def test_inner_product_hamming_identity(xyr):
+    # the lane kernel computes n - 2 * popcount(x xor y)
     x, y, _ = xyr
     n = len(x)
-    assert inner_product(x, y) == n - 2 * hamming_distance(x, y)
+    hamming = int(np.count_nonzero(np.array(x) != np.array(y)))
+    lane_ip = packed_inner_products(pack_signs(x), pack_signs(y), n)[0]
+    assert inner_product(x, y) == n - 2 * hamming == lane_ip
 
 
 @given(paired())
 @settings(max_examples=100, deadline=None)
 def test_masked_split_identities(xyr):
+    # the key-agreement round's split of <x,y> by the mask r; on lanes the
+    # masked product is n - 2 * popcount(x xor y xor r)
     x, y, r = xyr
-    ip_plus, ip_minus = masked_inner_products(x, y, r)
-    prod = np.array(x) * np.array(y)
+    prod, r = np.array(x) * np.array(y), np.array(r)
+    ip_plus, ip_minus = int(prod[r == 1].sum()), int(prod[r == -1].sum())
     assert ip_plus + ip_minus == inner_product(x, y)
-    assert ip_plus - ip_minus == inner_product(prod, r)
+    lanes = pack_signs(x) ^ pack_signs(y)
+    lane_masked = packed_inner_products(lanes, pack_signs(r), len(r))[0]
+    assert ip_plus - ip_minus == inner_product(prod, r) == lane_masked
 
 
 def test_masked_split_exhaustive_small_n():
@@ -91,11 +96,13 @@ def test_masked_split_exhaustive_small_n():
 def test_masked_split_randomized_large_n():
     rng = rng_from_seed(17)
     n = 1000
-    for _ in range(50):
-        x, y, r = (random_signs(n, rng) for _ in range(3))
-        p, m = masked_inner_products(x, y, r)
-        assert p + m == inner_product(x, y)
-        assert p - m == inner_product(x.astype(int) * y.astype(int), r)
+    x, y, r = (random_signs(n, rng, 50) for _ in range(3))
+    prod = x.astype(np.int64) * y
+    p, m = (prod * (r == 1)).sum(axis=1), (prod * (r == -1)).sum(axis=1)
+    px, py = pack_signs(x), pack_signs(y)
+    assert np.array_equal(p + m, packed_inner_products(px, py, n))
+    assert np.array_equal(p - m, packed_inner_products(px ^ py, pack_signs(r), n))
+    assert np.array_equal(p - m, (prod * r).sum(axis=1))
 
 
 def test_hamming_identity_exhaustive_small_n():
@@ -112,8 +119,10 @@ def test_hamming_identity_exhaustive_small_n():
 def test_masked_all_one_masks():
     rng = rng_from_seed(1)
     x, y = random_signs(9, rng), random_signs(9, rng)
-    assert masked_inner_products(x, y, np.ones(9)) == (inner_product(x, y), 0)
-    assert masked_inner_products(x, y, -np.ones(9)) == (0, inner_product(x, y))
+    lanes = pack_signs(x) ^ pack_signs(y)
+    for sign in (1, -1):  # every position on one side of the split
+        masked = packed_inner_products(lanes, pack_signs(sign * np.ones(9)), 9)[0]
+        assert masked == sign * inner_product(x, y)
 
 
 def test_flip_involution_and_example():

@@ -13,6 +13,7 @@ from noisyip import (
     sample_rounded_laplace,
     sample_sv_source,
 )
+from noisyip.signvectors import unpack_signs
 
 
 def test_spec_validation():
@@ -31,7 +32,7 @@ def test_alpha_one_is_uniform():
     spec = SvSourceSpec.uniform(6)
     assert np.allclose(spec.one_probs(), 0.5)
     rng = rng_from_seed(0)
-    draws = sample_sv_source(spec, rng, size=20000)
+    draws = unpack_signs(sample_sv_source(spec, rng, 20000), 6)
     assert set(np.unique(draws)) == {-1, 1}
     assert abs(draws.mean()) < 0.02
 
@@ -64,7 +65,7 @@ def test_empirical_bit_means_within_hoeffding():
     trials = 10_000
     spec = SvSourceSpec(alpha=alpha, n=n)
     rng = rng_from_seed(1)
-    draws = sample_sv_source(spec, rng, size=trials)
+    draws = unpack_signs(sample_sv_source(spec, rng, trials), n)
     target = 2.0 / (1.0 + alpha) - 1.0  # E[X_i] = 2p - 1
     # Hoeffding: with 10^4 draws of a +-1 variable, deviations beyond
     # sqrt(2 ln(2/delta) / trials) have probability < delta; use delta small
