@@ -11,13 +11,10 @@ amplifier with a Goldreich-Levin style decoder.
 from .errors import DimensionMismatch, PreconditionViolation, UnsupportedModel
 from .rng import ensure_rng, rng_from_seed, spawn_rngs
 from .signvectors import (
-    IndexSet,
     as_signs,
     bits_to_signs,
     flip,
     inner_product,
-    minus_set,
-    plus_set,
     random_signs,
     signs_to_bits,
 )
@@ -31,7 +28,6 @@ from .sources import (
 from .channels import (
     AccuracyReport,
     Channel,
-    ChannelSample,
     DpAuditReport,
     Transcript,
     channel_from_config,
@@ -67,8 +63,6 @@ from .reconstruct import (
 )
 from .keyagreement import (
     EveViews,
-    KATranscript,
-    PartyOutputs,
     adversary_to_ip_estimator,
     agreement_rate,
     blind_adversary,
@@ -76,13 +70,11 @@ from .keyagreement import (
     equality_leakage_rate,
     openbook_adversary,
     readout_adversary,
-    run_ka_round,
     run_ka_rounds,
 )
 from .condense import (
     ABORT,
     EveParams,
-    TripletSource,
     condense_mod_experiment,
     eve_distinguisher,
     flip_distinguisher,

@@ -63,17 +63,6 @@ class Transcript:
         raise KeyError(name)
 
 
-@dataclass(frozen=True, eq=False)
-class ChannelSample:
-    x: np.ndarray
-    y: np.ndarray
-    t: Transcript
-
-    def __post_init__(self):
-        if self.x.shape != self.y.shape:
-            raise DimensionMismatch("x and y must have equal length")
-
-
 @dataclass(eq=False)
 class ChannelBatch:
     """Column-major batch of channel samples.  The inputs are held only as
@@ -104,12 +93,10 @@ class ChannelBatch:
         messages.append(("out", int(self.outs[i])))
         return Transcript(messages=tuple(messages), out=int(self.outs[i]))
 
-    def sample(self, i: int) -> ChannelSample:
-        return ChannelSample(self.xs[i], self.ys[i], self.transcript(i))
-
 
 class Channel:
-    """A stateless sampler of (x, y, transcript) triplets."""
+    """A stateless sampler of (x, y, transcript) triplets; one triplet is a
+    size-1 batch, ``sample_batch(1, rng)``."""
 
     def __init__(self, n: int, kind: str, params: dict, batch_fn: Callable):
         self.n = int(n)
@@ -119,9 +106,6 @@ class Channel:
 
     def sample_batch(self, size: int, rng: np.random.Generator) -> ChannelBatch:
         return self._batch_fn(size, rng)
-
-    def sample(self, rng: np.random.Generator) -> ChannelSample:
-        return self.sample_batch(1, rng).sample(0)
 
     def __repr__(self):  # pragma: no cover
         return f"Channel(kind={self.kind!r}, n={self.n}, params={self.params})"

@@ -381,10 +381,9 @@ def cmd_audit(args) -> ExperimentReport:
         "trials": trials,
     }
     if search:
-        source = condense.TripletSource.from_channel(channel)
         est = condense.open_transcript_estimator(channel.n)
         best = condense.search_eve_params(
-            source, est, search["ell"], search["eps"], search["budget"], rng
+            channel, est, search["ell"], search["eps"], search["budget"], rng
         )
         report.add_metric("eve_gap", best.gap, best.num_triplets)
         record["eve_params"] = dataclasses.asdict(best.params)

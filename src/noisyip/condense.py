@@ -6,6 +6,11 @@ seed-restricted view (r, x_{r+}, y_{r-}, t), predicts the masked product
 distinguisher: an algorithm that tells (x, y) apart from the same pair with
 one bit flipped, given only the transcript and the rest of the pair.
 
+A triplet is a size-1 ``ChannelBatch``, whose ``outs`` and ``extras`` are
+its transcript.  f sees the eavesdropper's views as one ``EveViews`` batch
+per query batch: row k holds the k-th seed r, the claimed pair (x, y)
+restricted by it, and the triplet's transcript.
+
 * ``reconstruct_product_bit`` recovers (x*y)_j with the database attack of
   ``noisyip.reconstruct`` applied to z = x*y: the sign of the expected
   offset vote over random seeds, each seed answered by f on the seed's
@@ -35,10 +40,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .channels import Channel, Transcript
+from .channels import Channel, ChannelBatch
 from .errors import PreconditionViolation, UnsupportedModel
+from .keyagreement import EveViews
 from .rng import hash_uniform01, map_streams, rng_from_seed, sum_chunks
-from .signvectors import flip, flip_pair, random_packed, random_signs, unpack_signs
+from .signvectors import flip, flip_pair, pack_signs, random_packed, random_signs
 from .reconstruct import _CHUNK_ROWS, _expected_vote_table
 from .sources import SvSourceSpec, laplace_from_uniform, round_half_away
 
@@ -56,68 +62,36 @@ ABORT = _Abort()
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
-class TripletSource:
-    """A sampler of (x, y, transcript) triplets of a fixed size."""
-
-    n: int
-    _sample: Callable[[np.random.Generator], tuple]
-
-    def sample(self, rng: np.random.Generator):
-        return self._sample(rng)
-
-    @classmethod
-    def from_channel(cls, channel: Channel) -> "TripletSource":
-        def draw(rng):
-            s = channel.sample(rng)
-            return s.x, s.y, s.t
-
-        return cls(n=channel.n, _sample=draw)
-
-
-def masked_views(R: np.ndarray, x: np.ndarray, y: np.ndarray):
-    """Per-row restricted views: x where the mask is +1, y where it is -1.
-
-    Hidden positions are zeroed, which encodes "not visible" without
-    changing row shapes; estimators must treat zeros as absent data.
-    """
-    # a product with the boolean mask is several times faster than np.where
-    xp = (R == 1) * np.asarray(x, dtype=np.int64)
-    ym = (R == -1) * np.asarray(y, dtype=np.int64)
-    return xp, ym
+def _triplet_views(pr: np.ndarray, x, y, t: ChannelBatch) -> EveViews:
+    """The eavesdropper's views of the triplet t, one per query lane of pr:
+    the claimed pair (x, y) in place of t's inputs, t's transcript on every
+    row, and no shift (V = 0)."""
+    rows = np.zeros(len(pr), dtype=np.intp)  # t's one row, once per query
+    extras = {k: v[rows] for k, v in t.extras.items()}
+    return EveViews(t.n, pr, np.zeros(len(pr), dtype=np.int64), t.outs[rows], extras,
+                    pack_signs(x)[rows], pack_signs(y)[rows])
 
 
 class TripletEstimator:
-    """Interface: integer estimates of <x*y, r> from restricted views."""
+    """Interface: integer estimates of <x*y, r>, one per row of an
+    ``EveViews`` batch (r, x_{r+}, y_{r-}, t)."""
 
     n: int
 
-    def query_masked(
-        self,
-        R: np.ndarray,
-        xp_masked: np.ndarray,
-        ym_masked: np.ndarray,
-        t: Transcript,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
+    def query_masked(self, views: EveViews, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
 
 
 class ScalarTripletEstimator(TripletEstimator):
-    """Adapter for per-query estimators f(r, x_plus, y_minus, t, rng)."""
+    """Adapter for estimator functions fn(views, rng) -> one int per row,
+    such as ``keyagreement.adversary_to_ip_estimator``'s."""
 
     def __init__(self, fn: Callable, n: int):
         self.fn = fn
         self.n = int(n)
 
-    def query_masked(self, R, xp_masked, ym_masked, t, rng):
-        out = np.empty(R.shape[0], dtype=np.int64)
-        for i in range(R.shape[0]):
-            r = R[i]
-            x_plus = xp_masked[i][r == 1]
-            y_minus = ym_masked[i][r == -1]
-            out[i] = int(self.fn(r, x_plus, y_minus, t, rng))
-        return out
+    def query_masked(self, views, rng):
+        return np.asarray(self.fn(views, rng), dtype=np.int64)
 
 
 class OpenTranscriptEstimator(TripletEstimator):
@@ -134,10 +108,9 @@ class OpenTranscriptEstimator(TripletEstimator):
         self.noise_scale = float(noise_scale)
         self.noise_seed = int(noise_seed)
 
-    def query_masked(self, R, xp_masked, ym_masked, t, rng):
-        x = np.asarray(t.message("x"), dtype=np.int64)
-        y = np.asarray(t.message("y"), dtype=np.int64)
-        answers = R.astype(np.int64) @ (x * y)
+    def query_masked(self, views, rng):
+        R, extras = views.R, views.extras
+        answers = (R * extras["x"] * extras["y"]).sum(axis=1, dtype=np.int64)
         if self.noise_scale > 0:
             u = hash_uniform01(R, self.noise_seed)
             answers += round_half_away(laplace_from_uniform(u, self.noise_scale))
@@ -155,36 +128,38 @@ def open_transcript_estimator(
 # ---------------------------------------------------------------------------
 
 
-def _residuals(j: int, x, y, t: Transcript, f: TripletEstimator, R, rng) -> np.ndarray:
-    """f's answers on the masked views, clipped to [-n, n], minus
-    <(x*y)_{-j}, r_{-j}> per sign row r of R; never reads (x*y)_j."""
+def _residuals(j: int, x, y, t: ChannelBatch, f: TripletEstimator, pr, rng):
+    """The query rows R of the lanes pr, and f's answers on the triplet
+    views of (x, y) under them, clipped to [-n, n], minus
+    <(x*y)_{-j}, r_{-j}> per row r of R; never reads (x*y)_j."""
     n = len(x)
     z0 = np.asarray(x, dtype=np.int64) * np.asarray(y, dtype=np.int64)
     z0[j] = 0
-    answers = np.clip(f.query_masked(R, *masked_views(R, x, y), t, rng), -n, n)
-    return answers - R.astype(np.int64) @ z0
+    views = _triplet_views(pr, x, y, t)
+    answers = np.clip(f.query_masked(views, rng), -n, n)
+    return views.R, answers - views.R.astype(np.int64) @ z0
 
 
-def _product_votes(j: int, x, y, t: Transcript, f, R, ells, rng) -> np.ndarray:
+def _product_votes(j: int, x, y, t: ChannelBatch, f, pr, ells, rng) -> np.ndarray:
     """The triplet attack's one scorer: the database attack's expected vote
     for z_j on z = x*y, times the vote table's denominator D, per window in
-    ``ells`` (rows) and sign row r of R (columns), with f answering each r
-    on the masked views of (x, y)."""
+    ``ells`` (rows) and query lane of pr (columns), with f answering each
+    query on the triplet views of (x, y)."""
     n = len(x)
-    idx = _residuals(j, x, y, t, f, R, rng) + 2 * n
-    r_j = R[:, j].astype(np.int64)
+    R, residuals = _residuals(j, x, y, t, f, pr, rng)
+    idx, r_j = residuals + 2 * n, R[:, j].astype(np.int64)
     return np.stack([_expected_vote_table(n, ell)[idx] * r_j for ell in ells])
 
 
-def _product_totals(j: int, pairs, t: Transcript, f, ells, samples: int, rng):
+def _product_totals(j: int, pairs, t: ChannelBatch, f, ells, samples: int, rng):
     """Vote totals (len(pairs), len(ells)) over one batch of ``samples``
     uniform queries shared by every pair (x, y) and window, drawn in the
     database attack's chunks, so the totals are ``reconstruct_bit``'s."""
     n = len(pairs[0][0])
 
     def chunk(stream, size):
-        R = unpack_signs(random_packed(n, size, stream), n)
-        return [_product_votes(j, x, y, t, f, R, ells, rng).sum(1) for x, y in pairs]
+        pr = random_packed(n, size, stream)
+        return [_product_votes(j, x, y, t, f, pr, ells, rng).sum(1) for x, y in pairs]
 
     return sum_chunks(chunk, rng, samples, _CHUNK_ROWS)
 
@@ -193,7 +168,7 @@ def reconstruct_product_bit(
     j: int,
     x: np.ndarray,
     y: np.ndarray,
-    t: Transcript,
+    t: ChannelBatch,
     f: TripletEstimator,
     ell: int,
     samples: int,
@@ -201,7 +176,7 @@ def reconstruct_product_bit(
 ) -> int:
     """Recover (x*y)_j by the database attack on z = x*y: the sign of the
     expected vote over ``samples`` fresh queries, each answered by f on the
-    masked views of (x, y).  Ties resolve to -1.  The attack never reads
+    triplet views of (x, y).  Ties resolve to -1.  The attack never reads
     position j of the product."""
     total = _product_totals(j, [(x, y)], t, f, [ell], samples, rng)[0, 0]
     return 1 if total > 0 else -1
@@ -211,7 +186,7 @@ def variant_vote_split(
     j: int,
     x: np.ndarray,
     y: np.ndarray,
-    t: Transcript,
+    t: ChannelBatch,
     f: TripletEstimator,
     ell: int,
     R: np.ndarray,
@@ -228,7 +203,7 @@ def variant_vote_split(
 
     where ^ flips position j.
     """
-    r_j = R[:, j]
+    pr, r_j = pack_signs(R), R[:, j]
     variants = {
         "xy": (x, y),
         "fx_y": (flip(x, j), y),
@@ -237,7 +212,7 @@ def variant_vote_split(
     }
     out = {}
     for name, (xx, yy) in variants.items():
-        votes = _product_votes(j, xx, yy, t, f, R, [ell], rng)[0]
+        votes = _product_votes(j, xx, yy, t, f, pr, [ell], rng)[0]
         out[name] = (int(votes[r_j == -1].sum()), int(votes[r_j == 1].sum()))
     return out
 
@@ -250,7 +225,7 @@ def variant_vote_split(
 _PATTERNS = {1: (True, False, True), 2: (False, True, False), 3: (True, True, True)}
 
 
-def _flip_outputs(i: int, x, y, t: Transcript, f, ells, samples: int, rng):
+def _flip_outputs(i: int, x, y, t: ChannelBatch, f, ells, samples: int, rng):
     """Outputs (3, len(ells)) of the three flip patterns at each
     reconstruction window in ``ells``; every pattern that fires is scored on
     one shared reconstruction batch, and the others output 0."""
@@ -275,7 +250,7 @@ def flip_distinguisher(
     i: int,
     x: np.ndarray,
     y: np.ndarray,
-    t: Transcript,
+    t: ChannelBatch,
     f: TripletEstimator,
     ell: int,
     samples: int,
@@ -314,7 +289,7 @@ class EveParams:
             raise ValueError("v_hat must be >= 0")
 
 
-def _eve_outputs(i: int, x, y, t: Transcript, f, ell_hats, v_min, samples: int, rng):
+def _eve_outputs(i: int, x, y, t: ChannelBatch, f, ell_hats, v_min, samples: int, rng):
     """Gate rates (len(ell_hats),) and flip-pattern outputs (3, len(ell_hats))
     for every window in ``ell_hats``, from one gate batch and one
     reconstruction batch: the triple (ell_hat, v_hat, d) at window index l
@@ -329,7 +304,7 @@ def _eve_outputs(i: int, x, y, t: Transcript, f, ell_hats, v_min, samples: int, 
     j = i % n
     R = random_signs(n, rng, samples)
     R[:, j] = -1 if i < n else 1
-    distance = np.abs(_residuals(j, x, y, t, f, R, rng))
+    distance = np.abs(_residuals(j, x, y, t, f, pack_signs(R), rng)[1])
     rates = np.array([np.count_nonzero(distance <= lh) for lh in ell_hats]) / samples
     outputs = np.zeros((3, len(ell_hats)), dtype=bool)
     live = rates > v_min
@@ -344,7 +319,7 @@ def eve_distinguisher(
     i: int,
     x: np.ndarray,
     y: np.ndarray,
-    t: Transcript,
+    t: ChannelBatch,
     f: TripletEstimator,
     samples: int,
     rng: np.random.Generator,
@@ -371,8 +346,10 @@ def v_hat_grid(n: int, ell: int, eps: float, c_eps: float = 1.0) -> np.ndarray:
     ell/(sqrt(n) log2(n)^3), with c = c_eps * e^(4 eps).
 
     The scale constant is exposed because the analysis-level value is far
-    too large to be meaningful at experiment sizes.
+    too large to be meaningful at experiment sizes.  The step needs n >= 2.
     """
+    if n < 2:
+        raise PreconditionViolation("the threshold grid needs n >= 2")
     c = c_eps * math.exp(4 * eps)
     root = math.sqrt(n)
     lo = c * ell / (4 * root)
@@ -394,7 +371,7 @@ class SearchReport:
 
 
 def search_eve_params(
-    source: TripletSource,
+    channel: Channel,
     f: TripletEstimator,
     ell: int,
     eps: float,
@@ -419,11 +396,14 @@ def search_eve_params(
     outcome off that evaluation exactly as ``eve_distinguisher`` would.  The
     gate and the reconstruction each get max(64, budget // 2E) queries, with
     E = 2 * num_triplets * (number of triples), so the search asks at most
-    the budget only above that 64-query floor.  f must be pure.
+    the budget only above that 64-query floor.  f must be pure.  Each
+    triplet is a size-1 batch of ``channel``.
     """
     if ell_hat_candidates is None:
         ell_hat_candidates = (ell + 1, ell + 2, ell + 4)
-    grid = v_hat_grid(source.n, ell, eps, c_eps)
+    if num_triplets < 1 or grid_cap < 1 or not ell_hat_candidates or not d_candidates:
+        raise ValueError("the search needs a triplet and a nonempty parameter grid")
+    grid = v_hat_grid(channel.n, ell, eps, c_eps)
     if len(grid) > grid_cap:
         keep = np.unique(np.linspace(0, len(grid) - 1, grid_cap).astype(int))
         grid = grid[keep]
@@ -440,8 +420,9 @@ def search_eve_params(
     hits = np.zeros((2, 3, len(ell_hat_candidates), len(grid)), dtype=np.int64)
     aborts = np.zeros((len(ell_hat_candidates), len(grid)), dtype=np.int64)
     for seed in rng.integers(0, 2**63, size=num_triplets):
-        x, y, t = source.sample(rng)
-        i = int(rng.integers(0, 2 * source.n))
+        t = channel.sample_batch(1, rng)
+        x, y = t.xs[0], t.ys[0]
+        i = int(rng.integers(0, 2 * channel.n))
         for side, pair in enumerate(((x, y), flip_pair(x, y, i))):
             rates, outputs = _eve_outputs(
                 i, *pair, t, f, ell_hat_candidates, grid[0], samples,

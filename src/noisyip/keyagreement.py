@@ -9,11 +9,12 @@ channel's estimation error; both sides output their value shifted by v and
 snapped down to a multiple of ell.  When the channel output is within
 ell/2 of <x,y>, the snapped values collide with probability >= 1/2.
 
-The eavesdropper's view of a round is (x_{r+}, y_{r-}, t, r, v).  An
-adversary guesses A's output for a whole batch of such views at once
-(``EveViews``).  It converts into an estimator of the masked product
-<x*y, r> from the same view, which is the bridge into the distinguisher
-pipeline (``noisyip.condense``).
+The eavesdropper's view of a round is (x_{r+}, y_{r-}, t, r, v), and
+``EveViews`` holds a batch of them, one per row.  It is the one view
+interface: an adversary guesses A's output for every row in one call, and
+``adversary_to_ip_estimator`` turns it into an estimator of the masked
+product <x*y, r> per row of the same kind of batch, which is the bridge into
+the distinguisher pipeline (``noisyip.condense``).
 """
 
 from __future__ import annotations
@@ -24,43 +25,11 @@ from typing import Callable
 
 import numpy as np
 
-from .channels import Channel, ChannelBatch, Transcript
+from .channels import Channel, ChannelBatch
 from .reporting import wald_half_width
 from .rng import CHUNK_TRIALS, sum_chunks
-from .signvectors import SIGN_DTYPE, pack_signs, packed_inner_products
-from .signvectors import random_packed, unpack_signs
-
-
-@dataclass(frozen=True, eq=False)
-class KATranscript:
-    """Everything an eavesdropper sees in one round."""
-
-    x_plus: np.ndarray   # values of x at positions where r = +1
-    y_minus: np.ndarray  # values of y at positions where r = -1
-    t: Transcript
-    r: np.ndarray
-    v: int
-
-    def __post_init__(self):
-        n_plus = int(np.count_nonzero(np.asarray(self.r) == 1))
-        if len(self.x_plus) != n_plus or len(self.y_minus) != len(self.r) - n_plus:
-            raise ValueError("restriction lengths inconsistent with the mask")
-        if self.v < 1:
-            raise ValueError("v must be >= 1")
-
-
-@dataclass(frozen=True)
-class PartyOutputs:
-    """Both parties' pre- and post-quantization values for one round.
-
-    Structurally o = floor((u - v)/ell) * ell on both sides, so the outputs
-    always differ by a multiple of the block size.
-    """
-
-    o_a: int
-    o_b: int
-    u_a: int
-    u_b: int
+from .signvectors import packed_inner_products, packed_width, random_packed
+from .signvectors import unpack_signs
 
 
 def _quantize(u: np.ndarray, v: np.ndarray, ell: int) -> np.ndarray:
@@ -88,15 +57,12 @@ class KARoundBatch:
     def R(self) -> np.ndarray:
         return unpack_signs(self.pr, self.channel_batch.n)
 
-    def ka_transcript(self, i: int) -> KATranscript:
-        r, b = self.R[i], self.channel_batch
-        return KATranscript(
-            x_plus=b.xs[i][r == 1],
-            y_minus=b.ys[i][r == -1],
-            t=b.transcript(i),
-            r=r,
-            v=int(self.V[i]),
-        )
+    def ka_transcript(self, i: int) -> "EveViews":
+        """Round i's eavesdropper view, as a size-1 ``EveViews``."""
+        b, s = self.channel_batch, slice(i, i + 1)
+        extras = {k: v[s] for k, v in b.extras.items()}
+        return EveViews(b.n, self.pr[s], self.V[s], self.outs[s], extras,
+                        b.px[s], b.py[s])
 
     def eve_views(self) -> "EveViews":
         b = self.channel_batch
@@ -104,16 +70,21 @@ class KARoundBatch:
 
 
 class EveViews:
-    """The eavesdropper's view of a batch of rounds, one row per round.
+    """The eavesdropper's view of a batch of rounds or queries, one per row.
 
     It shows the masks ``R``, the shifts ``V``, the channel outputs
     ``outs``, the transcript ``extras`` (name -> per-row array), and x on r+
     and y on r- as zero-masked int8 rows ``x_plus``/``y_minus``; these three
-    are unpacked from packed lanes on first read.  The parties' full inputs
-    are not part of the view.
+    are unpacked from the (rows, packed_width(n)) lanes ``pr``, ``px`` and
+    ``py`` on first read.  The parties' full inputs are not part of the view.
     """
 
     def __init__(self, n, pr, V, outs, extras, px, py):
+        rows, width = len(pr), packed_width(n)
+        if any(np.shape(a) != (rows, width) for a in (pr, px, py)):
+            raise ValueError(f"lanes must have shape ({rows}, {width})")
+        if np.shape(V) != (rows,) or np.shape(outs) != (rows,):
+            raise ValueError(f"V and outs must have {rows} rows")
         self.V, self.outs, self.extras = V, outs, extras
         self._n, self._pr, self._px, self._py = n, pr, px, py
 
@@ -153,20 +124,6 @@ def run_ka_rounds(
         o_a=_quantize(u_a, V, ell), o_b=_quantize(u_b, V, ell), u_a=u_a, u_b=u_b,
         outs=b.outs, ips=ips, pr=pr, V=V, channel_batch=b,
     )
-
-
-def run_ka_round(
-    channel: Channel, ell: int, rng: np.random.Generator
-) -> tuple[PartyOutputs, KATranscript]:
-    """Single faithful round; the transcript is exactly the eavesdropper view."""
-    batch = run_ka_rounds(channel, ell, 1, rng)
-    outputs = PartyOutputs(
-        o_a=int(batch.o_a[0]),
-        o_b=int(batch.o_b[0]),
-        u_a=int(batch.u_a[0]),
-        u_b=int(batch.u_b[0]),
-    )
-    return outputs, batch.ka_transcript(0)
 
 
 @dataclass(frozen=True)
@@ -298,9 +255,10 @@ def openbook_adversary(ell: int) -> Adversary:
 def adversary_to_ip_estimator(adversary: Adversary, ell: int) -> Callable:
     """Convert an output-guessing adversary into a masked-product estimator.
 
-    The returned function maps an eavesdropper view (r, x_{r+}, y_{r-}, t)
-    to an integer estimate of <x*y, r>, drawing its own uniform shift v and
-    asking the adversary about a size-1 ``EveViews``.
+    The returned function maps an ``EveViews`` batch, one row per query
+    (r, x_{r+}, y_{r-}, t), and a generator to an int64 estimate of
+    <x*y, r> per row.  It draws its own uniform shift v per row and asks
+    the adversary about the whole batch, with those shifts, in one call.
     Since 2*<x_{r-}, y_{r-}> = <x,y> - <x*y, r> and the adversary's guess
     g approximates <x_{r-}, y_{r-}> - v up to one quantization block,
 
@@ -311,17 +269,10 @@ def adversary_to_ip_estimator(adversary: Adversary, ell: int) -> Callable:
     would approximate the negated masked product.)
     """
 
-    def estimator(r, x_plus, y_minus, t: Transcript, rng) -> int:
-        v = int(rng.integers(1, ell + 1))
-        r = np.asarray(r, dtype=SIGN_DTYPE)[None]
-        if len(x_plus) + len(y_minus) != r.size or len(x_plus) != (r == 1).sum():
-            raise ValueError("restriction lengths inconsistent with the mask")
-        x, y = np.zeros((2, *r.shape), dtype=SIGN_DTYPE)
-        x[r == 1], y[r == -1] = x_plus, y_minus
-        extras = {k: np.asarray([m]) for k, m in t.messages if k != "out"}
-        out = np.array([t.out], dtype=np.int64)
-        views = EveViews(r.shape[1], pack_signs(r), np.array([v]), out, extras,
-                         pack_signs(x), pack_signs(y))
-        return int(t.out) - 2 * (int(adversary(views)[0]) + v)
+    def estimator(views: EveViews, rng: np.random.Generator) -> np.ndarray:
+        V = rng.integers(1, ell + 1, size=len(views.outs))
+        shifted = EveViews(views._n, views._pr, V, views.outs, views.extras,
+                           views._px, views._py)
+        return views.outs - 2 * (adversary(shifted) + V)
 
     return estimator

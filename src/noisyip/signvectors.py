@@ -1,13 +1,12 @@
-"""Sign-vector arithmetic and index/restriction utilities.
+"""Sign-vector arithmetic.
 
 Databases, seeds and masks are all vectors over {-1,+1}^n, represented as
 numpy int8 arrays.  All indices are 0-based.  The two standard restrictions
-of a vector ``v`` by a mask ``r`` are ``v[r == +1]`` and ``v[r == -1]``.
+of a vector ``v`` by a mask ``r`` keep v on r = +1 or on r = -1; they are
+held as zero-masked rows, ``(r == 1) * v`` and ``(r == -1) * v``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,42 +70,6 @@ def bits_to_signs(b) -> np.ndarray:
     """Inverse of :func:`signs_to_bits`."""
     b = np.asarray(b)
     return (1 - 2 * b.astype(np.int8)).astype(SIGN_DTYPE)
-
-
-@dataclass(frozen=True)
-class IndexSet:
-    """A strictly increasing set of 0-based positions within [0, n)."""
-
-    indices: tuple[int, ...]
-    n: int
-
-    def __post_init__(self):
-        idx = self.indices
-        if any(not 0 <= i < self.n for i in idx):
-            raise ValueError(f"indices must lie in [0, {self.n})")
-        if any(b <= a for a, b in zip(idx, idx[1:])):
-            raise ValueError("indices must be strictly increasing")
-
-    @classmethod
-    def from_mask(cls, mask) -> "IndexSet":
-        mask = np.asarray(mask, dtype=bool)
-        return cls(tuple(int(i) for i in np.flatnonzero(mask)), int(mask.size))
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.indices, dtype=np.int64)
-
-
-def plus_set(r) -> IndexSet:
-    """Positions where the mask is +1."""
-    return IndexSet.from_mask(np.asarray(r) == 1)
-
-
-def minus_set(r) -> IndexSet:
-    """Positions where the mask is -1."""
-    return IndexSet.from_mask(np.asarray(r) == -1)
 
 
 # ---------------------------------------------------------------------------

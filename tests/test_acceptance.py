@@ -377,8 +377,8 @@ class MaskedViewEstimator(TripletEstimator):
         self.n = n
         self.w = np.arange(n) % 5 - 2
 
-    def query_masked(self, R, xp, ym, t, rng):
-        return (3 * xp + ym) @ self.w
+    def query_masked(self, views, rng):
+        return (3 * views.x_plus + views.y_minus) @ self.w
 
 
 def test_criterion_9_condenser_sanity():
@@ -405,11 +405,11 @@ def test_criterion_9_condenser_sanity():
     violations = 0
     samples_done = 0
     for trip in range(25):
-        s = channel.sample(rng)
+        t = channel.sample_batch(1, rng)
         R = random_signs(n2, rng, 4000)
         j = int(rng.integers(0, n2))
         for f in estimators:
-            split = variant_vote_split(j, s.x, s.y, s.t, f, 1, R, rng)
+            split = variant_vote_split(j, t.xs[0], t.ys[0], t, f, 1, R, rng)
             total = {k: a + b for k, (a, b) in split.items()}
             # the r_j = +1 side (index 1) never reads y_j, the -1 side x_j
             if (total["xy"] + total["fx_fy"] != total["fx_y"] + total["x_fy"]

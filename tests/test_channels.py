@@ -56,10 +56,11 @@ def test_exact_channel_is_exact():
 
 def test_exact_open_channel_leaks_inputs():
     rng = rng_from_seed(1)
-    s = exact_ip_channel(16, leak_inputs=True).sample(rng)
-    assert np.array_equal(s.t.message("x"), s.x)
-    assert np.array_equal(s.t.message("y"), s.y)
-    assert s.t.out == inner_product(s.x, s.y)
+    b = exact_ip_channel(16, leak_inputs=True).sample_batch(1, rng)
+    t = b.transcript(0)
+    assert np.array_equal(t.message("x"), b.xs[0])
+    assert np.array_equal(t.message("y"), b.ys[0])
+    assert t.out == inner_product(b.xs[0], b.ys[0])
 
 
 def test_laplace_channel_infinite_eps_is_exact():

@@ -489,6 +489,11 @@ def test_exit_code_precondition_violation(capsys):
         "--trials", "10", "--samples", "10", "--seed", "1",
     ])
     assert code == 3
+    # the search's threshold grid steps by 1/log2(n)^3: undefined at n = 1
+    # (was a ZeroDivisionError traceback, exit 1)
+    code = main(["audit", "--channel", "exact_open", "--n", "1", "--trials", "10",
+                 "--search", "--seed", "1"])
+    assert code == 3
 
 
 def test_exit_code_config_value_of_wrong_type(tmp_path, capsys):

@@ -10,7 +10,6 @@ from noisyip import (
     EveParams,
     PreconditionViolation,
     SvSourceSpec,
-    TripletSource,
     UnsupportedModel,
     condense_mod_experiment,
     constant_channel,
@@ -28,25 +27,23 @@ from noisyip import condense
 from noisyip.condense import (
     ScalarTripletEstimator,
     TripletEstimator,
-    masked_views,
     variant_vote_split,
 )
 from noisyip.rng import spawn_rngs
-from noisyip.signvectors import flip_pair, random_signs
+from noisyip.signvectors import flip_pair, pack_signs, random_signs
 
 
 class ZeroTripletEstimator(TripletEstimator):
     def __init__(self, n):
         self.n = n
 
-    def query_masked(self, R, xp, ym, t, rng):
-        return np.zeros(R.shape[0], dtype=np.int64)
+    def query_masked(self, views, rng):
+        return np.zeros(len(views.outs), dtype=np.int64)
 
 
 def open_triplet(n, seed):
-    ch = exact_ip_channel(n, leak_inputs=True)
-    s = ch.sample(rng_from_seed(seed))
-    return s.x, s.y, s.t
+    t = exact_ip_channel(n, leak_inputs=True).sample_batch(1, rng_from_seed(seed))
+    return t.xs[0], t.ys[0], t
 
 
 # ---------------------------------------------------------------------------
@@ -105,14 +102,17 @@ class MaskedViewEstimator(TripletEstimator):
         self.n = n
         self.w = np.arange(n) % 3 + 1
 
-    def query_masked(self, R, xp, ym, t, rng):
-        return (xp - 2 * ym) @ self.w
+    def query_masked(self, views, rng):
+        return (views.x_plus - 2 * views.y_minus) @ self.w
 
 
-def scalar_view_reader(r, x_plus, y_minus, t, rng):
-    """A pure per-query estimator of the restricted view alone."""
-    w = np.arange(len(r)) % 3 + 1
-    return int(x_plus.astype(int) @ w[r == 1] - 2 * y_minus.astype(int) @ w[r == -1])
+def scalar_view_reader(views, rng):
+    """A pure estimator of the restricted views alone, one query at a time
+    on the restrictions x[r == 1] and y[r == -1]."""
+    w = np.arange(views.R.shape[1]) % 3 + 1
+    return [int(xp[r == 1].astype(int) @ w[r == 1]
+                - 2 * ym[r == -1].astype(int) @ w[r == -1])
+            for r, xp, ym in zip(views.R, views.x_plus, views.y_minus)]
 
 
 # keyed by test id; the transcript readers keep their noise-scale ids
@@ -265,10 +265,10 @@ def test_grid_shape():
 def test_search_positive_gap_on_open_channel():
     rng = rng_from_seed(17)
     n = 64
-    source = TripletSource.from_channel(exact_ip_channel(n, leak_inputs=True))
+    channel = exact_ip_channel(n, leak_inputs=True)
     f = open_transcript_estimator(n)
     report = search_eve_params(
-        source, f, ell=1, eps=0.0, budget=3_000_000, rng=rng,
+        channel, f, ell=1, eps=0.0, budget=3_000_000, rng=rng,
         num_triplets=32, grid_cap=3, ell_hat_candidates=(2,),
     )
     assert report.gap > 0
@@ -279,10 +279,10 @@ def test_search_positive_gap_on_open_channel():
 def test_search_no_gap_on_constant_channel():
     rng = rng_from_seed(18)
     n = 64
-    source = TripletSource.from_channel(constant_channel(n, 0))
+    channel = constant_channel(n, 0)
     f = ZeroTripletEstimator(n)
     report = search_eve_params(
-        source, f, ell=1, eps=0.0, budget=1_000_000, rng=rng,
+        channel, f, ell=1, eps=0.0, budget=1_000_000, rng=rng,
         num_triplets=32, grid_cap=3, ell_hat_candidates=(2,),
     )
     # best gap over the grid stays within selection noise of zero
@@ -295,7 +295,7 @@ def test_search_counts_equal_separate_eve_calls(name, c_eps, monkeypatch):
     # of separate eve_distinguisher calls on the triplet's own seed
     n, num_triplets = 36, 10
     f = RHOMBUS_ESTIMATORS[name](n)
-    source = TripletSource.from_channel(exact_ip_channel(n, leak_inputs=True))
+    channel = exact_ip_channel(n, leak_inputs=True)
     reports, report_type = [], condense.SearchReport
 
     def record(*args, **kwargs):
@@ -304,7 +304,7 @@ def test_search_counts_equal_separate_eve_calls(name, c_eps, monkeypatch):
 
     monkeypatch.setattr(condense, "SearchReport", record)
     search_eve_params(
-        source, f, ell=1, eps=0.5, budget=0, rng=rng_from_seed(22), c_eps=c_eps,
+        channel, f, ell=1, eps=0.5, budget=0, rng=rng_from_seed(22), c_eps=c_eps,
         ell_hat_candidates=(1, 2, 3), num_triplets=num_triplets, grid_cap=4,
     )
     # the search's draws: one seed per triplet, then the triplets
@@ -312,7 +312,8 @@ def test_search_counts_equal_separate_eve_calls(name, c_eps, monkeypatch):
     seeds = rng.integers(0, 2**63, size=num_triplets)
     triplets = []
     for _ in range(num_triplets):
-        x, y, t = source.sample(rng)
+        t = channel.sample_batch(1, rng)
+        x, y = t.xs[0], t.ys[0]
         triplets.append((x, y, t, int(rng.integers(0, 2 * n))))
     assert len(reports) == 3 * 3 * 4
     aborted = set()
@@ -346,10 +347,23 @@ def test_search_queries_each_triplet_pair_a_bounded_number_of_times():
 
     n, num_triplets, ell_hats = 64, 8, (2, 3, 5)
     f = Counting(n)
-    source = TripletSource.from_channel(exact_ip_channel(n, leak_inputs=True))
-    search_eve_params(source, f, 1, 0.0, 20_000, rng_from_seed(23),
+    channel = exact_ip_channel(n, leak_inputs=True)
+    search_eve_params(channel, f, 1, 0.0, 20_000, rng_from_seed(23),
                       ell_hat_candidates=ell_hats, num_triplets=num_triplets)
     assert 0 < f.calls <= 2 * num_triplets * 3
+
+
+@pytest.mark.parametrize("empty", [
+    {"num_triplets": 0}, {"d_candidates": ()}, {"ell_hat_candidates": ()},
+    {"grid_cap": 0},
+])
+def test_search_rejects_empty_grids(empty):
+    # each of these was a ZeroDivisionError at the per-evaluation budget
+    n = 16
+    channel = exact_ip_channel(n, leak_inputs=True)
+    with pytest.raises(ValueError):
+        search_eve_params(channel, open_transcript_estimator(n), 1, 0.0, 20_000,
+                          rng_from_seed(26), **empty)
 
 
 # ---------------------------------------------------------------------------
@@ -502,16 +516,21 @@ def test_scalar_estimator_adapter_and_masked_views():
     rng = rng_from_seed(25)
     R = random_signs(n, rng, 20)
     x, y = random_signs(n, rng), random_signs(n, rng)
-    xp, ym = masked_views(R, x, y)
+    t = exact_ip_channel(n).sample_batch(1, rng)
+    views = condense._triplet_views(pack_signs(R), x, y, t)
+    xp, ym = views.x_plus, views.y_minus
+    assert np.array_equal(views.R, R)
     assert np.all(xp[R == -1] == 0)
     assert np.all(ym[R == 1] == 0)
     assert np.all(xp[R == 1] == np.broadcast_to(x, R.shape)[R == 1])
+    assert np.all(ym[R == -1] == np.broadcast_to(y, R.shape)[R == -1])
+    assert np.all(views.outs == t.outs[0]) and np.all(views.V == 0)
 
-    def fn(r, x_plus, y_minus, t, rng_):
-        return int(x_plus.sum() + y_minus.sum())
+    def fn(views_, rng_):
+        return views_.x_plus.sum(axis=1) + views_.y_minus.sum(axis=1)
 
     est = ScalarTripletEstimator(fn, n)
-    t = exact_ip_channel(n).sample(rng).t
-    out = est.query_masked(R, xp, ym, t, rng)
+    out = est.query_masked(views, rng)
     expected = xp.sum(axis=1) + ym.sum(axis=1)
+    assert out.dtype == np.int64
     assert np.array_equal(out, expected)

@@ -335,13 +335,13 @@ def test_gl_decode_negative_control_constant_oracle():
 def test_eve_amplified_passthrough_and_shapes():
     rng = rng_from_seed(12)
     ch = equality_channel(16, 1.0)
-    s = ch.sample(rng)
+    t = ch.sample_batch(1, rng).transcript(0)
     fixed = np.ones(16, dtype=np.uint8)
 
     def ignore_all(t, h, v):
         return fixed
 
-    guess = eve_amplified(ignore_all, s.t, 16, 5, rng)
+    guess = eve_amplified(ignore_all, t, 16, 5, rng)
     assert np.array_equal(guess, fixed)
 
 
@@ -352,7 +352,7 @@ def test_eve_amplified_dilution_is_exactly_two_to_minus_m():
     n, m = 12, 3
     xbits = rng.integers(0, 2, size=n, dtype=np.uint8)
     ch = equality_channel(n, 1.0)
-    s = ch.sample(rng)
+    t = ch.sample_batch(1, rng).transcript(0)
 
     def needs_hash(t, h, v):
         if np.array_equal(v, h.hash_bits(xbits)):
@@ -361,7 +361,7 @@ def test_eve_amplified_dilution_is_exactly_two_to_minus_m():
 
     trials = 40_000
     hits = sum(
-        int(np.array_equal(eve_amplified(needs_hash, s.t, n, m, rng), xbits))
+        int(np.array_equal(eve_amplified(needs_hash, t, n, m, rng), xbits))
         for _ in range(trials)
     )
     rate = hits / trials

@@ -17,18 +17,19 @@ from noisyip import (
     equality_channel,
     equality_leakage_rate,
     exact_ip_channel,
-    inner_product,
     laplace_ip_channel,
     openbook_adversary,
     randomized_response_channel,
     readout_adversary,
+    reconstruct_product_bit,
     rng_from_seed,
-    run_ka_round,
 )
 from noisyip import channels as channels_module
 from noisyip import keyagreement, signvectors
 from noisyip.channels import Channel, ChannelBatch
-from noisyip.keyagreement import KATranscript, _quantize, run_ka_rounds
+from noisyip.condense import ScalarTripletEstimator
+from noisyip.keyagreement import EveViews, _quantize, run_ka_rounds
+from noisyip.reconstruct import _CHUNK_ROWS
 from noisyip.signvectors import pack_signs, random_packed, random_signs
 from noisyip.sources import laplace_from_uniform, round_half_away, sample_rounded_laplace
 
@@ -91,11 +92,13 @@ def test_exact_channel_always_agrees():
 
 def test_round_view_consistency():
     rng = rng_from_seed(1)
-    outputs, view = run_ka_round(exact_ip_channel(32), 6, rng)
-    assert 1 <= view.v <= 6
-    assert len(view.x_plus) == np.count_nonzero(view.r == 1)
-    assert len(view.y_minus) == np.count_nonzero(view.r == -1)
-    assert outputs.o_a == ((outputs.u_a - view.v) // 6) * 6
+    outputs = run_ka_rounds(exact_ip_channel(32), 6, 1, rng)
+    view = outputs.ka_transcript(0)
+    v, r = int(view.V[0]), view.R[0]
+    assert 1 <= v <= 6
+    assert np.count_nonzero(view.x_plus[0]) == np.count_nonzero(r == 1)
+    assert np.count_nonzero(view.y_minus[0]) == np.count_nonzero(r == -1)
+    assert outputs.o_a[0] == ((outputs.u_a[0] - v) // 6) * 6
 
 
 def test_agreement_implies_out_close_to_ip():
@@ -271,16 +274,17 @@ def test_readout_adversary_success_decreases_with_n():
     assert rates[0] > rates[1] > rates[2]
 
 
-def scalar_guess(name: str, view: KATranscript, ell: int) -> int:
-    """The built-in adversaries' definitions on one scalar round view."""
+def scalar_guess(name: str, view: EveViews, ell: int) -> int:
+    """The built-in adversaries' definitions on a size-1 round view."""
+    r, v = view.R[0], int(view.V[0])
     if name == "blind":
         u = 0
     elif name == "readout":
-        u = view.t.out // 2
+        u = int(view.outs[0]) // 2
     else:  # openbook: u_A = <x_{r-}, y_{r-}> with x read from the transcript
-        x = np.asarray(view.t.message("x"), dtype=np.int64)
-        u = int(np.dot(x[view.r == -1], view.y_minus.astype(np.int64)))
-    return ((u - view.v) // ell) * ell
+        x = np.asarray(view.extras["x"][0], dtype=np.int64)
+        u = int(np.dot(x[r == -1], view.y_minus[0][r == -1].astype(np.int64)))
+    return ((u - v) // ell) * ell
 
 
 @pytest.mark.parametrize("channel, names", [
@@ -321,17 +325,25 @@ def test_leakage_degenerate_flagged():
 # ---------------------------------------------------------------------------
 
 
+def query_views(channel, queries, rng):
+    """Views of `queries` channel samples under uniform masks, no shift,
+    and the masked products <x*y, r> they estimate."""
+    b = channel.sample_batch(queries, rng)
+    pr = random_packed(channel.n, queries, rng)
+    views = EveViews(channel.n, pr, np.zeros(queries, dtype=np.int64), b.outs,
+                     b.extras, b.px, b.py)
+    masked = (b.xs.astype(np.int64) * b.ys * views.R).sum(axis=1)
+    return views, masked
+
+
 def test_perfect_adversary_estimator_within_3_ell():
     rng = rng_from_seed(10)
     n, ell = 32, 4
-    ch = exact_ip_channel(n, leak_inputs=True)
     est = adversary_to_ip_estimator(openbook_adversary(ell), ell)
-    for _ in range(200):
-        s = ch.sample(rng)
-        r = random_signs(n, rng)
-        value = est(r, s.x[r == 1], s.y[r == -1], s.t, rng)
-        masked = inner_product(s.x.astype(int) * s.y.astype(int), r)
-        assert abs(value - masked) <= 3 * ell
+    views, masked = query_views(exact_ip_channel(n, leak_inputs=True), 200, rng)
+    value = est(views, rng)
+    assert value.shape == (200,)
+    assert np.all(np.abs(value - masked) <= 3 * ell)
 
 
 def test_adversary_estimator_affine_law():
@@ -344,31 +356,42 @@ def test_adversary_estimator_affine_law():
 
     est0 = adversary_to_ip_estimator(base, ell)
     est1 = adversary_to_ip_estimator(shifted, ell)
-    rng = rng_from_seed(11)
-    ch = exact_ip_channel(16)
-    s = ch.sample(rng)
-    r = random_signs(16, rng)
-    v0 = est0(r, s.x[r == 1], s.y[r == -1], s.t, rng_from_seed(99))
-    v1 = est1(r, s.x[r == 1], s.y[r == -1], s.t, rng_from_seed(99))
-    assert v1 - v0 == -2 * ell
+    views, _ = query_views(exact_ip_channel(16), 50, rng_from_seed(11))
+    v0 = est0(views, rng_from_seed(99))
+    v1 = est1(views, rng_from_seed(99))
+    assert np.all(v1 - v0 == -2 * ell)
+
+
+def test_bridge_asks_the_adversary_once_per_query_chunk():
+    n, ell, samples = 16, 2, 2 * _CHUNK_ROWS + 276
+    calls = []
+
+    def counted(views):
+        calls.append(len(views.outs))
+        return openbook_adversary(ell)(views)
+
+    f = ScalarTripletEstimator(adversary_to_ip_estimator(counted, ell), n)
+    t = exact_ip_channel(n, leak_inputs=True).sample_batch(1, rng_from_seed(14))
+    bit = reconstruct_product_bit(3, t.xs[0], t.ys[0], t, f, 1, samples,
+                                  rng_from_seed(15))
+    assert bit in (-1, 1)
+    assert calls == [_CHUNK_ROWS, _CHUNK_ROWS, 276]
 
 
 def test_ka_transcript_validation():
-    with pytest.raises(ValueError):
-        KATranscript(
-            x_plus=np.array([1], dtype=np.int8),
-            y_minus=np.array([], dtype=np.int8),
-            t=exact_ip_channel(2).sample(rng_from_seed(12)).t,
-            r=np.array([1, 1], dtype=np.int8),
-            v=1,
-        )
-    # the size-1 batch view behind the estimator bridge checks the same
-    est = adversary_to_ip_estimator(blind_adversary(2), 2)
-    t = exact_ip_channel(2).sample(rng_from_seed(12)).t
-    r = np.array([1, 1], dtype=np.int8)
-    for x_plus, y_minus in (([1], []), ([], [1, -1]), ([1, 1], [1])):
+    # every lane array is (rows, packed_width(n)); V and outs have rows entries
+    rng = rng_from_seed(12)
+    b = exact_ip_channel(2).sample_batch(3, rng)
+    pr = random_packed(2, 3, rng)
+    ok = dict(n=2, pr=pr, V=np.ones(3, dtype=np.int64), outs=b.outs, extras={},
+              px=b.px, py=b.py)
+    views = EveViews(**ok)
+    assert np.array_equal(views.x_plus, np.where(views.R == 1, b.xs, 0))
+    wide = np.zeros((3, 2), dtype=np.uint64)
+    for bad in ({"pr": pr[:2]}, {"px": b.px[:2]}, {"V": np.ones(2)},
+                {"outs": b.outs[:1]}, {"py": wide}, {"pr": pr[0]}, {"n": 65}):
         with pytest.raises(ValueError):
-            est(r, np.array(x_plus), np.array(y_minus), t, rng_from_seed(13))
+            EveViews(**{**ok, **bad})
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ from noisyip import (
     rng_from_seed,
     random_signs,
 )
-from noisyip import Transcript, condense, open_transcript_estimator, reconstruct
+from noisyip import condense, open_transcript_estimator, reconstruct
+from noisyip.channels import ChannelBatch
 from noisyip.reconstruct import (
     EstimatorHandle,
     OffsetParams,
@@ -567,18 +568,17 @@ def test_vote_kernel_exhaustive_total_is_brute_force_mean(n, monkeypatch):
     monkeypatch.setattr(reconstruct, "_CHUNK_ROWS", 2**n)
     monkeypatch.setattr(reconstruct, "random_packed", lambda n, size, rng: P)
     estimators = (exact_estimator(z), zero_estimator(n), laplace_estimator(z, 1.5, rng))
-    # the triplet attack: f read through the masked views of a triplet with
-    # x*y = z, at noise 0 and 2, scored row by row by condense's one scorer
-    # on all 2^n queries; the oracle asks the same f through a handle
+    # the triplet attack: f read through the views of a size-1 triplet batch
+    # with x*y = z, at noise 0 and 2, scored row by row by condense's one
+    # scorer on all 2^n queries; the oracle asks the same f through a handle
     x = random_signs(n, rng)
     y = x * z
-    ip = int(np.dot(x.astype(np.int64), y))
-    t = Transcript((("x", x), ("y", y), ("out", ip)), ip)
-    R = all_sign_vectors(n)
+    ip = np.array([np.dot(x.astype(np.int64), y)])
+    t = ChannelBatch(n, pack_signs(x), pack_signs(y), ip, {"x": x[None], "y": y[None]})
     triplet = [open_transcript_estimator(n, noise) for noise in (0.0, 2.0)]
     oracles = [
-        EstimatorHandle.from_signs(
-            lambda Q, g=g: g.query_masked(Q, *condense.masked_views(Q, x, y), t, rng), n
+        EstimatorHandle(
+            lambda Q, g=g: g.query_masked(condense._triplet_views(Q, x, y, t), rng), n
         )
         for g in triplet
     ]
@@ -593,7 +593,7 @@ def test_vote_kernel_exhaustive_total_is_brute_force_mean(n, monkeypatch):
                 )
         for g, oracle in zip(triplet, oracles):
             for j in (0, 3, n - 1):
-                total = condense._product_votes(j, x, y, t, g, R, [ell], rng).sum()
+                total = condense._product_votes(j, x, y, t, g, P, [ell], rng).sum()
                 assert Fraction(int(total), denom * 2**n) == (
                     brute_force_vote_mean(j, z, oracle, ell)
                 )

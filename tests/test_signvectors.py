@@ -5,17 +5,15 @@ from hypothesis import strategies as st
 
 from noisyip import (
     DimensionMismatch,
-    IndexSet,
     as_signs,
     bits_to_signs,
     flip,
     inner_product,
-    minus_set,
-    plus_set,
     random_signs,
     rng_from_seed,
     signs_to_bits,
 )
+from noisyip.keyagreement import EveViews
 from noisyip.signvectors import (
     flip_pair,
     pack_signs,
@@ -178,13 +176,16 @@ def test_bit_conventions_roundtrip():
 
 
 def test_index_sets():
+    # the restrictions by r are zero-masked rows: x on r = +1, y on r = -1
     r = np.array([1, -1, 1, 1, -1], dtype=np.int8)
-    assert plus_set(r).indices == (0, 2, 3)
-    assert minus_set(r).indices == (1, 4)
-    with pytest.raises(ValueError):
-        IndexSet((3, 1), 5)
-    with pytest.raises(ValueError):
-        IndexSet((0, 7), 5)
+    x = np.array([-1, 1, 1, -1, -1], dtype=np.int8)
+    y = np.array([1, 1, -1, -1, 1], dtype=np.int8)
+    views = EveViews(5, pack_signs(r), np.ones(1), np.zeros(1), {},
+                     pack_signs(x), pack_signs(y))
+    assert tuple(np.flatnonzero(views.x_plus[0])) == (0, 2, 3)
+    assert tuple(np.flatnonzero(views.y_minus[0])) == (1, 4)
+    assert np.array_equal(views.x_plus[0][r == 1], x[r == 1])
+    assert np.array_equal(views.y_minus[0][r == -1], y[r == -1])
 
 
 def test_packed_roundtrip_and_inner_products():
