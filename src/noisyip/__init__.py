@@ -90,6 +90,7 @@ from .amplify import (
     eve_amplified,
     gl_decode,
     repeat_until_success,
+    repeat_until_success_batch,
     run_hashed_parity_round,
 )
 

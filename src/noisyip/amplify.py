@@ -13,7 +13,7 @@ and a hash-guess dilution argument, a guesser of the full pre-hash value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Callable
 
 import numpy as np
@@ -21,7 +21,7 @@ import numpy as np
 from .channels import Channel, Transcript
 from .hashing import ToeplitzHash, sample_toeplitz_hash, toeplitz_hash
 from .rng import keyed_uniform01
-from .signvectors import pack_bits, unpack_bits
+from .signvectors import pack_bits
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,21 +51,18 @@ class HashedRound:
 
 def _draw_rounds(channel: Channel, m: int, size: int, rng: np.random.Generator):
     """``size`` rounds: (channel batch, hash diagonals, hash offsets, masks
-    r2, h(x), aborted, bit_a, bit_b), bits -1 where aborted.  Channel outputs
-    are read as bit strings with the global convention bit = (1 - sign)/2."""
+    r2, aborted, bit_a, bit_b), bits -1 where aborted, read off the packed
+    channel lanes (bit = (1 - sign)/2); h(x) = h(y) exactly when T(x xor y) = 0."""
     n = channel.n
     b = channel.sample_batch(size, rng)
-    xbits = unpack_bits(b.px, n)
-    ybits = unpack_bits(b.py, n)
     diag = rng.integers(0, 2, size=(size, n + m - 1), dtype=np.uint8)
     offset = rng.integers(0, 2, size=(size, m), dtype=np.uint8)
     r2 = rng.integers(0, 2, size=(size, n), dtype=np.uint8)
-    hx = toeplitz_hash(diag, offset, xbits)
-    aborted = np.any(hx != toeplitz_hash(diag, offset, ybits), axis=1)
-    bit_a = np.bitwise_xor.reduce(r2 & xbits, axis=1).astype(np.int64)
-    bit_b = np.bitwise_xor.reduce(r2 & ybits, axis=1).astype(np.int64)
-    return (b, diag, offset, r2, hx, aborted,
-            np.where(aborted, -1, bit_a), np.where(aborted, -1, bit_b))
+    aborted = np.any(toeplitz_hash(diag, offset, b.px ^ b.py) != offset, axis=1)
+    lanes = pack_bits(r2) & np.stack((b.px, b.py))
+    par = np.bitwise_count(np.bitwise_xor.reduce(lanes, axis=-1)) & 1
+    bit_a, bit_b = np.where(aborted, -1, par.astype(np.int64))
+    return b, diag, offset, r2, aborted, bit_a, bit_b
 
 
 def hashed_parity_trials(
@@ -80,9 +77,10 @@ def run_hashed_parity_round(
 ) -> HashedRound:
     """One round with its eavesdropper view: the size-1 case of
     :func:`hashed_parity_trials`, drawing the same random numbers."""
-    b, diag, offset, r2, hx, aborted, bit_a, bit_b = _draw_rounds(channel, m, 1, rng)
+    b, diag, offset, r2, aborted, bit_a, bit_b = _draw_rounds(channel, m, 1, rng)
     h = ToeplitzHash(n=channel.n, m=m, diag=diag[0], offset=offset[0])
-    view = AmplifiedView(b.transcript(0), h, hx[0], r2[0], equal_flag=not aborted[0])
+    hx = toeplitz_hash(diag[0], offset[0], b.px[0])
+    view = AmplifiedView(b.transcript(0), h, hx, r2[0], equal_flag=not aborted[0])
     bits = (None, None) if aborted[0] else (int(bit_a[0]), int(bit_b[0]))
     return HashedRound(bool(aborted[0]), *bits, view=view)
 
@@ -95,36 +93,46 @@ def default_hash_width(alpha: float) -> int:
 
 @dataclass(frozen=True, eq=False)
 class RepeatResult:
-    all_failed: bool
-    bit_a: int
-    bit_b: int
-    attempts: int
+    all_failed: bool | np.ndarray  # one entry per run in the batch form
+    bit_a: int | np.ndarray
+    bit_b: int | np.ndarray
+    attempts: int | np.ndarray
 
 
-def repeat_until_success(
+def repeat_until_success_batch(
     channel: Channel,
     alpha: float,
+    runs: int,
     rng: np.random.Generator,
     m: int | None = None,
 ) -> RepeatResult:
-    """The first non-aborting round out of ceil(5/alpha).
+    """``runs`` wrapper runs, each the first non-aborting round out of
+    cap = ceil(5/alpha).
 
-    All ceil(5/alpha) rounds are drawn as one batch; ``attempts`` is the
-    index (from 1) of the first that did not abort.  Against an
-    alpha-agreement channel all of them abort with probability at most
-    (1 - alpha)^(5/alpha) <= e^-5.  If every round aborts, both output
-    bits default to 0.
+    All runs * cap rounds are drawn as one batch, run k taking rows
+    k*cap .. (k+1)*cap - 1; ``attempts`` is the index (from 1) of the first
+    that did not abort.  Against an alpha-agreement channel all of them
+    abort with probability at most (1 - alpha)^(5/alpha) <= e^-5.  If every
+    round aborts, both output bits default to 0 and ``attempts`` is cap.
     """
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
     m = default_hash_width(alpha) if m is None else m
-    max_attempts = math.ceil(5.0 / alpha)
-    aborted, bit_a, bit_b = hashed_parity_trials(channel, m, max_attempts, rng)
-    ok = np.flatnonzero(~aborted)
-    if ok.size == 0:
-        return RepeatResult(all_failed=True, bit_a=0, bit_b=0, attempts=max_attempts)
-    i = int(ok[0])
-    return RepeatResult(False, int(bit_a[i]), int(bit_b[i]), attempts=i + 1)
+    cap = math.ceil(5.0 / alpha)
+    aborted, bit_a, bit_b = (a.reshape(runs, cap) for a in
+                             hashed_parity_trials(channel, m, runs * cap, rng))
+    rows, first = np.arange(runs), np.argmin(aborted, axis=1)  # 0 if all abort
+    failed = aborted[rows, first]
+    bits = (np.maximum(b[rows, first], 0) for b in (bit_a, bit_b))  # abort: -1 -> 0
+    return RepeatResult(failed, *bits, np.where(failed, cap, first + 1))
+
+
+def repeat_until_success(
+    channel: Channel, alpha: float, rng: np.random.Generator, m: int | None = None
+) -> RepeatResult:
+    """One run of :func:`repeat_until_success_batch`, as scalars."""
+    r = repeat_until_success_batch(channel, alpha, 1, rng, m)
+    return RepeatResult(*(v[0].item() for v in astuple(r)))
 
 
 # ---------------------------------------------------------------------------

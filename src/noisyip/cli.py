@@ -26,7 +26,7 @@ import numpy as np
 from . import amplify, channels, condense, keyagreement, reconstruct
 from .errors import PreconditionViolation
 from .reporting import ExperimentReport, wald_half_width
-from .rng import CHUNK_TRIALS, map_streams, rng_from_seed, spawn_rngs
+from .rng import CHUNK_TRIALS, map_streams, rng_from_seed, spawn_rngs, sum_chunks
 from .signvectors import random_signs
 from .sources import SvSourceSpec
 
@@ -335,12 +335,14 @@ def cmd_amplify(args) -> ExperimentReport:
             report, "conditional_agreement", match, ok_count
         )
 
-    rng = rng_from_seed(args.seed + 1)
-    all_failed = 0
-    for _ in range(args.wrapper_runs):
-        result = amplify.repeat_until_success(channel, alpha, rng, m=m)
-        all_failed += int(result.all_failed)
-    _rate_metric(report, "all_fail_rate", all_failed, args.wrapper_runs)
+    def wrapper_chunk(rng, runs):
+        return amplify.repeat_until_success_batch(
+            channel, alpha, runs, rng, m).all_failed.sum()
+
+    runs_per_chunk = max(1, CHUNK_TRIALS // math.ceil(5 / alpha))
+    all_failed = sum_chunks(wrapper_chunk, rng_from_seed(args.seed + 1),
+                            args.wrapper_runs, runs_per_chunk, args.threads)
+    _rate_metric(report, "all_fail_rate", int(all_failed), args.wrapper_runs)
     report.record = {
         "protocol": "hashed_parity",
         "n": args.n,

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .signvectors import pack_bits
+
 
 @dataclass(frozen=True, eq=False)
 class ToeplitzHash:
@@ -32,21 +34,28 @@ class ToeplitzHash:
 
     def hash_bits(self, xbits: np.ndarray) -> np.ndarray:
         """Hash bit vector(s); accepts shape (n,) or (batch, n)."""
-        return toeplitz_hash(self.diag, self.offset, xbits)
+        return toeplitz_hash(self.diag, self.offset, pack_bits(xbits))
 
 
-def toeplitz_hash(diag: np.ndarray, offset: np.ndarray, xbits) -> np.ndarray:
-    """h(x) = T x xor b over GF(2), with T[i, j] = diag[..., i - j + n - 1].
+def toeplitz_hash(diag: np.ndarray, offset: np.ndarray, lanes) -> np.ndarray:
+    """h(x) = T x xor b over GF(2), with T[i, j] = diag[..., i - j + n - 1],
+    for x given as packed uint64 lanes (``noisyip.signvectors`` layout).
 
-    One hash (diag (n+m-1,), offset (m,)) applies to x of shape (n,) or
-    (batch, n); a batch of hashes (diag (batch, n+m-1), offset (batch, m))
-    applies row by row to x of shape (batch, n).  Returns uint8 bits.
+    One hash (diag (n+m-1,), offset (m,)) applies to lanes of shape (W,) or
+    (batch, W); a batch of hashes (diag (batch, n+m-1), offset (batch, m))
+    applies row by row to lanes of shape (batch, W).  Returns uint8 bits.
+    With rd the reversed diagonal, (T x)_i is the parity of
+    x & rd[m-1-i : m-1-i+n].  rd is packed once, with one zero lane
+    appended, and each window is a funnel shift of two of its lanes (numpy
+    shifts by 64 give 0); x's zero pad bits mask the window's tail.
     """
-    xbits = np.asarray(xbits, dtype=np.uint8)
-    m, n = offset.shape[-1], xbits.shape[-1]
-    idx = np.arange(m)[:, None] - np.arange(n)[None, :] + n - 1
-    lin = np.bitwise_xor.reduce(diag[..., idx] & xbits[..., None, :], axis=-1)
-    return lin ^ offset
+    m, w = offset.shape[-1], lanes.shape[-1]
+    rd = np.pad(pack_bits(diag[..., ::-1]), [(0, 0)] * (diag.ndim - 1) + [(0, 1)])
+    q, r = np.divmod(np.arange(m - 1, -1, -1), 64)  # window i starts at bit m-1-i
+    idx, r = q[:, None] + np.arange(w), r[:, None].astype(np.uint64)
+    win = (rd[..., idx] >> r) | (rd[..., idx + 1] << (np.uint64(64) - r))
+    lin = np.bitwise_count(np.bitwise_xor.reduce(win & lanes[..., None, :], axis=-1))
+    return (lin & 1) ^ offset
 
 
 def sample_toeplitz_hash(n: int, m: int, rng: np.random.Generator) -> ToeplitzHash:

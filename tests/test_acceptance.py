@@ -25,7 +25,7 @@ from noisyip import (
     exact_ip_channel,
     gl_decode,
     open_transcript_estimator,
-    repeat_until_success,
+    repeat_until_success_batch,
     rng_from_seed,
     sample_offset,
     spawn_rngs,
@@ -330,10 +330,8 @@ def test_criterion_7_amplifier():
     agree_ok = rate >= 0.9 - 3 * sigma
 
     wrapper_runs = 3000
-    fails = sum(
-        int(repeat_until_success(channel, alpha, rng, m=m).all_failed)
-        for _ in range(wrapper_runs)
-    )
+    fails = int(repeat_until_success_batch(channel, alpha, wrapper_runs, rng, m=m)
+                .all_failed.sum())
     fail_rate = fails / wrapper_runs
     sigma_f = math.sqrt(max(fail_rate * (1 - fail_rate), 1e-9) / wrapper_runs)
     fail_ok = fail_rate <= math.exp(-5) + 3 * sigma_f

@@ -88,6 +88,9 @@ def test_threads_do_not_change_bytes(tmp_path):
         # a randomized estimator: its noise is keyed by the query
         ["recon", "--estimator", "laplace", "--eps", "0.25", "--n", "64",
          "--samples", "2000", "--seed", "7"],
+        # the wrapper runs, 1,111 to a chunk at alpha = 0.6 (cap 9)
+        ["amplify", "--n", "24", "--alpha", "0.6", "--trials", "15000",
+         "--wrapper-runs", "4000", "--seed", "11"],
     ):
         outs = []
         for threads in ("1", "2", "3"):

@@ -11,6 +11,7 @@ from noisyip import (
     eve_amplified,
     gl_decode,
     repeat_until_success,
+    repeat_until_success_batch,
     rng_from_seed,
     run_hashed_parity_round,
     sample_toeplitz_hash,
@@ -23,6 +24,7 @@ from noisyip.amplify import (
 )
 from noisyip.hashing import all_toeplitz_hashes, toeplitz_hash
 from noisyip.rng import hash_uniform01
+from noisyip.signvectors import pack_bits
 
 
 # ---------------------------------------------------------------------------
@@ -85,12 +87,41 @@ def test_kernel_with_one_hash_per_row_matches_definition():
     diag = rng.integers(0, 2, size=(batch, n + m - 1), dtype=np.uint8)
     offset = rng.integers(0, 2, size=(batch, m), dtype=np.uint8)
     X = rng.integers(0, 2, size=(batch, n), dtype=np.uint8)
-    got = toeplitz_hash(diag, offset, X)
+    got = toeplitz_hash(diag, offset, pack_bits(X))
     assert got.shape == (batch, m) and got.dtype == np.uint8
     for t in range(batch):
         T = np.array([[diag[t, i - j + n - 1] for j in range(n)] for i in range(m)])
         want = (T.astype(np.int64) @ X[t] + offset[t]) % 2
         assert np.array_equal(got[t], want)
+
+
+def _toeplitz_matrix(diag, n, m):
+    i, j = np.arange(m)[:, None], np.arange(n)[None, :]
+    return diag[i - j + n - 1].astype(np.int64)
+
+
+@pytest.mark.parametrize("m", [1, 10, 64, 70])
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+def test_kernel_matches_definition_across_lane_boundaries(n, m):
+    # windows start at bits 0 .. m-1 of the reversed diagonal: for m > 64
+    # some start in its second lane, and for n > 64 every one spans lanes
+    rng = rng_from_seed(1000 * n + m)
+    batch = 40
+    diag = rng.integers(0, 2, size=(batch, n + m - 1), dtype=np.uint8)
+    offset = rng.integers(0, 2, size=(batch, m), dtype=np.uint8)
+    X = rng.integers(0, 2, size=(batch, n), dtype=np.uint8)
+    lanes = pack_bits(X)
+    # one hash per row
+    got = toeplitz_hash(diag, offset, lanes)
+    for t in range(batch):
+        want = (_toeplitz_matrix(diag[t], n, m) @ X[t] + offset[t]) % 2
+        assert np.array_equal(got[t], want)
+    # one hash for every row, on a batch and on a single input
+    want = (X @ _toeplitz_matrix(diag[0], n, m).T + offset[0]) % 2
+    assert np.array_equal(toeplitz_hash(diag[0], offset[0], lanes), want)
+    assert np.array_equal(toeplitz_hash(diag[0], offset[0], lanes[3]), want[3])
+    h = ToeplitzHash(n=n, m=m, diag=diag[0], offset=offset[0])
+    assert np.array_equal(h.hash_bits(X), want)
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +181,35 @@ def test_batch_rounds_match_scalar_semantics():
     assert np.mean(aborted) == pytest.approx(expect, abs=0.02)
 
 
+def test_rounds_are_pinned():
+    # the draws and output bits of the rounds, as computed by the byte-wise
+    # hash and parity this module used before the packed-lane kernel
+    ch = equality_channel(32, 0.25)
+    aborted, bit_a, bit_b = hashed_parity_trials(ch, 10, 10_000, rng_from_seed(11))
+    assert (aborted.dtype, bit_a.dtype, bit_b.dtype) == (bool, np.int64, np.int64)
+    digest = hashlib.sha256(aborted.tobytes() + bit_a.tobytes() + bit_b.tobytes())
+    assert digest.hexdigest() == (
+        "4039e170ba98797993ce89d8471ebce118d0546b8f7b1ab25866bd3d2283af7f"
+    )
+    digest = hashlib.sha256()
+    for seed in range(20):
+        r = run_hashed_parity_round(ch, 10, rng_from_seed(seed))
+        digest.update(r.view.hx.tobytes())
+    assert digest.hexdigest() == (
+        "18baa63390c632978f5f2a8da9c0d24edaf20059b3c8e6c191a69b59a2804b16"
+    )
+
+
+def test_view_hash_is_the_round_hash_of_x():
+    for seed in range(20):
+        ch = equality_channel(40, 0.5)
+        r = run_hashed_parity_round(ch, 6, rng_from_seed(seed))
+        x = ch.sample_batch(1, rng_from_seed(seed)).xs[0]
+        assert np.array_equal(r.view.hx, r.view.h.hash_bits(x < 0))
+        if not r.aborted:
+            assert r.bit_a == int((r.view.r2 & (x < 0)).sum() % 2)
+
+
 def test_scalar_round_is_row_zero_of_a_size_one_batch():
     for seed in range(20):
         ch = equality_channel(16, 0.4)
@@ -185,6 +245,36 @@ def test_repeat_until_success_takes_first_non_abort_of_one_batch(channel_alpha):
     assert (channel_alpha > 0.01) in outcomes
 
 
+@pytest.mark.parametrize("channel_alpha", [0.3, 1e-9])
+def test_batch_wrapper_takes_first_non_abort_per_row(channel_alpha):
+    ch = equality_channel(16, channel_alpha)
+    alpha, m, runs = 0.3, 8, 200
+    cap = math.ceil(5 / alpha)
+    res = repeat_until_success_batch(ch, alpha, runs, rng_from_seed(3), m=m)
+    rows = [a.reshape(runs, cap)
+            for a in hashed_parity_trials(ch, m, runs * cap, rng_from_seed(3))]
+    for k, (aborted, bit_a, bit_b) in enumerate(zip(*rows)):
+        ok = np.flatnonzero(~aborted)
+        got = (res.all_failed[k], res.bit_a[k], res.bit_b[k], res.attempts[k])
+        if ok.size == 0:
+            assert got == (True, 0, 0, cap)
+        else:
+            i = int(ok[0])
+            assert got == (False, bit_a[i], bit_b[i], i + 1)
+    if channel_alpha < 0.01:  # all rows abort but those a hash collision rescues
+        assert res.all_failed.any() and not res.all_failed.all()
+
+
+def test_repeat_until_success_is_the_size_one_batch():
+    ch = equality_channel(16, 0.1)
+    for seed in range(30):
+        res = repeat_until_success(ch, 0.2, rng_from_seed(seed), m=6)
+        batch = repeat_until_success_batch(ch, 0.2, 1, rng_from_seed(seed), m=6)
+        assert (res.all_failed, res.bit_a, res.bit_b, res.attempts) == (
+            batch.all_failed[0], batch.bit_a[0], batch.bit_b[0], batch.attempts[0])
+        assert type(res.attempts) is int and type(res.all_failed) is bool
+
+
 def test_repeat_until_success_immediate_on_perfect_channel():
     rng = rng_from_seed(6)
     ch = equality_channel(16, 1.0)
@@ -198,14 +288,12 @@ def test_repeat_until_success_attempt_cap_and_all_fail_rate():
     alpha = 0.1
     ch = equality_channel(16, alpha)
     cap = math.ceil(5 / alpha)
-    runs, fails = 1500, 0
-    for _ in range(runs):
-        res = repeat_until_success(ch, alpha, rng)
-        assert res.attempts <= cap
-        if res.all_failed:
-            assert (res.bit_a, res.bit_b) == (0, 0)
-            fails += 1
-    rate = fails / runs
+    runs = 1500
+    res = repeat_until_success_batch(ch, alpha, runs, rng)
+    assert np.all((res.attempts >= 1) & (res.attempts <= cap))
+    assert not np.any(res.bit_a[res.all_failed] | res.bit_b[res.all_failed])
+    assert np.all(res.attempts[res.all_failed] == cap)
+    rate = res.all_failed.sum() / runs
     sigma = math.sqrt(max(rate * (1 - rate), 1e-9) / runs)
     assert rate <= math.exp(-5) + 3 * sigma
 
