@@ -174,16 +174,12 @@ def _replay_estimator(path: str, n: int):
 
 def cmd_recon(args) -> ExperimentReport:
     rng = rng_from_seed(args.seed)
-    scale = None if args.eps is None else 2.0 / args.eps
+    z = random_signs(args.n, rng)
+    est = _build_estimator(args.estimator, z, args.eps, rng)  # rejects a missing eps
     ell = args.ell
     if ell is None:
-        ell = (
-            reconstruct.best_laplace_ell(args.n, scale)
-            if args.estimator == "laplace"
-            else 1
-        )
-    z = random_signs(args.n, rng)
-    est = _build_estimator(args.estimator, z, args.eps, rng)
+        laplace = args.estimator == "laplace"
+        ell = reconstruct.best_laplace_ell(args.n, 2.0 / args.eps) if laplace else 1
     certify_trials = args.trials if args.trials is not None else 20_000
     profile = reconstruct.certify_estimator(est, z, ell, certify_trials, rng)
     samples = args.samples

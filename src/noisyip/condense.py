@@ -19,7 +19,7 @@ restricted by it, and the triplet's transcript.
   that compare the reconstructed product bit against a claimed pair, after
   applying one of three flip patterns.
 * ``eve_distinguisher`` adds the abort rule: it first measures, without
-  ever reading the bit under test, how often f is within a window of the
+  depending on the bit under test, how often f is within a window of the
   partial masked product, and proceeds only when that empirical rate clears
   a threshold.
 * ``search_eve_params`` grid-searches the distinguisher parameters for the
@@ -45,7 +45,7 @@ from .errors import PreconditionViolation, UnsupportedModel
 from .keyagreement import EveViews
 from .rng import hash_uniform01, map_streams, rng_from_seed, sum_chunks
 from .signvectors import flip, flip_pair, pack_signs, random_packed, random_signs
-from .reconstruct import _CHUNK_ROWS, _expected_vote_table
+from .reconstruct import _CHUNK_ROWS, _expected_votes, _residuals
 from .sources import SvSourceSpec, laplace_from_uniform, round_half_away
 
 
@@ -58,7 +58,7 @@ ABORT = _Abort()
 
 
 # ---------------------------------------------------------------------------
-# Triplet sources and estimators
+# Triplet views and estimators
 # ---------------------------------------------------------------------------
 
 
@@ -128,38 +128,27 @@ def open_transcript_estimator(
 # ---------------------------------------------------------------------------
 
 
-def _residuals(j: int, x, y, t: ChannelBatch, f: TripletEstimator, pr, rng):
-    """The query rows R of the lanes pr, and f's answers on the triplet
-    views of (x, y) under them, clipped to [-n, n], minus
-    <(x*y)_{-j}, r_{-j}> per row r of R; never reads (x*y)_j."""
-    n = len(x)
-    z0 = np.asarray(x, dtype=np.int64) * np.asarray(y, dtype=np.int64)
-    z0[j] = 0
+def _product_residuals(j: int, x, y, t: ChannelBatch, f: TripletEstimator, pr, rng):
+    """The database attack's residuals at index j of z = x*y, and the r_j.
+    f answers each query lane of pr on the triplet views of (x, y), clipped
+    to [-n, n]; z's lanes are the views' px ^ py, and (x*y)_j cancels
+    exactly."""
     views = _triplet_views(pr, x, y, t)
-    answers = np.clip(f.query_masked(views, rng), -n, n)
-    return views.R, answers - views.R.astype(np.int64) @ z0
-
-
-def _product_votes(j: int, x, y, t: ChannelBatch, f, pr, ells, rng) -> np.ndarray:
-    """The triplet attack's one scorer: the database attack's expected vote
-    for z_j on z = x*y, times the vote table's denominator D, per window in
-    ``ells`` (rows) and query lane of pr (columns), with f answering each
-    query on the triplet views of (x, y)."""
-    n = len(x)
-    R, residuals = _residuals(j, x, y, t, f, pr, rng)
-    idx, r_j = residuals + 2 * n, R[:, j].astype(np.int64)
-    return np.stack([_expected_vote_table(n, ell)[idx] * r_j for ell in ells])
+    # two ufuncs: np.clip's Python wrapper outweighs them on small batches
+    answers = np.minimum(np.maximum(f.query_masked(views, rng), -t.n), t.n)
+    z_lanes = views._px[0] ^ views._py[0]
+    return _residuals(answers, pr, views.R, x * y, z_lanes, slice(j, j + 1))
 
 
 def _product_totals(j: int, pairs, t: ChannelBatch, f, ells, samples: int, rng):
-    """Vote totals (len(pairs), len(ells)) over one batch of ``samples``
-    uniform queries shared by every pair (x, y) and window, drawn in the
+    """Expected-vote totals (len(pairs), len(ells)) at index j of z = x*y for
+    each pair (x, y) and window, over ``samples`` queries drawn in the
     database attack's chunks, so the totals are ``reconstruct_bit``'s."""
-    n = len(pairs[0][0])
-
     def chunk(stream, size):
-        pr = random_packed(n, size, stream)
-        return [_product_votes(j, x, y, t, f, pr, ells, rng).sum(1) for x, y in pairs]
+        pr = random_packed(t.n, size, stream)
+        residuals = [_product_residuals(j, x, y, t, f, pr, rng) for x, y in pairs]
+        return [[_expected_votes(*res, t.n, ell).sum() for ell in ells]
+                for res in residuals]
 
     return sum_chunks(chunk, rng, samples, _CHUNK_ROWS)
 
@@ -176,8 +165,8 @@ def reconstruct_product_bit(
 ) -> int:
     """Recover (x*y)_j by the database attack on z = x*y: the sign of the
     expected vote over ``samples`` fresh queries, each answered by f on the
-    triplet views of (x, y).  Ties resolve to -1.  The attack never reads
-    position j of the product."""
+    triplet views of (x, y).  Ties resolve to -1.  Position j of the
+    product cancels exactly from every residual."""
     total = _product_totals(j, [(x, y)], t, f, [ell], samples, rng)[0, 0]
     return 1 if total > 0 else -1
 
@@ -196,14 +185,15 @@ def variant_vote_split(
     flip variants over the queries R, split by the sign of r_j.
 
     Requires a pure estimator.  Each vote is a fixed function of
-    (residual, r_j); the r_j = +1 side never reads y_j and the r_j = -1 side
-    never reads x_j, so the four variants satisfy the exchange identity
+    (residual, r_j), and (x*y)_j cancels exactly from the residual; so the
+    r_j = +1 side does not depend on y_j and the r_j = -1 side does not
+    depend on x_j, and the four variants satisfy the exchange identity
 
         total(x,y) + total(x^,y^) == total(x^,y) + total(x,y^)
 
     where ^ flips position j.
     """
-    pr, r_j = pack_signs(R), R[:, j]
+    pr = pack_signs(R)
     variants = {
         "xy": (x, y),
         "fx_y": (flip(x, j), y),
@@ -212,7 +202,8 @@ def variant_vote_split(
     }
     out = {}
     for name, (xx, yy) in variants.items():
-        votes = _product_votes(j, xx, yy, t, f, pr, [ell], rng)[0]
+        residuals, r_j = _product_residuals(j, xx, yy, t, f, pr, rng)
+        votes = _expected_votes(residuals, r_j, t.n, ell)
         out[name] = (int(votes[r_j == -1].sum()), int(votes[r_j == 1].sum()))
     return out
 
@@ -304,7 +295,7 @@ def _eve_outputs(i: int, x, y, t: ChannelBatch, f, ell_hats, v_min, samples: int
     j = i % n
     R = random_signs(n, rng, samples)
     R[:, j] = -1 if i < n else 1
-    distance = np.abs(_residuals(j, x, y, t, f, pack_signs(R), rng)[1])
+    distance = np.abs(_product_residuals(j, x, y, t, f, pack_signs(R), rng)[0])
     rates = np.array([np.count_nonzero(distance <= lh) for lh in ell_hats]) / samples
     outputs = np.zeros((3, len(ell_hats)), dtype=bool)
     live = rates > v_min
@@ -329,11 +320,11 @@ def eve_distinguisher(
     The gate estimates, over seeds conditioned to hide position j(i) of the
     relevant half (r_j = -1 when i addresses x, +1 when it addresses y),
     the rate q at which f lands within ell_hat of the partial masked
-    product <(x*y)_{-j}, r_{-j}>.  Neither the seed restriction handed to f
-    nor the partial product reads the flipped coordinate, so the abort
-    decision is invariant to flipping bit i of the input pair.  If
-    q > v_hat, the flip-pattern test runs at window ell_hat + 1.  The gate
-    and the reconstruction each ask ``samples`` queries.
+    product <(x*y)_{-j}, r_{-j}>.  The seed restriction handed to f hides
+    the flipped coordinate, and it cancels exactly from the partial product,
+    so the abort decision is invariant to flipping bit i of the input pair.
+    If q > v_hat, the flip-pattern test runs at window ell_hat + 1.  The
+    gate and the reconstruction each ask ``samples`` queries.
     """
     rates, outputs = _eve_outputs(
         i, x, y, t, f, [params.ell_hat], params.v_hat, samples, rng

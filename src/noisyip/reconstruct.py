@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import PreconditionViolation
+from .errors import DimensionMismatch, PreconditionViolation
 from .rng import CHUNK_TRIALS, keyed_uniform01, sum_chunks
 from .signvectors import (
     SIGN_DTYPE,
@@ -395,24 +395,34 @@ def _expected_vote_table(n: int, ell: int) -> np.ndarray:
     return table
 
 
-def _vote_totals(f, z_masked, cols, ell, num_queries, rng, threads=1) -> np.ndarray:
-    """Expected-vote totals, times the common denominator D of ``offset_pmf``,
-    over ``num_queries`` uniform queries shared by every column c of
-    ``z_masked``, which is z with entry cols[c] zeroed, so z_i is never read.
-    Chunks draw from spawned streams and the totals are exact int64 sums, so
-    they depend neither on chunk order nor on ``threads``.
-    """
-    if 4 * f.n >= 2**24:
-        raise PreconditionViolation("the float32 vote kernel needs 4n < 2^24")
-    table = _expected_vote_table(f.n, ell)
+def _residuals(a, P, R, z, z_lanes, cols):
+    """Residuals a - <z_{-c}, r_{-c}> = a - <z,r> + z_c r_c of the answers a
+    to the queries P (packed) and R (unpacked) at each index c in ``cols``,
+    and the r_c: exact int64, one popcount per query; z_c cancels exactly."""
+    r_c = R[:, cols]
+    partial = a - packed_inner_products(P, z_lanes, R.shape[1])
+    return partial[:, None] + r_c * z[cols], r_c
+
+
+def _expected_votes(residuals, r_c, n: int, ell: int) -> np.ndarray:
+    """Expected votes, times D: the vote table at residual + 2n, times r_c."""
+    return _expected_vote_table(n, ell)[residuals + 2 * n] * r_c
+
+
+def _vote_totals(f, z, cols, ell, num_queries, rng, threads=1) -> np.ndarray:
+    """Expected-vote totals, times the denominator D of ``offset_pmf``, at
+    each index c in ``cols`` of the sign vector z, in which z_c cancels
+    exactly, over ``num_queries`` uniform queries shared by every column:
+    exact int64 sums, so they depend neither on chunk order nor ``threads``."""
+    if len(z) != f.n:
+        raise DimensionMismatch(f"database length {len(z)} != estimator size {f.n}")
+    z_lanes = pack_signs(z)[0]
 
     def chunk(stream: np.random.Generator, rows: int) -> np.ndarray:
         P = random_packed(f.n, rows, stream)
         R = unpack_signs(P, f.n)
-        # exact in float32: every value lies in [-4n, 4n] and 4n < 2^24
-        shifted = (f.query_packed(P) + 2 * f.n).astype(np.float32)
-        idx = shifted[:, None] - R.astype(np.float32) @ z_masked
-        return (table[idx.astype(np.intp)] * R[:, cols]).sum(axis=0)
+        residuals, r_c = _residuals(f.query_packed(P), P, R, z, z_lanes, cols)
+        return _expected_votes(residuals, r_c, f.n, ell).sum(axis=0)
 
     return sum_chunks(chunk, rng, num_queries, _CHUNK_ROWS, threads)
 
@@ -426,11 +436,14 @@ def reconstruct_bit(
     rng: np.random.Generator,
 ) -> int:
     """Recover z_i as the sign of the expected vote over fresh queries: the
-    one-column case of the vote kernel, whose column is z_{-i} with a 0 at
-    position i.  Ties resolve to -1 (sign(v) is +1 for v > 0 and -1
-    otherwise), so an estimator whose every vote is 0 outputs -1."""
-    column = np.insert(np.asarray(z_minus_i, dtype=np.float32), i, 0)[:, None]
-    total = _vote_totals(f, column, [i], ell, num_samples, rng)[0]
+    one-column case of the vote kernel, in which z_i cancels exactly.  Ties
+    resolve to -1 (sign(v) is +1 for v > 0 and -1 otherwise), so an
+    estimator whose every vote is 0 outputs -1."""
+    z_minus_i = as_signs(z_minus_i, "z_minus_i")
+    if not 0 <= i <= len(z_minus_i):
+        raise PreconditionViolation("index must lie in [0, n)")
+    z = np.insert(z_minus_i, i, 1)  # any sign: the kernel cancels it
+    total = _vote_totals(f, z, [i], ell, num_samples, rng)[0]
     return 1 if total > 0 else -1
 
 
@@ -458,8 +471,7 @@ def reconstruct_all(
     n = len(z)
     num = default_num_samples(n) if num_samples_per_bit is None else num_samples_per_bit
     queries_before = f.query_count
-    z_masked = z.astype(np.float32)[:, None] * (1 - np.eye(n, dtype=np.float32))
-    totals = _vote_totals(f, z_masked, slice(None), ell, num, rng, threads)
+    totals = _vote_totals(f, z, slice(None), ell, num, rng, threads)
     guess = np.where(totals > 0, 1, -1).astype(SIGN_DTYPE)
     return ReconstructionResult(
         guess=guess,

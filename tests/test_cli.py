@@ -436,6 +436,7 @@ RECON = ["recon", "--estimator", "laplace", "--n", "16", "--trials", "10",
     RECON + ["--eps", "0"],  # was a ZeroDivisionError traceback
     RECON + ["--eps", "-1"],  # was a negative Laplace scale
     RECON + ["--eps", "nan"],
+    RECON,  # no eps: was a TypeError traceback from choosing ell
     ["ka", "--channel", "laplace", "--eps", "nan", "--n", "16", "--trials", "10"],
     ["audit", "--channel", "randomized_response", "--eps", "nan", "--n", "16",
      "--trials", "10"],
@@ -446,7 +447,8 @@ RECON = ["recon", "--estimator", "laplace", "--n", "16", "--trials", "10",
      "--trials", "10"],
     ["audit", "--channel", "randomized_response", "--eps", "1e-20", "--n", "4",
      "--trials", "10"],
-], ids=["recon-eps-0", "recon-eps-neg", "recon-eps-nan", "ka-laplace-eps-nan",
+], ids=["recon-eps-0", "recon-eps-neg", "recon-eps-nan", "recon-eps-missing",
+        "ka-laplace-eps-nan",
         "audit-rr-eps-nan", "ka-rr-eps-inf", "ka-rr-eps-underflow",
         "audit-rr-eps-underflow"])
 def test_exit_code_bad_eps(argv, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -30,7 +31,7 @@ from noisyip.condense import (
     variant_vote_split,
 )
 from noisyip.rng import spawn_rngs
-from noisyip.signvectors import flip_pair, pack_signs, random_signs
+from noisyip.signvectors import flip, flip_pair, pack_signs, random_signs
 
 
 class ZeroTripletEstimator(TripletEstimator):
@@ -364,6 +365,38 @@ def test_search_rejects_empty_grids(empty):
     with pytest.raises(ValueError):
         search_eve_params(channel, open_transcript_estimator(n), 1, 0.0, 20_000,
                           rng_from_seed(26), **empty)
+
+
+@pytest.mark.parametrize("seed, gap", [(1, 0.625), (5, 0.5), (7, 0.5833333333333334)])
+def test_search_reports_are_pinned(seed, gap):
+    # audit --channel exact_open --n 64 --search's search, as the int64 GEMV
+    # residual path reported it before the shared rank-one kernel
+    n = 64
+    report = search_eve_params(exact_ip_channel(n, leak_inputs=True),
+                               open_transcript_estimator(n), 1, 0.0, 2_000_000,
+                               rng_from_seed(seed))
+    assert report == condense.SearchReport(
+        EveParams(ell_hat=2, v_hat=0.03125, d=1), gap, gap, 0.0, 0.0, 48, 144
+    )
+
+
+@pytest.mark.parametrize("n, digest", [
+    (64, "a8b789b742f489ce7a582c7baf682318a55f50b2b4e8c019919ef98707f552eb"),
+    (130, "14db2cc75ad9e1b013d057e63099dac6973dd509dbfee5263ac1fea8a5589778"),
+])
+def test_product_totals_and_gate_are_pinned(n, digest):
+    # a noisy estimator's vote totals (two pairs, three windows, 1,300
+    # queries in three chunks) and gate outputs, as computed before the
+    # shared rank-one kernel
+    rng = rng_from_seed(400 + n)
+    t = exact_ip_channel(n, leak_inputs=True).sample_batch(1, rng)
+    x, y = t.xs[0], t.ys[0]
+    f = open_transcript_estimator(n, noise_scale=2.0)
+    pairs = [(x, y), (flip(x, 3), y)]
+    totals = condense._product_totals(3, pairs, t, f, [1, 2, 3], 1300, rng)
+    rates, outs = condense._eve_outputs(n + 5, x, y, t, f, [2, 3, 5], 0.0, 700, rng)
+    data = np.asarray(totals, dtype=np.int64).tobytes() + rates.tobytes() + outs.tobytes()
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

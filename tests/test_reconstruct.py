@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 from itertools import product
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from noisyip import (
+    DimensionMismatch,
     PreconditionViolation,
     rng_from_seed,
     random_signs,
@@ -35,7 +37,7 @@ from noisyip.reconstruct import (
     width_pmf,
     zero_estimator,
 )
-from noisyip.signvectors import pack_signs
+from noisyip.signvectors import flip, pack_signs, random_packed, unpack_signs
 
 
 # ---------------------------------------------------------------------------
@@ -569,8 +571,9 @@ def test_vote_kernel_exhaustive_total_is_brute_force_mean(n, monkeypatch):
     monkeypatch.setattr(reconstruct, "random_packed", lambda n, size, rng: P)
     estimators = (exact_estimator(z), zero_estimator(n), laplace_estimator(z, 1.5, rng))
     # the triplet attack: f read through the views of a size-1 triplet batch
-    # with x*y = z, at noise 0 and 2, scored row by row by condense's one
-    # scorer on all 2^n queries; the oracle asks the same f through a handle
+    # with x*y = z, at noise 0 and 2, scored row by row by the shared
+    # residual kernel and scorer on all 2^n queries; the oracle asks the same
+    # f through a handle
     x = random_signs(n, rng)
     y = x * z
     ip = np.array([np.dot(x.astype(np.int64), y)])
@@ -582,18 +585,18 @@ def test_vote_kernel_exhaustive_total_is_brute_force_mean(n, monkeypatch):
         )
         for g in triplet
     ]
-    z_masked = z.astype(np.float32)[:, None] * (1 - np.eye(n, dtype=np.float32))
     for ell in range(1, math.isqrt(n) - 1):
         denom = math.lcm(*(p.denominator for p in offset_pmf(n, ell).values()))
         for f in estimators:
-            totals = reconstruct._vote_totals(f, z_masked, slice(None), ell, 2**n, rng)
+            totals = reconstruct._vote_totals(f, z, slice(None), ell, 2**n, rng)
             for i in (0, 3, n - 1):
                 assert Fraction(int(totals[i]), denom * 2**n) == (
                     brute_force_vote_mean(i, z, f, ell)
                 )
         for g, oracle in zip(triplet, oracles):
             for j in (0, 3, n - 1):
-                total = condense._product_votes(j, x, y, t, g, P, [ell], rng).sum()
+                residuals, r_j = condense._product_residuals(j, x, y, t, g, P, rng)
+                total = reconstruct._expected_votes(residuals, r_j, n, ell).sum()
                 assert Fraction(int(total), denom * 2**n) == (
                     brute_force_vote_mean(j, z, oracle, ell)
                 )
@@ -618,13 +621,89 @@ def test_reconstruct_all_spawns_chunk_streams_lazily():
         assert rng.bit_generator.seed_seq.n_children_spawned <= 8 * threads
 
 
-def test_vote_kernel_rejects_inexact_float32_size():
-    n = 2**22
-    z_minus_i = np.ones(n - 1, dtype=np.int8)
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+def test_residual_kernel_is_the_masked_int64_product(n):
+    # a - <z,r> + z_c r_c is, for every column c, the residual against the
+    # database with entry c zeroed
+    rng = rng_from_seed(230 + n)
+    z = random_signs(n, rng)
+    P = random_packed(n, 300, rng)
+    R = unpack_signs(P, n)
+    a = rng.integers(-n, n + 1, size=300)
+    residuals, r_c = reconstruct._residuals(a, P, R, z, pack_signs(z)[0], slice(None))
+    assert residuals.dtype == np.int64
+    assert np.array_equal(r_c, R)
+    for c in range(n):
+        z0 = z.astype(np.int64)
+        z0[c] = 0
+        assert np.array_equal(residuals[:, c], a - R.astype(np.int64) @ z0)
+    cols = [n - 1, 0]
+    picked, r_picked = reconstruct._residuals(a, P, R, z, pack_signs(z)[0], cols)
+    assert np.array_equal(picked, residuals[:, cols])
+    assert np.array_equal(r_picked, R[:, cols])
+
+
+@pytest.mark.parametrize("n, queries", [(9, 2**9), (63, 1300), (64, 1300),
+                                        (65, 1300), (130, 1300)])
+def test_vote_totals_never_depend_on_the_attacked_bit(n, queries, monkeypatch):
+    # the no-peeking guarantee: flipping z_i leaves column i's totals as
+    # they were, on the same estimator and queries, for every i; n = 9 asks
+    # all 2^9 queries in one chunk, 1,300 queries make three chunks
+    if queries == 2**n:
+        P = pack_signs(all_sign_vectors(n))
+        monkeypatch.setattr(reconstruct, "_CHUNK_ROWS", 2**n)
+        monkeypatch.setattr(reconstruct, "random_packed", lambda n, size, rng: P)
+    z = random_signs(n, rng_from_seed(240 + n))
+    ell = 1 if n < 16 else 2
+    for f in (exact_estimator(z), laplace_estimator(z, 1.5, rng_from_seed(250))):
+        totals = reconstruct._vote_totals(f, z, slice(None), ell, queries,
+                                          rng_from_seed(260))
+        for i in range(n):
+            flipped = reconstruct._vote_totals(f, flip(z, i), [i], ell, queries,
+                                               rng_from_seed(260))
+            assert flipped[0] == totals[i], i
+
+
+@pytest.mark.parametrize("n, kind, digest", [
+    (64, "exact", "3324f993ff63cc8b9966737a8e348bca906463f33a601ceed26deb0205ff3a2b"),
+    (64, "laplace", "a9d58a52112d9fc2d8c4a46768750f74713b0bad068ea0d8681d1334f51ec0c2"),
+    (130, "exact", "2e2a960b1271dbf546f563636068628de02dff3ec291078df300ed0b2906837d"),
+    (130, "laplace", "688aaea00add63913824e8615ea3db3651e4315a87021a0ccdbc9713f01928f7"),
+])
+def test_vote_totals_are_pinned(n, kind, digest):
+    # the int64 totals of 1,300 queries at window 2, as the float32 GEMM
+    # kernel computed them before the rank-one kernel replaced it
+    rng = rng_from_seed(300 + n)
+    z = random_signs(n, rng)
+    f = exact_estimator(z) if kind == "exact" else laplace_estimator(z, 2.0, rng)
+    totals = reconstruct._vote_totals(f, z, slice(None), 2, 1300, rng)
+    assert totals.dtype == np.int64
+    assert hashlib.sha256(totals.tobytes()).hexdigest() == digest
+
+
+def test_reconstruct_bit_validates_its_inputs():
+    # lanes keep only the sign, so a 0 or 2 entry must be refused, not read
+    # as +1; the index must address one of the n bits, and z_minus_i must
+    # hold the other n - 1 (60 signs pack to f's one lane at n = 62)
+    n = 62
     f = zero_estimator(n)
-    with pytest.raises(PreconditionViolation):
-        reconstruct_bit(0, z_minus_i, f, 1, 10, rng_from_seed(0))
+    rng = rng_from_seed(0)
+    for bad in (np.full(n - 1, 2), np.r_[np.ones(n - 2), 0]):
+        with pytest.raises(ValueError, match="must all be"):
+            reconstruct_bit(0, bad, f, 1, 10, rng)
+    z_minus_i = np.ones(n - 1, dtype=np.int8)
+    for i in (-1, n, n + 5):
+        with pytest.raises(PreconditionViolation):
+            reconstruct_bit(i, z_minus_i, f, 1, 10, rng)
+    for z_rest in (z_minus_i[1:], np.ones(n, dtype=np.int8)):
+        with pytest.raises(DimensionMismatch):
+            reconstruct_bit(0, z_rest, f, 1, 10, rng)
+    # reconstruct_all refuses a database whose lanes f cannot match
+    for m in (10, 60, 70):
+        with pytest.raises(DimensionMismatch):
+            reconstruct_all(np.ones(m, dtype=np.int8), f, 1, 10, rng)
     assert f.query_count == 0
+    assert reconstruct_bit(n - 1, z_minus_i, f, 1, 10, rng) in (-1, 1)
 
 
 def test_default_num_samples():
