@@ -45,7 +45,7 @@ from .errors import PreconditionViolation, UnsupportedModel
 from .keyagreement import EveViews
 from .rng import hash_uniform01, map_streams, rng_from_seed, sum_chunks
 from .signvectors import flip, flip_pair, pack_signs, random_packed, random_signs
-from .reconstruct import _CHUNK_ROWS, _expected_votes, _residuals
+from .reconstruct import _CHUNK_ROWS, _residuals, _vote_sums
 from .sources import SvSourceSpec, laplace_from_uniform, round_half_away
 
 
@@ -129,15 +129,15 @@ def open_transcript_estimator(
 
 
 def _product_residuals(j: int, x, y, t: ChannelBatch, f: TripletEstimator, pr, rng):
-    """The database attack's residuals at index j of z = x*y, and the r_j.
-    f answers each query lane of pr on the triplet views of (x, y), clipped
-    to [-n, n]; z's lanes are the views' px ^ py, and (x*y)_j cancels
-    exactly."""
+    """The database attack's p = a - <x*y, r>, the r_j and (x*y)_j: f answers
+    each query lane of pr on the triplet views of (x, y), clipped to [-n, n],
+    and z = x*y has the views' px ^ py as lanes.  The residual at index j is
+    p + (x*y)_j r_j, in which (x*y)_j cancels exactly."""
     views = _triplet_views(pr, x, y, t)
     # two ufuncs: np.clip's Python wrapper outweighs them on small batches
     answers = np.minimum(np.maximum(f.query_masked(views, rng), -t.n), t.n)
     z_lanes = views._px[0] ^ views._py[0]
-    return _residuals(answers, pr, views.R, x * y, z_lanes, slice(j, j + 1))
+    return _residuals(answers, pr, z_lanes, t.n), views.R[:, j], x[j] * y[j]
 
 
 def _product_totals(j: int, pairs, t: ChannelBatch, f, ells, samples: int, rng):
@@ -146,9 +146,8 @@ def _product_totals(j: int, pairs, t: ChannelBatch, f, ells, samples: int, rng):
     database attack's chunks, so the totals are ``reconstruct_bit``'s."""
     def chunk(stream, size):
         pr = random_packed(t.n, size, stream)
-        residuals = [_product_residuals(j, x, y, t, f, pr, rng) for x, y in pairs]
-        return [[_expected_votes(*res, t.n, ell).sum() for ell in ells]
-                for res in residuals]
+        return [_vote_sums(*_product_residuals(j, x, y, t, f, pr, rng), t.n, ells)
+                for x, y in pairs]
 
     return sum_chunks(chunk, rng, samples, _CHUNK_ROWS)
 
@@ -202,9 +201,9 @@ def variant_vote_split(
     }
     out = {}
     for name, (xx, yy) in variants.items():
-        residuals, r_j = _product_residuals(j, xx, yy, t, f, pr, rng)
-        votes = _expected_votes(residuals, r_j, t.n, ell)
-        out[name] = (int(votes[r_j == -1].sum()), int(votes[r_j == 1].sum()))
+        p, r_j, z_j = _product_residuals(j, xx, yy, t, f, pr, rng)
+        out[name] = tuple(int(_vote_sums(p[m], r_j[m], z_j, t.n, [ell])[0])
+                          for m in (r_j < 0, r_j > 0))
     return out
 
 
@@ -295,7 +294,8 @@ def _eve_outputs(i: int, x, y, t: ChannelBatch, f, ell_hats, v_min, samples: int
     j = i % n
     R = random_signs(n, rng, samples)
     R[:, j] = -1 if i < n else 1
-    distance = np.abs(_product_residuals(j, x, y, t, f, pack_signs(R), rng)[0])
+    p, r_j, z_j = _product_residuals(j, x, y, t, f, pack_signs(R), rng)
+    distance = np.abs(p + z_j * r_j)
     rates = np.array([np.count_nonzero(distance <= lh) for lh in ell_hats]) / samples
     outputs = np.zeros((3, len(ell_hats)), dtype=bool)
     live = rates > v_min

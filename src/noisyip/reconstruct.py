@@ -19,8 +19,11 @@ vote expectation exactly at small n and serves as the independent oracle
 for the Monte Carlo paths.
 
 The attack itself never samples k: it scores each residual with the vote's
-exact expectation over k (Rao-Blackwell: same mean, lower variance), on one
-query batch shared by every bit, as in Dinur-Nissim reconstruction.
+exact expectation T over k (Rao-Blackwell: same mean, lower variance), on one
+query batch shared by every bit, as in Dinur-Nissim reconstruction.  With
+p = a - <z,r>, bit c's residual is p + z_c r_c = p +- 1, so each query reads
+T twice, at p + 1 and p - 1 (T is padded to [-2n-1, 2n+1], as p spans
+[-2n, 2n]), and every bit's total is one int64 weighted column sum.
 """
 
 from __future__ import annotations
@@ -61,11 +64,7 @@ def offset_vote(k: int, i: int, z_minus_i, r, a: int) -> int:
     """
     z_minus_i = np.asarray(z_minus_i, dtype=np.int64)
     r = np.asarray(r, dtype=np.int64)
-    r_minus_i = np.delete(r, i)
-    residual = int(a) - int(np.dot(z_minus_i, r_minus_i))
-    if residual - k in (-1, 1):
-        return int((residual - k) * r[i])
-    return 0
+    return int(_vote_values(int(a) - int(np.dot(z_minus_i, np.delete(r, i))), k, r[i]))
 
 
 def _vote_values(residuals: np.ndarray, ks: np.ndarray, r_i: np.ndarray) -> np.ndarray:
@@ -129,17 +128,12 @@ def sample_width(s: int, t: int, rng: np.random.Generator, size: int | None = No
     """
     if not 0 <= s < t:
         raise PreconditionViolation("need 0 <= s < t")
-    return _sample_width_arrays(
-        np.full(1 if size is None else size, s, dtype=np.int64),
-        np.full(1 if size is None else size, t, dtype=np.int64),
-        rng,
-        scalar=size is None,
-    )
+    ones = np.ones(1 if size is None else size, dtype=np.int64)
+    return _sample_width_arrays(s * ones, t * ones, rng, scalar=size is None)
 
 
 def _sample_width_arrays(s: np.ndarray, t: np.ndarray, rng, scalar: bool = False):
-    z = (t - s) * (t + s + 2)
-    w = rng.integers(0, z)  # uniform in [0, Z)
+    w = rng.integers(0, _span_weight(s, t))  # uniform in [0, Z)
     m = np.ceil(np.sqrt(w + 1 + (s + 1) ** 2)).astype(np.int64) - 2
     m = np.clip(m, s, t - 1)
     return int(m[0]) if scalar else m
@@ -383,46 +377,51 @@ _CHUNK_ROWS = 512  # queries per chunk; keeps the (rows, n) temporaries small
 
 
 @functools.lru_cache(maxsize=None)
-def _expected_vote_table(n: int, ell: int) -> np.ndarray:
-    """D times the offset vote averaged over k, at r_i = +1, by residual + 2n,
-    with D the common denominator of ``offset_pmf``; built once, read-only."""
-    pmf = offset_pmf(n, ell)
-    denom = math.lcm(*(p.denominator for p in pmf.values()))
-    res = np.arange(-2 * n, 2 * n + 1)
-    one = np.int64(1)
-    table = sum(int(p * denom) * _vote_values(res, k, one) for k, p in pmf.items())
+def _expected_vote_table(n: int, ells: tuple) -> np.ndarray:
+    """D times the offset vote averaged over k, at r_i = +1, one row per
+    window in ``ells`` with D the common denominator of its ``offset_pmf``,
+    by residual + 2n + 1 over [-2n-1, 2n+1] (0 at both ends); read-only."""
+    res, rows = np.arange(-2 * n - 1, 2 * n + 2), []
+    for ell in ells:
+        pmf = offset_pmf(n, ell)
+        denom = math.lcm(*(p.denominator for p in pmf.values()))
+        rows.append(sum(int(p * denom) * _vote_values(res, k, np.int64(1))
+                        for k, p in pmf.items()))
+    table = np.stack(rows)
     table.setflags(write=False)
     return table
 
 
-def _residuals(a, P, R, z, z_lanes, cols):
-    """Residuals a - <z_{-c}, r_{-c}> = a - <z,r> + z_c r_c of the answers a
-    to the queries P (packed) and R (unpacked) at each index c in ``cols``,
-    and the r_c: exact int64, one popcount per query; z_c cancels exactly."""
-    r_c = R[:, cols]
-    partial = a - packed_inner_products(P, z_lanes, R.shape[1])
-    return partial[:, None] + r_c * z[cols], r_c
+def _residuals(a, P, z_lanes, n: int) -> np.ndarray:
+    """p = a - <z,r> of the answers a to the packed queries P, exact int64 from
+    one popcount per query; column c's residual a - <z_{-c}, r_{-c}> is p + z_c r_c."""
+    return a - packed_inner_products(P, z_lanes, n)
 
 
-def _expected_votes(residuals, r_c, n: int, ell: int) -> np.ndarray:
-    """Expected votes, times D: the vote table at residual + 2n, times r_c."""
-    return _expected_vote_table(n, ell)[residuals + 2 * n] * r_c
+def _vote_sums(p, r, z_r, n: int, ells) -> np.ndarray:
+    """Expected-vote totals, times D, of the residuals p at each window in
+    ``ells`` (rows) and each column r_c of r (columns), z_r holding z_c: two
+    table reads per query and one int64 column sum.  As z_c r_c = +-1, the
+    vote T[p + z_c r_c] r_c summed over the queries is, exactly (the sum is
+    even), (z_c sum(T[p+1] - T[p-1]) + (T[p+1] + T[p-1]) @ r_c) / 2."""
+    table = _expected_vote_table(n, tuple(ells))
+    hi, lo = np.take(table, p + (2 * n + 2), axis=1), np.take(table, p + 2 * n, axis=1)
+    return (np.multiply.outer((hi - lo).sum(axis=1), z_r) + (hi + lo) @ r) // 2
 
 
 def _vote_totals(f, z, cols, ell, num_queries, rng, threads=1) -> np.ndarray:
-    """Expected-vote totals, times the denominator D of ``offset_pmf``, at
-    each index c in ``cols`` of the sign vector z, in which z_c cancels
-    exactly, over ``num_queries`` uniform queries shared by every column:
-    exact int64 sums, so they depend neither on chunk order nor ``threads``."""
+    """Expected-vote totals, times D of ``_expected_vote_table``, at each index
+    c in ``cols`` of the sign vector z, in which z_c cancels exactly, over
+    ``num_queries`` uniform queries shared by every column: two table reads
+    per query and one int64 column sum per chunk, exact for any ``threads``."""
     if len(z) != f.n:
         raise DimensionMismatch(f"database length {len(z)} != estimator size {f.n}")
     z_lanes = pack_signs(z)[0]
 
     def chunk(stream: np.random.Generator, rows: int) -> np.ndarray:
         P = random_packed(f.n, rows, stream)
-        R = unpack_signs(P, f.n)
-        residuals, r_c = _residuals(f.query_packed(P), P, R, z, z_lanes, cols)
-        return _expected_votes(residuals, r_c, f.n, ell).sum(axis=0)
+        p = _residuals(f.query_packed(P), P, z_lanes, f.n)
+        return _vote_sums(p, unpack_signs(P, f.n)[:, cols], z[cols], f.n, [ell])[0]
 
     return sum_chunks(chunk, rng, num_queries, _CHUNK_ROWS, threads)
 

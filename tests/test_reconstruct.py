@@ -571,9 +571,9 @@ def test_vote_kernel_exhaustive_total_is_brute_force_mean(n, monkeypatch):
     monkeypatch.setattr(reconstruct, "random_packed", lambda n, size, rng: P)
     estimators = (exact_estimator(z), zero_estimator(n), laplace_estimator(z, 1.5, rng))
     # the triplet attack: f read through the views of a size-1 triplet batch
-    # with x*y = z, at noise 0 and 2, scored row by row by the shared
-    # residual kernel and scorer on all 2^n queries; the oracle asks the same
-    # f through a handle
+    # with x*y = z, at noise 0 and 2, scored by the shared residual popcount
+    # and vote sums on all 2^n queries; the oracle asks the same f through a
+    # handle
     x = random_signs(n, rng)
     y = x * z
     ip = np.array([np.dot(x.astype(np.int64), y)])
@@ -595,8 +595,8 @@ def test_vote_kernel_exhaustive_total_is_brute_force_mean(n, monkeypatch):
                 )
         for g, oracle in zip(triplet, oracles):
             for j in (0, 3, n - 1):
-                residuals, r_j = condense._product_residuals(j, x, y, t, g, P, rng)
-                total = reconstruct._expected_votes(residuals, r_j, n, ell).sum()
+                p, r_j, z_j = condense._product_residuals(j, x, y, t, g, P, rng)
+                total = reconstruct._vote_sums(p, r_j, z_j, n, [ell])[0]
                 assert Fraction(int(total), denom * 2**n) == (
                     brute_force_vote_mean(j, z, oracle, ell)
                 )
@@ -622,25 +622,52 @@ def test_reconstruct_all_spawns_chunk_streams_lazily():
 
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
-def test_residual_kernel_is_the_masked_int64_product(n):
-    # a - <z,r> + z_c r_c is, for every column c, the residual against the
-    # database with entry c zeroed
+def test_residual_kernel_is_the_masked_int64_product(n, monkeypatch):
+    # p + z_c r_c, with p = a - <z,r>, is for every column c the residual
+    # against the database with entry c zeroed; and the two-read vote sums
+    # equal the per-element scoring (T[res + 2n] * r_c).sum(axis=0) on the
+    # unpadded table, here for an arbitrary padded table of two windows
     rng = rng_from_seed(230 + n)
     z = random_signs(n, rng)
     P = random_packed(n, 300, rng)
     R = unpack_signs(P, n)
     a = rng.integers(-n, n + 1, size=300)
-    residuals, r_c = reconstruct._residuals(a, P, R, z, pack_signs(z)[0], slice(None))
-    assert residuals.dtype == np.int64
-    assert np.array_equal(r_c, R)
+    p = reconstruct._residuals(a, P, pack_signs(z)[0], n)
+    assert p.dtype == np.int64
+    residuals = p[:, None] + R * z
     for c in range(n):
         z0 = z.astype(np.int64)
         z0[c] = 0
         assert np.array_equal(residuals[:, c], a - R.astype(np.int64) @ z0)
-    cols = [n - 1, 0]
-    picked, r_picked = reconstruct._residuals(a, P, R, z, pack_signs(z)[0], cols)
-    assert np.array_equal(picked, residuals[:, cols])
-    assert np.array_equal(r_picked, R[:, cols])
+    T = rng.integers(-10**6, 10**6, size=(2, 4 * n + 3))
+    monkeypatch.setattr(reconstruct, "_expected_vote_table", lambda n, ells: T)
+    for cols in ([n - 1, 0], slice(None)):
+        totals = reconstruct._vote_sums(p, R[:, cols], z[cols], n, (1, 2))
+        old = [(T[w, 1:-1][residuals[:, cols] + 2 * n] * R[:, cols]).sum(axis=0)
+               for w in range(2)]
+        assert totals.dtype == np.int64
+        assert np.array_equal(totals, old)
+
+
+def test_vote_totals_reach_both_ends_of_the_padded_table(monkeypatch):
+    # f = -<z,r> puts p = a - <z,r> = -2<z,r> at both -2n and 2n (r = +-z), so
+    # the vote sums read the table at -2n-1 and 2n+1; over all 2^n queries in
+    # one chunk the totals divided by D * 2^n are the oracle's expected vote
+    # for every column and every window
+    n = 9
+    z = random_signs(n, rng_from_seed(270))
+    P = pack_signs(all_sign_vectors(n))
+    monkeypatch.setattr(reconstruct, "_CHUNK_ROWS", 2**n)
+    monkeypatch.setattr(reconstruct, "random_packed", lambda n, size, rng: P)
+    f = EstimatorHandle.from_signs(lambda R: -(R @ z.astype(np.int64)), n)
+    for ell in range(1, math.isqrt(n) - 1):
+        denom = math.lcm(*(p.denominator for p in offset_pmf(n, ell).values()))
+        totals = reconstruct._vote_totals(f, z, slice(None), ell, 2**n,
+                                          rng_from_seed(271))
+        for i in range(n):
+            assert Fraction(int(totals[i]), denom * 2**n) == (
+                brute_force_vote_mean(i, z, f, ell)
+            )
 
 
 @pytest.mark.parametrize("n, queries", [(9, 2**9), (63, 1300), (64, 1300),
@@ -655,7 +682,9 @@ def test_vote_totals_never_depend_on_the_attacked_bit(n, queries, monkeypatch):
         monkeypatch.setattr(reconstruct, "random_packed", lambda n, size, rng: P)
     z = random_signs(n, rng_from_seed(240 + n))
     ell = 1 if n < 16 else 2
-    for f in (exact_estimator(z), laplace_estimator(z, 1.5, rng_from_seed(250))):
+    negated = EstimatorHandle.from_signs(lambda R: -(R @ z.astype(np.int64)), n)
+    for f in (exact_estimator(z), laplace_estimator(z, 1.5, rng_from_seed(250)),
+              negated):
         totals = reconstruct._vote_totals(f, z, slice(None), ell, queries,
                                           rng_from_seed(260))
         for i in range(n):
