@@ -84,14 +84,12 @@ from .condense import (
     seeded_condense_experiment,
     v_hat_grid,
 )
-from .hashing import ToeplitzHash, sample_toeplitz_hash
+from .hashing import ToeplitzHash
 from .amplify import (
-    AmplifiedView,
     eve_amplified,
     gl_decode,
     repeat_until_success,
     repeat_until_success_batch,
-    run_hashed_parity_round,
 )
 
 __version__ = "0.1.0"

@@ -8,6 +8,8 @@ output the masked parity of their local value.  A repetition wrapper rides
 out the aborts.  The security bridge runs the other way: a guesser of the
 output bit implies, through a (Goldreich-Levin style) parity self-corrector
 and a hash-guess dilution argument, a guesser of the full pre-hash value.
+Both run on batches: a round's eavesdropper view is a row of the arrays
+``_draw_rounds`` returns, and ``eve_amplified`` calls its guesser once.
 """
 
 from __future__ import annotations
@@ -18,35 +20,18 @@ from typing import Callable
 
 import numpy as np
 
-from .channels import Channel, Transcript
-from .hashing import ToeplitzHash, sample_toeplitz_hash, toeplitz_hash
+from .channels import Channel, ChannelBatch
+from .hashing import toeplitz_hash
 from .rng import keyed_uniform01
 from .signvectors import pack_bits
 
 
-@dataclass(frozen=True, eq=False)
-class AmplifiedView:
-    """Eavesdropper view of one hash-and-parity round."""
-
-    t: Transcript
-    h: ToeplitzHash
-    hx: np.ndarray
-    r2: np.ndarray
-    equal_flag: bool
-
-
-@dataclass(frozen=True, eq=False)
-class HashedRound:
-    aborted: bool
-    bit_a: int | None
-    bit_b: int | None
-    view: AmplifiedView
-
-    def __post_init__(self):
-        if self.view.equal_flag and (self.bit_a is None or self.bit_b is None):
-            raise ValueError("hash match must produce output bits")
-        if not self.view.equal_flag and not self.aborted:
-            raise ValueError("hash mismatch must abort")
+def _draw_hashes(n: int, m: int, size: int, rng: np.random.Generator):
+    """``size`` uniform Toeplitz hashes {0,1}^n -> {0,1}^m: (diag, offset)."""
+    if m < 1:
+        raise ValueError("hash width m must be at least 1")
+    diag = rng.integers(0, 2, size=(size, n + m - 1), dtype=np.uint8)
+    return diag, rng.integers(0, 2, size=(size, m), dtype=np.uint8)
 
 
 def _draw_rounds(channel: Channel, m: int, size: int, rng: np.random.Generator):
@@ -55,8 +40,7 @@ def _draw_rounds(channel: Channel, m: int, size: int, rng: np.random.Generator):
     channel lanes (bit = (1 - sign)/2); h(x) = h(y) exactly when T(x xor y) = 0."""
     n = channel.n
     b = channel.sample_batch(size, rng)
-    diag = rng.integers(0, 2, size=(size, n + m - 1), dtype=np.uint8)
-    offset = rng.integers(0, 2, size=(size, m), dtype=np.uint8)
+    diag, offset = _draw_hashes(n, m, size, rng)
     r2 = rng.integers(0, 2, size=(size, n), dtype=np.uint8)
     aborted = np.any(toeplitz_hash(diag, offset, b.px ^ b.py) != offset, axis=1)
     lanes = pack_bits(r2) & np.stack((b.px, b.py))
@@ -70,19 +54,6 @@ def hashed_parity_trials(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized rounds: (aborted, bit_a, bit_b); bits are -1 where aborted."""
     return _draw_rounds(channel, m, trials, rng)[-3:]
-
-
-def run_hashed_parity_round(
-    channel: Channel, m: int, rng: np.random.Generator
-) -> HashedRound:
-    """One round with its eavesdropper view: the size-1 case of
-    :func:`hashed_parity_trials`, drawing the same random numbers."""
-    b, diag, offset, r2, aborted, bit_a, bit_b = _draw_rounds(channel, m, 1, rng)
-    h = ToeplitzHash(n=channel.n, m=m, diag=diag[0], offset=offset[0])
-    hx = toeplitz_hash(diag[0], offset[0], b.px[0])
-    view = AmplifiedView(b.transcript(0), h, hx, r2[0], equal_flag=not aborted[0])
-    bits = (None, None) if aborted[0] else (int(bit_a[0]), int(bit_b[0]))
-    return HashedRound(bool(aborted[0]), *bits, view=view)
 
 
 def default_hash_width(alpha: float) -> int:
@@ -227,22 +198,21 @@ def parity_oracle(
 
 
 def eve_amplified(
-    hash_adversary: Callable[[Transcript, ToeplitzHash, np.ndarray], np.ndarray],
-    t: Transcript,
-    n: int,
+    hash_adversary: Callable[..., np.ndarray],
+    b: ChannelBatch,
     m: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Run a (transcript, hash, hash-value) guesser on a bare transcript.
-
-    Samples the hash and a uniform candidate hash value itself; on events
-    where the parties' values agree, the sampled value matches the real
-    hash with probability exactly 2^-m, diluting the adversary's success by
-    that factor and no more.
-    """
-    h = sample_toeplitz_hash(n, m, rng)
-    v = rng.integers(0, 2, size=m, dtype=np.uint8)
-    guess = np.asarray(hash_adversary(t, h, v), dtype=np.uint8)
-    if guess.shape != (n,):
-        raise ValueError("hash adversary must return an n-bit guess")
+    """Run a (transcript, hash, hash-value) guesser on the transcripts of
+    the channel batch ``b``: one call ``hash_adversary(b.outs, b.extras,
+    diag, offset, v)`` with a sampled hash and a uniform candidate value v
+    per row, returning its (rows, n) bit guess; it never sees the inputs.
+    Where the parties' values agree, v matches the real hash with
+    probability exactly 2^-m, diluting the adversary's success by that
+    factor and no more."""
+    diag, offset = _draw_hashes(b.n, m, len(b), rng)
+    v = rng.integers(0, 2, size=(len(b), m), dtype=np.uint8)
+    guess = np.asarray(hash_adversary(b.outs, b.extras, diag, offset, v), dtype=np.uint8)
+    if guess.shape != (len(b), b.n):
+        raise ValueError("hash adversary must return an n-bit guess per row")
     return guess

@@ -58,14 +58,6 @@ def toeplitz_hash(diag: np.ndarray, offset: np.ndarray, lanes) -> np.ndarray:
     return (lin & 1) ^ offset
 
 
-def sample_toeplitz_hash(n: int, m: int, rng: np.random.Generator) -> ToeplitzHash:
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be positive")
-    diag = rng.integers(0, 2, size=n + m - 1, dtype=np.uint8)
-    offset = rng.integers(0, 2, size=m, dtype=np.uint8)
-    return ToeplitzHash(n=n, m=m, diag=diag, offset=offset)
-
-
 def all_toeplitz_hashes(n: int, m: int):
     """Iterate the entire affine family (2^(n+2m-1) members); small n, m only."""
     d_bits = n + m - 1

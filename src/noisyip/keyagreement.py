@@ -59,6 +59,7 @@ class KARoundBatch:
 
     def ka_transcript(self, i: int) -> "EveViews":
         """Round i's eavesdropper view, as a size-1 ``EveViews``."""
+        i = range(len(self.outs))[i]  # negative from the end; IndexError past it
         b, s = self.channel_batch, slice(i, i + 1)
         extras = {k: v[s] for k, v in b.extras.items()}
         return EveViews(b.n, self.pr[s], self.V[s], self.outs[s], extras,

@@ -13,10 +13,9 @@ from noisyip import (
     repeat_until_success,
     repeat_until_success_batch,
     rng_from_seed,
-    run_hashed_parity_round,
-    sample_toeplitz_hash,
 )
 from noisyip.amplify import (
+    _draw_rounds,
     _majority_bits,
     default_hash_width,
     hashed_parity_trials,
@@ -30,6 +29,12 @@ from noisyip.signvectors import pack_bits
 # ---------------------------------------------------------------------------
 # Toeplitz family
 # ---------------------------------------------------------------------------
+
+
+def _sample_hash(n, m, rng):
+    diag = rng.integers(0, 2, size=n + m - 1, dtype=np.uint8)
+    offset = rng.integers(0, 2, size=m, dtype=np.uint8)
+    return ToeplitzHash(n=n, m=m, diag=diag, offset=offset)
 
 
 def test_pairwise_independence_exhaustive_small():
@@ -60,7 +65,7 @@ def test_hash_marginal_uniformity():
 def test_hash_difference_independent_of_offset():
     rng = rng_from_seed(0)
     n, m = 8, 3
-    h = sample_toeplitz_hash(n, m, rng)
+    h = _sample_hash(n, m, rng)
     x1 = rng.integers(0, 2, size=n, dtype=np.uint8)
     x2 = rng.integers(0, 2, size=n, dtype=np.uint8)
     diff = (h.hash_bits(x1) ^ h.hash_bits(x2))
@@ -74,7 +79,7 @@ def test_hash_difference_independent_of_offset():
 
 def test_hash_batch_matches_scalar():
     rng = rng_from_seed(1)
-    h = sample_toeplitz_hash(12, 4, rng)
+    h = _sample_hash(12, 4, rng)
     X = rng.integers(0, 2, size=(20, 12), dtype=np.uint8)
     batch = h.hash_bits(X)
     for i in range(20):
@@ -132,25 +137,33 @@ def test_kernel_matches_definition_across_lane_boundaries(n, m):
 def test_identical_inputs_never_abort_and_agree():
     rng = rng_from_seed(2)
     ch = equality_channel(24, 1.0)
-    for _ in range(50):
-        r = run_hashed_parity_round(ch, 6, rng)
-        assert not r.aborted
-        assert r.bit_a == r.bit_b
-        assert r.view.equal_flag
+    aborted, bit_a, bit_b = hashed_parity_trials(ch, 6, 50, rng)
+    assert not aborted.any()
+    assert np.array_equal(bit_a, bit_b)
+    assert np.all((bit_a == 0) | (bit_a == 1))
 
 
 def test_no_bits_on_hash_mismatch():
     rng = rng_from_seed(3)
     # with m large and independent inputs, mismatches dominate
     ch = equality_channel(24, 1e-9)
-    saw_abort = False
-    for _ in range(50):
-        r = run_hashed_parity_round(ch, 12, rng)
-        if r.aborted:
-            saw_abort = True
-            assert r.bit_a is None and r.bit_b is None
-            assert not r.view.equal_flag
-    assert saw_abort
+    aborted, bit_a, bit_b = hashed_parity_trials(ch, 12, 50, rng)
+    assert aborted.any()
+    assert np.all(bit_a[aborted] == -1) and np.all(bit_b[aborted] == -1)
+    # the same draws: a round aborts exactly when h(x) != h(y)
+    b, diag, offset, *_ = _draw_rounds(ch, 12, 50, rng_from_seed(3))
+    hx, hy = (toeplitz_hash(diag, offset, lanes) for lanes in (b.px, b.py))
+    assert np.array_equal(aborted, np.any(hx != hy, axis=1))
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_hash_width_below_one_is_rejected(m):
+    # an empty hash would confirm every round
+    with pytest.raises(ValueError, match="at least 1"):
+        hashed_parity_trials(equality_channel(16, 0.5), m, 3, rng_from_seed(1))
+    b = equality_channel(16, 1.0).sample_batch(3, rng_from_seed(1))
+    with pytest.raises(ValueError, match="at least 1"):
+        eve_amplified(lambda *view: np.zeros((3, 16)), b, m, rng_from_seed(1))
 
 
 def test_conditional_agreement_floor():
@@ -193,8 +206,8 @@ def test_rounds_are_pinned():
     )
     digest = hashlib.sha256()
     for seed in range(20):
-        r = run_hashed_parity_round(ch, 10, rng_from_seed(seed))
-        digest.update(r.view.hx.tobytes())
+        b, diag, offset, *_ = _draw_rounds(ch, 10, 1, rng_from_seed(seed))
+        digest.update(toeplitz_hash(diag, offset, b.px).tobytes())
     assert digest.hexdigest() == (
         "18baa63390c632978f5f2a8da9c0d24edaf20059b3c8e6c191a69b59a2804b16"
     )
@@ -203,23 +216,13 @@ def test_rounds_are_pinned():
 def test_view_hash_is_the_round_hash_of_x():
     for seed in range(20):
         ch = equality_channel(40, 0.5)
-        r = run_hashed_parity_round(ch, 6, rng_from_seed(seed))
+        b, diag, offset, r2, aborted, bit_a, _ = _draw_rounds(ch, 6, 1, rng_from_seed(seed))
+        hx = toeplitz_hash(diag, offset, b.px)[0]
         x = ch.sample_batch(1, rng_from_seed(seed)).xs[0]
-        assert np.array_equal(r.view.hx, r.view.h.hash_bits(x < 0))
-        if not r.aborted:
-            assert r.bit_a == int((r.view.r2 & (x < 0)).sum() % 2)
-
-
-def test_scalar_round_is_row_zero_of_a_size_one_batch():
-    for seed in range(20):
-        ch = equality_channel(16, 0.4)
-        r = run_hashed_parity_round(ch, 5, rng_from_seed(seed))
-        aborted, bit_a, bit_b = hashed_parity_trials(ch, 5, 1, rng_from_seed(seed))
-        assert r.aborted == aborted[0]
-        if r.aborted:
-            assert (r.bit_a, r.bit_b) == (None, None)
-        else:
-            assert (r.bit_a, r.bit_b) == (bit_a[0], bit_b[0])
+        h = ToeplitzHash(n=40, m=6, diag=diag[0], offset=offset[0])
+        assert np.array_equal(hx, h.hash_bits(x < 0))
+        if not aborted[0]:
+            assert bit_a[0] == int((r2[0] & (x < 0)).sum() % 2)
 
 
 @pytest.mark.parametrize("channel_alpha", [0.3, 1e-9])
@@ -422,15 +425,19 @@ def test_gl_decode_negative_control_constant_oracle():
 
 def test_eve_amplified_passthrough_and_shapes():
     rng = rng_from_seed(12)
-    ch = equality_channel(16, 1.0)
-    t = ch.sample_batch(1, rng).transcript(0)
-    fixed = np.ones(16, dtype=np.uint8)
+    b = equality_channel(16, 1.0).sample_batch(7, rng)
+    fixed = np.ones((7, 16), dtype=np.uint8)
+    calls = []
 
-    def ignore_all(t, h, v):
+    def ignore_all(outs, extras, diag, offset, v):
+        calls.append((outs.shape, diag.shape, offset.shape, v.shape))
         return fixed
 
-    guess = eve_amplified(ignore_all, t, 16, 5, rng)
+    guess = eve_amplified(ignore_all, b, 5, rng)
     assert np.array_equal(guess, fixed)
+    assert calls == [((7,), (7, 20), (7, 5), (7, 5))]
+    with pytest.raises(ValueError, match="guess per row"):
+        eve_amplified(lambda *view: fixed[0], b, 5, rng)
 
 
 def test_eve_amplified_dilution_is_exactly_two_to_minus_m():
@@ -439,19 +446,14 @@ def test_eve_amplified_dilution_is_exactly_two_to_minus_m():
     rng = rng_from_seed(13)
     n, m = 12, 3
     xbits = rng.integers(0, 2, size=n, dtype=np.uint8)
-    ch = equality_channel(n, 1.0)
-    t = ch.sample_batch(1, rng).transcript(0)
-
-    def needs_hash(t, h, v):
-        if np.array_equal(v, h.hash_bits(xbits)):
-            return xbits
-        return 1 - xbits  # always-wrong guess otherwise
-
     trials = 40_000
-    hits = sum(
-        int(np.array_equal(eve_amplified(needs_hash, t, n, m, rng), xbits))
-        for _ in range(trials)
-    )
+    b = equality_channel(n, 1.0).sample_batch(trials, rng)
+
+    def needs_hash(outs, extras, diag, offset, v):
+        ok = np.all(v == toeplitz_hash(diag, offset, pack_bits(xbits)), axis=1)
+        return np.where(ok[:, None], xbits, 1 - xbits)  # always wrong otherwise
+
+    hits = np.all(eve_amplified(needs_hash, b, m, rng) == xbits, axis=1).sum()
     rate = hits / trials
     sigma = math.sqrt(2.0**-m * (1 - 2.0**-m) / trials)
     assert abs(rate - 2.0**-m) < 4 * sigma

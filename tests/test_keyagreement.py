@@ -101,6 +101,23 @@ def test_round_view_consistency():
     assert outputs.o_a[0] == ((outputs.u_a[0] - v) // 6) * 6
 
 
+def test_ka_transcript_indexes_like_a_sequence():
+    # negative indices count from the end, as ChannelBatch.transcript does;
+    # indices past either end raise instead of returning an empty view
+    batch = run_ka_rounds(exact_ip_channel(70, leak_inputs=True), 4, 5, rng_from_seed(3))
+    for i in (-1, -5, 4):
+        view, row = batch.ka_transcript(i), range(5)[i]
+        assert np.array_equal(view.R, batch.R[row:row + 1])
+        assert (view.V[0], view.outs[0]) == (batch.V[row], batch.outs[row])
+        assert np.array_equal(view.extras["x"][0], batch.channel_batch.xs[row])
+        assert view.outs[0] == batch.channel_batch.transcript(i).out
+    for i in (5, 6, -6):
+        with pytest.raises(IndexError):
+            batch.ka_transcript(i)
+        with pytest.raises(IndexError):
+            batch.channel_batch.transcript(i)
+
+
 def test_agreement_implies_out_close_to_ip():
     # asserted internally on every Monte Carlo sample; exercise it through a
     # channel that frequently disagrees
