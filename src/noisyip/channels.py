@@ -34,7 +34,7 @@ import numpy as np
 from .errors import DimensionMismatch
 from .reporting import wald_half_width
 from .rng import CHUNK_TRIALS, sum_chunks
-from .signvectors import flip_pair, pack_bits, packed_inner_products
+from .signvectors import pack_bits, packed_inner_products
 from .signvectors import random_packed, unpack_signs
 from .sources import SvSourceSpec, sample_rounded_laplace, sample_sv_source
 from .sources import laplace_from_uniform, round_half_away
@@ -287,12 +287,13 @@ def dp_audit(
 ) -> DpAuditReport:
     """Hypothesis-test style lower bound on the privacy parameter.
 
-    The distinguisher maps ``(flip_index, xs, ys, batch)`` to one bool per
-    row: ``xs``/``ys`` are (trials, n) sign rows and ``batch`` is the sampled
+    The distinguisher maps ``(flip_index, px, py, batch)`` to one bool per
+    row: ``px``/``py`` are the batch's uint64 lanes and ``batch`` is the sampled
     ``ChannelBatch``, whose ``outs`` and ``extras`` carry the transcripts.
-    It is called twice: on the sampled pairs, and on the same pairs with
-    entry ``flip_index`` of every concatenated pair negated, against the
-    same transcripts.  A large ratio between the two acceptance rates
+    It is called twice: on ``batch.px, batch.py``, and against the same
+    transcripts with entry ``flip_index`` of every concatenated pair negated
+    (bit j % 64 of lane j // 64 XORed, j = flip_index % n, in a copy of the
+    addressed half only).  A large ratio between the two acceptance rates
     certifies that the channel is *not* eps-private for eps below the
     returned lower bound.  This audits a lower bound only: a small value
     never certifies privacy.
@@ -306,9 +307,10 @@ def dp_audit(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     b = channel.sample_batch(trials, rng)
-    real = int(np.count_nonzero(distinguisher(flip_index, b.xs, b.ys, b)))
-    xf, yf = flip_pair(b.xs, b.ys, flip_index)
-    flipped = int(np.count_nonzero(distinguisher(flip_index, xf, yf, b)))
+    lanes, (k, j) = [b.px, b.py], divmod(flip_index, n)
+    real = int(np.count_nonzero(distinguisher(flip_index, *lanes, b)))
+    lanes[k] = lanes[k] ^ pack_bits(np.arange(n) == j)
+    flipped = int(np.count_nonzero(distinguisher(flip_index, *lanes, b)))
     floor = 1.0 / trials
     p_real = real / trials
     p_flipped = flipped / trials

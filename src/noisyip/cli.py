@@ -27,7 +27,7 @@ from . import amplify, channels, condense, keyagreement, reconstruct
 from .errors import PreconditionViolation
 from .reporting import ExperimentReport, wald_half_width
 from .rng import CHUNK_TRIALS, map_streams, rng_from_seed, spawn_rngs, sum_chunks
-from .signvectors import random_signs
+from .signvectors import packed_inner_products, random_signs
 from .sources import SvSourceSpec
 
 
@@ -390,14 +390,13 @@ def cmd_audit(args) -> ExperimentReport:
 
 
 def _build_distinguisher(spec: str):
-    if spec.startswith("near:"):
-        width = int(spec.split(":", 1)[1])
-        if width < 0:
-            raise ConfigError(f"distinguisher width must be >= 0, got {width}")
-        return lambda i, xs, ys, b: (
-            np.abs(b.outs - (xs * ys).sum(axis=1, dtype=np.int64)) <= width
-        )
-    raise ConfigError(f"unknown distinguisher {spec!r}")
+    width = spec.removeprefix("near:")
+    if width == spec or not width.isdecimal():
+        raise ConfigError(f"--distinguisher must be near:w with an integer w >= 0, "
+                          f"got {spec!r}")
+    return lambda i, px, py, b: (
+        np.abs(b.outs - packed_inner_products(px, py, b.n)) <= int(width)
+    )
 
 
 def cmd_gl(args) -> ExperimentReport:

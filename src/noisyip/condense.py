@@ -44,7 +44,8 @@ from .channels import Channel, ChannelBatch
 from .errors import PreconditionViolation, UnsupportedModel
 from .keyagreement import EveViews
 from .rng import hash_uniform01, map_streams, rng_from_seed, sum_chunks
-from .signvectors import flip, flip_pair, pack_signs, random_packed, random_signs
+from .signvectors import flip_pair, pack_bits, pack_signs, random_packed
+from .signvectors import random_signs, unpack_signs
 from .reconstruct import _CHUNK_ROWS, _residuals, _vote_sums
 from .sources import SvSourceSpec, laplace_from_uniform, round_half_away
 
@@ -62,15 +63,14 @@ ABORT = _Abort()
 # ---------------------------------------------------------------------------
 
 
-def _triplet_views(pr: np.ndarray, x, y, t: ChannelBatch) -> EveViews:
+def _triplet_views(pr: np.ndarray, px, py, t: ChannelBatch) -> EveViews:
     """The eavesdropper's views of the triplet t, one per query lane of pr:
-    the claimed pair (x, y) in place of t's inputs, t's transcript on every
-    row, and no shift (V = 0)."""
+    the claimed pair's lanes px, py (one row each) in place of t's inputs,
+    t's transcript on every row, and no shift (V = 0)."""
     rows = np.zeros(len(pr), dtype=np.intp)  # t's one row, once per query
-    extras = {k: v[rows] for k, v in t.extras.items()}
-    return EveViews(t.n, pr, np.zeros(len(pr), dtype=np.int64), t.outs[rows], extras,
-                    pack_signs(x)[rows], pack_signs(y)[rows])
-
+    extras = {k: v.take(rows, axis=0) for k, v in t.extras.items()}
+    return EveViews(t.n, pr, np.zeros(len(pr), dtype=np.int64), t.outs.take(rows),
+                    extras, px.take(rows, axis=0), py.take(rows, axis=0))
 
 class TripletEstimator:
     """Interface: integer estimates of <x*y, r>, one per row of an
@@ -128,26 +128,26 @@ def open_transcript_estimator(
 # ---------------------------------------------------------------------------
 
 
-def _product_residuals(j: int, x, y, t: ChannelBatch, f: TripletEstimator, pr, rng):
+def _product_residuals(j: int, px, py, t: ChannelBatch, f: TripletEstimator, pr, rng):
     """The database attack's p = a - <x*y, r>, the r_j and (x*y)_j: f answers
-    each query lane of pr on the triplet views of (x, y), clipped to [-n, n],
-    and z = x*y has the views' px ^ py as lanes.  The residual at index j is
-    p + (x*y)_j r_j, in which (x*y)_j cancels exactly."""
-    views = _triplet_views(pr, x, y, t)
+    each query lane of pr on the triplet views of the pair with lanes px, py,
+    clipped to [-n, n], and z = x*y has px ^ py as lanes.  The residual at
+    index j is p + (x*y)_j r_j, in which (x*y)_j cancels exactly."""
+    views = _triplet_views(pr, px, py, t)
     # two ufuncs: np.clip's Python wrapper outweighs them on small batches
     answers = np.minimum(np.maximum(f.query_masked(views, rng), -t.n), t.n)
-    z_lanes = views._px[0] ^ views._py[0]
-    return _residuals(answers, pr, z_lanes, t.n), views.R[:, j], x[j] * y[j]
+    z = px ^ py  # the lanes of x*y
+    return _residuals(answers, pr, z[0], t.n), views.R[:, j], unpack_signs(z, t.n)[0, j]
 
 
 def _product_totals(j: int, pairs, t: ChannelBatch, f, ells, samples: int, rng):
     """Expected-vote totals (len(pairs), len(ells)) at index j of z = x*y for
-    each pair (x, y) and window, over ``samples`` queries drawn in the
-    database attack's chunks, so the totals are ``reconstruct_bit``'s."""
+    each pair of lanes (px, py) and window, over ``samples`` queries drawn in
+    the database attack's chunks, so the totals are ``reconstruct_bit``'s."""
     def chunk(stream, size):
         pr = random_packed(t.n, size, stream)
-        return [_vote_sums(*_product_residuals(j, x, y, t, f, pr, rng), t.n, ells)
-                for x, y in pairs]
+        return [_vote_sums(*_product_residuals(j, px, py, t, f, pr, rng), t.n, ells)
+                for px, py in pairs]
 
     return sum_chunks(chunk, rng, samples, _CHUNK_ROWS)
 
@@ -166,7 +166,8 @@ def reconstruct_product_bit(
     expected vote over ``samples`` fresh queries, each answered by f on the
     triplet views of (x, y).  Ties resolve to -1.  Position j of the
     product cancels exactly from every residual."""
-    total = _product_totals(j, [(x, y)], t, f, [ell], samples, rng)[0, 0]
+    pair = (pack_signs(x), pack_signs(y))
+    total = _product_totals(j, [pair], t, f, [ell], samples, rng)[0, 0]
     return 1 if total > 0 else -1
 
 
@@ -192,16 +193,13 @@ def variant_vote_split(
 
     where ^ flips position j.
     """
-    pr = pack_signs(R)
-    variants = {
-        "xy": (x, y),
-        "fx_y": (flip(x, j), y),
-        "x_fy": (x, flip(y, j)),
-        "fx_fy": (flip(x, j), flip(y, j)),
-    }
+    pr, px, py = pack_signs(R), pack_signs(x), pack_signs(y)
+    bit = pack_bits(np.arange(t.n) == j)  # XOR negates entry j
+    variants = {"xy": (px, py), "fx_y": (px ^ bit, py),
+                "x_fy": (px, py ^ bit), "fx_fy": (px ^ bit, py ^ bit)}
     out = {}
-    for name, (xx, yy) in variants.items():
-        p, r_j, z_j = _product_residuals(j, xx, yy, t, f, pr, rng)
+    for name, pair in variants.items():
+        p, r_j, z_j = _product_residuals(j, *pair, t, f, pr, rng)
         out[name] = tuple(int(_vote_sums(p[m], r_j[m], z_j, t.n, [ell])[0])
                           for m in (r_j < 0, r_j > 0))
     return out
@@ -215,23 +213,21 @@ def variant_vote_split(
 _PATTERNS = {1: (True, False, True), 2: (False, True, False), 3: (True, True, True)}
 
 
-def _flip_outputs(i: int, x, y, t: ChannelBatch, f, ells, samples: int, rng):
-    """Outputs (3, len(ells)) of the three flip patterns at each
-    reconstruction window in ``ells``; every pattern that fires is scored on
-    one shared reconstruction batch, and the others output 0."""
-    n = len(x)
-    if not 0 <= i < 2 * n:
+def _flip_outputs(i: int, px, py, t: ChannelBatch, f, ells, samples: int, rng):
+    """Outputs (3, len(ells)) of the three flip patterns of the pair with
+    one-row lanes px, py at each reconstruction window in ``ells``; every
+    pattern that fires flips bit j of its lanes and is scored on one shared
+    reconstruction batch, and the others output 0."""
+    if not 0 <= i < 2 * t.n:
         raise PreconditionViolation("index must lie in [0, 2n)")
-    j = i % n
-    fired = {
-        d: (flip(x, j) if fx else x, flip(y, j) if fy else y)
-        for d, (fx, fy, low) in _PATTERNS.items()
-        if low == (i < n)
-    }
+    j = i % t.n
+    bit = pack_bits(np.arange(t.n) == j)
+    fired = {d: (px ^ bit if fx else px, py ^ bit if fy else py)
+             for d, (fx, fy, low) in _PATTERNS.items() if low == (i < t.n)}
     totals = _product_totals(j, list(fired.values()), t, f, ells, samples, rng)
     out = np.zeros((3, len(ells)), dtype=bool)
     for (d, (xf, yf)), total in zip(fired.items(), totals):
-        out[d - 1] = np.where(total > 0, 1, -1) != xf[j] * yf[j]
+        out[d - 1] = np.where(total > 0, 1, -1) != unpack_signs(xf ^ yf, t.n)[0, j]
     return out
 
 
@@ -256,7 +252,8 @@ def flip_distinguisher(
     """
     if d not in _PATTERNS:
         raise ValueError("d must be 1, 2 or 3")
-    return int(_flip_outputs(i, x, y, t, f, [ell], samples, rng)[d - 1, 0])
+    outputs = _flip_outputs(i, pack_signs(x), pack_signs(y), t, f, [ell], samples, rng)
+    return int(outputs[d - 1, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -294,14 +291,15 @@ def _eve_outputs(i: int, x, y, t: ChannelBatch, f, ell_hats, v_min, samples: int
     j = i % n
     R = random_signs(n, rng, samples)
     R[:, j] = -1 if i < n else 1
-    p, r_j, z_j = _product_residuals(j, x, y, t, f, pack_signs(R), rng)
+    px, py = pack_signs(x), pack_signs(y)  # the claimed pair, packed once
+    p, r_j, z_j = _product_residuals(j, px, py, t, f, pack_signs(R), rng)
     distance = np.abs(p + z_j * r_j)
     rates = np.array([np.count_nonzero(distance <= lh) for lh in ell_hats]) / samples
     outputs = np.zeros((3, len(ell_hats)), dtype=bool)
     live = rates > v_min
     if live.any():
         ells = [int(lh) + 1 for lh in np.asarray(ell_hats)[live]]
-        outputs[:, live] = _flip_outputs(i, x, y, t, f, ells, samples, rng)
+        outputs[:, live] = _flip_outputs(i, px, py, t, f, ells, samples, rng)
     return rates, outputs
 
 

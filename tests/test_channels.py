@@ -21,10 +21,8 @@ from noisyip import (
     rounded_laplace_pmf,
 )
 from noisyip.channels import randomized_response_p
-
-
-def row_ips(xs, ys):
-    return np.einsum("ij,ij->i", xs.astype(int), ys.astype(int))
+from noisyip.signvectors import flip_pair, packed_inner_products, unpack_bits
+from noisyip.signvectors import unpack_signs
 
 
 def exact_binomial_window(n: int, width: int) -> Fraction:
@@ -187,7 +185,7 @@ def test_dp_audit_constant_channel_no_signal():
     rng = rng_from_seed(10)
     ch = constant_channel(16, 0)
 
-    def dist(i, xs, ys, batch):
+    def dist(i, px, py, batch):
         return batch.outs % 2 == 0
 
     rep = dp_audit(ch, dist, 3, 2000, rng)
@@ -199,12 +197,36 @@ def test_dp_audit_exact_channel_blatant():
     trials = 2000
     ch = exact_ip_channel(16)
 
-    def dist(i, xs, ys, batch):
-        return batch.outs == row_ips(xs, ys)
+    def dist(i, px, py, batch):
+        return batch.outs == packed_inner_products(px, py, batch.n)
 
     rep = dp_audit(ch, dist, 5, trials, rng)
     assert rep.p_real == 1.0
     assert rep.eps_hat_lower >= math.log(trials) / 2
+
+
+@pytest.mark.parametrize("n", [8, 64, 70, 130])
+def test_dp_audit_flips_one_bit_of_the_addressed_lanes(n):
+    # the second call sees flip_pair of the sampled rows, as lanes whose
+    # pad bits stay zero; the first sees the batch's own lanes
+    ch = laplace_ip_channel(n, 1.0)
+    for flip_index in range(2 * n):
+        calls = []
+
+        def record(i, px, py, batch):
+            calls.append((i, px, py, batch))
+            return np.zeros(len(batch), dtype=bool)
+
+        dp_audit(ch, record, flip_index, 3, rng_from_seed(flip_index))
+        (_, px, py, b), (i, fx, fy, fb) = calls
+        assert px is b.px and py is b.py and fb is b and i == flip_index
+        # only the addressed half is copied
+        assert (fy is b.py) if flip_index < n else (fx is b.px)
+        xf, yf = flip_pair(b.xs, b.ys, flip_index)
+        assert np.array_equal(unpack_signs(fx, n), xf)
+        assert np.array_equal(unpack_signs(fy, n), yf)
+        for lanes in (fx, fy):
+            assert not unpack_bits(lanes, 64 * lanes.shape[1])[:, n:].any()
 
 
 def test_dp_audit_laplace_within_eps():
@@ -212,8 +234,8 @@ def test_dp_audit_laplace_within_eps():
     n, eps = 8, 1.0
     ch = laplace_ip_channel(n, eps)
 
-    def dist(i, xs, ys, batch):
-        return batch.outs == row_ips(xs, ys)
+    def dist(i, px, py, batch):
+        return batch.outs == packed_inner_products(px, py, batch.n)
 
     trials = 60_000
     rep = dp_audit(ch, dist, 2, trials, rng)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -270,10 +271,46 @@ def test_near_distinguisher_matches_row_definition():
 
     b = laplace_ip_channel(16, 1.0).sample_batch(400, rng_from_seed(3))
     for width in (0, 2):
-        got = _build_distinguisher(f"near:{width}")(5, b.xs, b.ys, b)
+        got = _build_distinguisher(f"near:{width}")(5, b.px, b.py, b)
         expected = [abs(int(b.outs[i]) - inner_product(b.xs[i], b.ys[i])) <= width
                     for i in range(len(b))]
         assert got.tolist() == expected
+
+
+@pytest.mark.parametrize("spec", ["near:x", "near:"])
+def test_malformed_near_width_is_a_config_error(spec, capsys):
+    assert main(["audit", "--channel", "laplace", "--eps", "1.0", "--n", "16",
+                 "--trials", "10", "--distinguisher", spec]) == 2
+    err = capsys.readouterr().err
+    assert "--distinguisher" in err and repr(spec) in err
+    assert "invalid literal" not in err
+
+
+AUDIT_LAPLACE = ["audit", "--channel", "laplace", "--eps", "1.0", "--n", "64",
+                 "--trials", "20000"]
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (AUDIT_LAPLACE + ["--seed", "1", "--flip-index", "0"],
+     "3d76a2e487d9caeadc24b28931c34c9974437a65351b9607a5122ff6478d3b04"),
+    (AUDIT_LAPLACE + ["--seed", "1", "--flip-index", "70"],
+     "fe050fc1706904f66191c150c7b72460fa81779c4e855d385b4d177a7fbc146e"),
+    (AUDIT_LAPLACE + ["--seed", "5", "--flip-index", "0"],
+     "71552e87b248e16310fa5b7e8a395824f12b1f10ace967459e873d30764456c5"),
+    (AUDIT_LAPLACE + ["--seed", "5", "--flip-index", "70"],
+     "dc19a19cb0c12dc0bd757c66fe626d77b6caadbc3f81cea1c1febf6e17e84a5e"),
+    (AUDIT_LAPLACE + ["--seed", "7", "--flip-index", "0"],
+     "fc5a02db9d5c686434a75982e50bb297b40d791cb749d9630fdad17297725d12"),
+    (AUDIT_LAPLACE + ["--seed", "7", "--flip-index", "70"],
+     "de573de64b00cf54d82a7d4e8a06ecc460785dfbd616688aba9cfe09ebc1a4fb"),
+    (["audit", "--channel", "exact_open", "--n", "64", "--search", "--seed", "7"],
+     "cb1b7a8ebe020def526a0f9bcf21e24ef51b3962acae0c575152708ed1a34886"),
+], ids=["s1-x", "s1-y", "s5-x", "s5-y", "s7-x", "s7-y", "s7-search"])
+def test_audit_artifacts_are_pinned(tmp_path, argv, digest):
+    # the artifacts as the sign-row audit wrote them, x half and y half
+    out = tmp_path / "audit.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_audit_search_grid_membership(tmp_path):

@@ -392,7 +392,7 @@ def test_product_totals_and_gate_are_pinned(n, digest):
     t = exact_ip_channel(n, leak_inputs=True).sample_batch(1, rng)
     x, y = t.xs[0], t.ys[0]
     f = open_transcript_estimator(n, noise_scale=2.0)
-    pairs = [(x, y), (flip(x, 3), y)]
+    pairs = [(pack_signs(x), pack_signs(y)), (pack_signs(flip(x, 3)), pack_signs(y))]
     totals = condense._product_totals(3, pairs, t, f, [1, 2, 3], 1300, rng)
     rates, outs = condense._eve_outputs(n + 5, x, y, t, f, [2, 3, 5], 0.0, 700, rng)
     data = np.asarray(totals, dtype=np.int64).tobytes() + rates.tobytes() + outs.tobytes()
@@ -550,7 +550,7 @@ def test_scalar_estimator_adapter_and_masked_views():
     R = random_signs(n, rng, 20)
     x, y = random_signs(n, rng), random_signs(n, rng)
     t = exact_ip_channel(n).sample_batch(1, rng)
-    views = condense._triplet_views(pack_signs(R), x, y, t)
+    views = condense._triplet_views(pack_signs(R), pack_signs(x), pack_signs(y), t)
     xp, ym = views.x_plus, views.y_minus
     assert np.array_equal(views.R, R)
     assert np.all(xp[R == -1] == 0)

@@ -577,11 +577,12 @@ def test_vote_kernel_exhaustive_total_is_brute_force_mean(n, monkeypatch):
     x = random_signs(n, rng)
     y = x * z
     ip = np.array([np.dot(x.astype(np.int64), y)])
-    t = ChannelBatch(n, pack_signs(x), pack_signs(y), ip, {"x": x[None], "y": y[None]})
+    px, py = pack_signs(x), pack_signs(y)
+    t = ChannelBatch(n, px, py, ip, {"x": x[None], "y": y[None]})
     triplet = [open_transcript_estimator(n, noise) for noise in (0.0, 2.0)]
     oracles = [
         EstimatorHandle(
-            lambda Q, g=g: g.query_masked(condense._triplet_views(Q, x, y, t), rng), n
+            lambda Q, g=g: g.query_masked(condense._triplet_views(Q, px, py, t), rng), n
         )
         for g in triplet
     ]
@@ -595,7 +596,7 @@ def test_vote_kernel_exhaustive_total_is_brute_force_mean(n, monkeypatch):
                 )
         for g, oracle in zip(triplet, oracles):
             for j in (0, 3, n - 1):
-                p, r_j, z_j = condense._product_residuals(j, x, y, t, g, P, rng)
+                p, r_j, z_j = condense._product_residuals(j, px, py, t, g, P, rng)
                 total = reconstruct._vote_sums(p, r_j, z_j, n, [ell])[0]
                 assert Fraction(int(total), denom * 2**n) == (
                     brute_force_vote_mean(j, z, oracle, ell)
