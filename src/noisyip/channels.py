@@ -34,7 +34,7 @@ import numpy as np
 from .errors import DimensionMismatch
 from .reporting import wald_half_width
 from .rng import CHUNK_TRIALS, sum_chunks
-from .signvectors import pack_bits, packed_inner_products
+from .signvectors import flip_lanes, pack_bits, packed_inner_products
 from .signvectors import random_packed, unpack_signs
 from .sources import SvSourceSpec, sample_rounded_laplace, sample_sv_source
 from .sources import laplace_from_uniform, round_half_away
@@ -284,19 +284,21 @@ def dp_audit(
     flip_index: int,
     trials: int,
     rng: np.random.Generator,
+    threads: int = 1,
 ) -> DpAuditReport:
     """Hypothesis-test style lower bound on the privacy parameter.
 
     The distinguisher maps ``(flip_index, px, py, batch)`` to one bool per
     row: ``px``/``py`` are the batch's uint64 lanes and ``batch`` is the sampled
     ``ChannelBatch``, whose ``outs`` and ``extras`` carry the transcripts.
-    It is called twice: on ``batch.px, batch.py``, and against the same
-    transcripts with entry ``flip_index`` of every concatenated pair negated
-    (bit j % 64 of lane j // 64 XORed, j = flip_index % n, in a copy of the
-    addressed half only).  A large ratio between the two acceptance rates
-    certifies that the channel is *not* eps-private for eps below the
-    returned lower bound.  This audits a lower bound only: a small value
-    never certifies privacy.
+    The trials run in ``CHUNK_TRIALS`` chunks, each sampled from its own
+    stream of ``sum_chunks``, and the distinguisher is called twice per
+    chunk: on ``batch.px, batch.py``, and against the same transcripts on
+    ``flip_lanes(batch.px, batch.py, flip_index, n)``, with entry
+    ``flip_index`` of every concatenated pair negated.  A large ratio
+    between the two acceptance rates certifies that the channel is *not*
+    eps-private for eps below the returned lower bound.  This audits a
+    lower bound only: a small value never certifies privacy.
 
     ``flip_index`` addresses the concatenated pair: values below n flip an
     x entry, values in [n, 2n) flip a y entry.
@@ -304,16 +306,15 @@ def dp_audit(
     n = channel.n
     if not 0 <= flip_index < 2 * n:
         raise ValueError("flip_index must lie in [0, 2n)")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    b = channel.sample_batch(trials, rng)
-    lanes, (k, j) = [b.px, b.py], divmod(flip_index, n)
-    real = int(np.count_nonzero(distinguisher(flip_index, *lanes, b)))
-    lanes[k] = lanes[k] ^ pack_bits(np.arange(n) == j)
-    flipped = int(np.count_nonzero(distinguisher(flip_index, *lanes, b)))
+
+    def counts(stream, size):
+        b = channel.sample_batch(size, stream)
+        return [np.count_nonzero(distinguisher(flip_index, *lanes, b))
+                for lanes in ((b.px, b.py), flip_lanes(b.px, b.py, flip_index, n))]
+
+    real, flipped = map(int, sum_chunks(counts, rng, trials, CHUNK_TRIALS, threads))
     floor = 1.0 / trials
-    p_real = real / trials
-    p_flipped = flipped / trials
+    p_real, p_flipped = real / trials, flipped / trials
     eps_hat = math.log(max(p_real, floor) / max(p_flipped, floor))
     return DpAuditReport(
         p_real=p_real,

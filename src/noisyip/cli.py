@@ -367,7 +367,7 @@ def cmd_audit(args) -> ExperimentReport:
               "distinguisher": args.distinguisher, "search": search}
     rng = rng_from_seed(args.seed)
     dist = _build_distinguisher(args.distinguisher)
-    audit = channels.dp_audit(channel, dist, args.flip_index, trials, rng)
+    audit = channels.dp_audit(channel, dist, args.flip_index, trials, rng, args.threads)
     report = ExperimentReport("audit", args.seed, config)
     report.add_metric("p_real", audit.p_real, trials)
     report.add_metric("p_flipped", audit.p_flipped, trials)
@@ -433,7 +433,8 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("csv", "json"), default=None)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None, help="worker threads for "
+                   "chunked trial loops; changes no bytes; audit --search runs on one")
 
 
 _CHANNEL_CHOICES = (

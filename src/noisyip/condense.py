@@ -44,7 +44,7 @@ from .channels import Channel, ChannelBatch
 from .errors import PreconditionViolation, UnsupportedModel
 from .keyagreement import EveViews
 from .rng import hash_uniform01, map_streams, rng_from_seed, sum_chunks
-from .signvectors import flip_pair, pack_bits, pack_signs, random_packed
+from .signvectors import flip_lanes, pack_bits, pack_signs, random_packed
 from .signvectors import random_signs, unpack_signs
 from .reconstruct import _CHUNK_ROWS, _residuals, _vote_sums
 from .sources import SvSourceSpec, laplace_from_uniform, round_half_away
@@ -276,23 +276,23 @@ class EveParams:
             raise ValueError("v_hat must be >= 0")
 
 
-def _eve_outputs(i: int, x, y, t: ChannelBatch, f, ell_hats, v_min, samples: int, rng):
+def _eve_outputs(i: int, px, py, t: ChannelBatch, f, ell_hats, v_min, samples: int, rng):
     """Gate rates (len(ell_hats),) and flip-pattern outputs (3, len(ell_hats))
-    for every window in ``ell_hats``, from one gate batch and one
-    reconstruction batch: the triple (ell_hat, v_hat, d) at window index l
-    aborts when rates[l] <= v_hat and otherwise outputs outputs[d-1, l].
-    Windows whose rate is at most ``v_min`` abort for every threshold, so
-    they are never reconstructed."""
-    n = len(x)
+    for every window in ``ell_hats`` of the claimed pair with one-row lanes
+    px, py, from one gate batch and one reconstruction batch: the triple
+    (ell_hat, v_hat, d) at window index l aborts when rates[l] <= v_hat and
+    otherwise outputs outputs[d-1, l].  Windows whose rate is at most
+    ``v_min`` abort for every threshold, so they are never reconstructed."""
+    n = t.n
     if not 0 <= i < 2 * n:
         raise PreconditionViolation("index must lie in [0, 2n)")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     j = i % n
-    R = random_signs(n, rng, samples)
-    R[:, j] = -1 if i < n else 1
-    px, py = pack_signs(x), pack_signs(y)  # the claimed pair, packed once
-    p, r_j, z_j = _product_residuals(j, px, py, t, f, pack_signs(R), rng)
+    bit = pack_bits(np.arange(n) == j)  # the gate's r_j: -1 (bit set) below n
+    pr = random_packed(n, samples, rng)
+    pr = pr | bit if i < n else pr & ~bit
+    p, r_j, z_j = _product_residuals(j, px, py, t, f, pr, rng)
     distance = np.abs(p + z_j * r_j)
     rates = np.array([np.count_nonzero(distance <= lh) for lh in ell_hats]) / samples
     outputs = np.zeros((3, len(ell_hats)), dtype=bool)
@@ -324,9 +324,8 @@ def eve_distinguisher(
     If q > v_hat, the flip-pattern test runs at window ell_hat + 1.  The
     gate and the reconstruction each ask ``samples`` queries.
     """
-    rates, outputs = _eve_outputs(
-        i, x, y, t, f, [params.ell_hat], params.v_hat, samples, rng
-    )
+    rates, outputs = _eve_outputs(i, pack_signs(x), pack_signs(y), t, f,
+                                  [params.ell_hat], params.v_hat, samples, rng)
     return ABORT if rates[0] <= params.v_hat else int(outputs[params.d - 1, 0])
 
 
@@ -410,9 +409,8 @@ def search_eve_params(
     aborts = np.zeros((len(ell_hat_candidates), len(grid)), dtype=np.int64)
     for seed in rng.integers(0, 2**63, size=num_triplets):
         t = channel.sample_batch(1, rng)
-        x, y = t.xs[0], t.ys[0]
         i = int(rng.integers(0, 2 * channel.n))
-        for side, pair in enumerate(((x, y), flip_pair(x, y, i))):
+        for side, pair in enumerate(((t.px, t.py), flip_lanes(t.px, t.py, i, t.n))):
             rates, outputs = _eve_outputs(
                 i, *pair, t, f, ell_hat_candidates, grid[0], samples,
                 rng_from_seed(int(seed)),

@@ -31,7 +31,7 @@ def as_signs(values, name: str = "vector") -> np.ndarray:
 def random_signs(n: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
     """Uniform sign vector(s): shape (n,) or (size, n)."""
     shape = (n,) if size is None else (size, n)
-    return (2 * rng.integers(0, 2, size=shape, dtype=SIGN_DTYPE) - 1).astype(SIGN_DTYPE)
+    return 2 * rng.integers(0, 2, size=shape, dtype=SIGN_DTYPE) - 1
 
 
 def inner_product(x, y) -> int:
@@ -53,13 +53,6 @@ def flip(v, i: int) -> np.ndarray:
     return out
 
 
-def flip_pair(x, y, i: int) -> tuple[np.ndarray, np.ndarray]:
-    """(x, y) with entry i of the concatenated pair negated.  Only the half
-    that entry lies in is copied; works on rows and on (batch, n) matrices."""
-    n = np.shape(x)[-1]
-    return (flip(x, i), y) if i < n else (x, flip(y, i - n))
-
-
 def signs_to_bits(v) -> np.ndarray:
     """Map signs to bits with the fixed convention bit = (1 - sign)/2."""
     v = np.asarray(v)
@@ -68,8 +61,7 @@ def signs_to_bits(v) -> np.ndarray:
 
 def bits_to_signs(b) -> np.ndarray:
     """Inverse of :func:`signs_to_bits`."""
-    b = np.asarray(b)
-    return (1 - 2 * b.astype(np.int8)).astype(SIGN_DTYPE)
+    return 1 - 2 * np.asarray(b).astype(SIGN_DTYPE)
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +91,16 @@ def pack_bits(bits) -> np.ndarray:
 def pack_signs(v) -> np.ndarray:
     """Pack sign vector(s) into uint64 lanes: shape (..., packed_width(n))."""
     return pack_bits(np.atleast_2d(v) < 0)
+
+
+def flip_lanes(px, py, i: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(px, py) with entry i of the concatenated pair of length-n rows
+    negated: bit i % n is XORed into a copy of the addressed half only (x
+    below n, y from n on).  Works on one-row and on (batch, W) lanes."""
+    if not 0 <= i < 2 * n:
+        raise IndexError(f"index {i} out of range for a pair of length {n}")
+    bit = pack_bits(np.arange(n) == i % n)
+    return (px ^ bit, py) if i < n else (px, py ^ bit)
 
 
 def unpack_bits(P: np.ndarray, n: int) -> np.ndarray:

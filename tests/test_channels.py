@@ -21,7 +21,7 @@ from noisyip import (
     rounded_laplace_pmf,
 )
 from noisyip.channels import randomized_response_p
-from noisyip.signvectors import flip_pair, packed_inner_products, unpack_bits
+from noisyip.signvectors import flip, packed_inner_products, unpack_bits
 from noisyip.signvectors import unpack_signs
 
 
@@ -190,6 +190,8 @@ def test_dp_audit_constant_channel_no_signal():
 
     rep = dp_audit(ch, dist, 3, 2000, rng)
     assert rep.eps_hat_lower == pytest.approx(0.0, abs=1e-9)
+    with pytest.raises(ValueError):  # sum_chunks rejects an empty audit
+        dp_audit(ch, dist, 3, 0, rng)
 
 
 def test_dp_audit_exact_channel_blatant():
@@ -207,8 +209,9 @@ def test_dp_audit_exact_channel_blatant():
 
 @pytest.mark.parametrize("n", [8, 64, 70, 130])
 def test_dp_audit_flips_one_bit_of_the_addressed_lanes(n):
-    # the second call sees flip_pair of the sampled rows, as lanes whose
-    # pad bits stay zero; the first sees the batch's own lanes
+    # the second call sees the sampled rows with entry flip_index of the
+    # concatenated pair negated, as lanes whose pad bits stay zero; the
+    # first sees the batch's own lanes
     ch = laplace_ip_channel(n, 1.0)
     for flip_index in range(2 * n):
         calls = []
@@ -222,11 +225,27 @@ def test_dp_audit_flips_one_bit_of_the_addressed_lanes(n):
         assert px is b.px and py is b.py and fb is b and i == flip_index
         # only the addressed half is copied
         assert (fy is b.py) if flip_index < n else (fx is b.px)
-        xf, yf = flip_pair(b.xs, b.ys, flip_index)
+        xf, yf = ((flip(b.xs, flip_index), b.ys) if flip_index < n
+                  else (b.xs, flip(b.ys, flip_index - n)))
         assert np.array_equal(unpack_signs(fx, n), xf)
         assert np.array_equal(unpack_signs(fy, n), yf)
         for lanes in (fx, fy):
             assert not unpack_bits(lanes, 64 * lanes.shape[1])[:, n:].any()
+
+
+@pytest.mark.parametrize("width", [0, 2])
+def test_dp_audit_counts_the_accuracy_estimates_chunk_streams(width):
+    # 25,000 trials are three chunks; dp_audit's real-pair rate of near:w
+    # counts exactly the rows estimate_accuracy counts at alpha = w
+    ch, trials = laplace_ip_channel(64, 1.0), 25_000
+
+    def near(i, px, py, batch):
+        return np.abs(batch.outs - packed_inner_products(px, py, batch.n)) <= width
+
+    for seed in (1, 5):
+        acc = estimate_accuracy(ch, width, trials, rng_from_seed(seed))
+        rep = dp_audit(ch, near, 0, trials, rng_from_seed(seed))
+        assert rep.p_real == acc.gamma_hat
 
 
 def test_dp_audit_laplace_within_eps():

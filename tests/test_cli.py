@@ -92,6 +92,9 @@ def test_threads_do_not_change_bytes(tmp_path):
         # the wrapper runs, 1,111 to a chunk at alpha = 0.6 (cap 9)
         ["amplify", "--n", "24", "--alpha", "0.6", "--trials", "15000",
          "--wrapper-runs", "4000", "--seed", "11"],
+        # the audit's three chunks of trials
+        ["audit", "--channel", "laplace", "--eps", "1.0", "--n", "64",
+         "--trials", "25000"],
     ):
         outs = []
         for threads in ("1", "2", "3"):
@@ -292,25 +295,35 @@ AUDIT_LAPLACE = ["audit", "--channel", "laplace", "--eps", "1.0", "--n", "64",
 
 @pytest.mark.parametrize("argv, digest", [
     (AUDIT_LAPLACE + ["--seed", "1", "--flip-index", "0"],
-     "3d76a2e487d9caeadc24b28931c34c9974437a65351b9607a5122ff6478d3b04"),
+     "ee8ad880b3f30e47fe3842800f799fd768c400154b2b51481c8b9028181c9fe0"),
     (AUDIT_LAPLACE + ["--seed", "1", "--flip-index", "70"],
-     "fe050fc1706904f66191c150c7b72460fa81779c4e855d385b4d177a7fbc146e"),
+     "7afa463c9ba37a768509d0d6cc52d21e5289ef00335971d35689775b8a63757e"),
     (AUDIT_LAPLACE + ["--seed", "5", "--flip-index", "0"],
-     "71552e87b248e16310fa5b7e8a395824f12b1f10ace967459e873d30764456c5"),
+     "6a4aa301fe074b64e35bca8a41a671506031d973e67c32bf58e5f4e60ca051ae"),
     (AUDIT_LAPLACE + ["--seed", "5", "--flip-index", "70"],
-     "dc19a19cb0c12dc0bd757c66fe626d77b6caadbc3f81cea1c1febf6e17e84a5e"),
+     "ee3b23d308173bc456eaa56ac509c15737489445144af4e167468758e3ba6254"),
     (AUDIT_LAPLACE + ["--seed", "7", "--flip-index", "0"],
-     "fc5a02db9d5c686434a75982e50bb297b40d791cb749d9630fdad17297725d12"),
+     "0acc4e9d1dd688619c7a78eecf5ad0eb6b8e961264b74b3bfd26d398f3ff50c8"),
     (AUDIT_LAPLACE + ["--seed", "7", "--flip-index", "70"],
-     "de573de64b00cf54d82a7d4e8a06ecc460785dfbd616688aba9cfe09ebc1a4fb"),
+     "84f1beffd7f495c9d57e9f0eef030be6a81d0046e53fcb83ecebe6e894cfccd3"),
     (["audit", "--channel", "exact_open", "--n", "64", "--search", "--seed", "7"],
-     "cb1b7a8ebe020def526a0f9bcf21e24ef51b3962acae0c575152708ed1a34886"),
+     "e7ce38c6098906b1c3493f53b9164962034f8784259b2ec7bb7beec52a2dba8f"),
 ], ids=["s1-x", "s1-y", "s5-x", "s5-y", "s7-x", "s7-y", "s7-search"])
 def test_audit_artifacts_are_pinned(tmp_path, argv, digest):
-    # the artifacts as the sign-row audit wrote them, x half and y half
+    # the artifacts as the chunked audit writes them, x half and y half
     out = tmp_path / "audit.json"
     assert main(argv + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    if argv[:len(AUDIT_LAPLACE)] == AUDIT_LAPLACE:
+        # near:0 accepts a real pair when the noise is 0 and a flipped pair
+        # when it is -+2: both rates lie within 4 sigma of the exact law
+        from noisyip import rounded_laplace_pmf
+
+        metrics = json.loads(out.read_text())["metrics"]
+        for name, k in (("p_real", 0), ("p_flipped", 2)):
+            p = rounded_laplace_pmf(k, 2.0)
+            sigma = math.sqrt(p * (1 - p) / 20_000)
+            assert abs(metrics[name]["value"] - p) <= 4 * sigma, name
 
 
 def test_audit_search_grid_membership(tmp_path):

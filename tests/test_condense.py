@@ -31,7 +31,7 @@ from noisyip.condense import (
     variant_vote_split,
 )
 from noisyip.rng import spawn_rngs
-from noisyip.signvectors import flip, flip_pair, pack_signs, random_signs
+from noisyip.signvectors import flip, pack_signs, random_signs, unpack_bits
 
 
 class ZeroTripletEstimator(TripletEstimator):
@@ -321,7 +321,8 @@ def test_search_counts_equal_separate_eve_calls(name, c_eps, monkeypatch):
     for rep in reports:
         counts = [0, 0, 0]
         for (x, y, t, i), seed in zip(triplets, seeds):
-            for side, pair in enumerate(((x, y), flip_pair(x, y, i))):
+            flipped = (flip(x, i), y) if i < n else (x, flip(y, i - n))
+            for side, pair in enumerate(((x, y), flipped)):
                 out = eve_distinguisher(
                     rep.params, i, *pair, t, f, rep.samples, rng_from_seed(int(seed))
                 )
@@ -380,23 +381,58 @@ def test_search_reports_are_pinned(seed, gap):
     )
 
 
-@pytest.mark.parametrize("n, digest", [
-    (64, "a8b789b742f489ce7a582c7baf682318a55f50b2b4e8c019919ef98707f552eb"),
-    (130, "14db2cc75ad9e1b013d057e63099dac6973dd509dbfee5263ac1fea8a5589778"),
-])
-def test_product_totals_and_gate_are_pinned(n, digest):
-    # a noisy estimator's vote totals (two pairs, three windows, 1,300
-    # queries in three chunks) and gate outputs, as computed before the
-    # shared rank-one kernel
+# sha256 of a noisy estimator's vote totals (two pairs, three windows,
+# 1,300 queries in three chunks), as computed before the shared rank-one
+# kernel, and of its gate rates and outputs, as computed since the gate
+# draws its queries packed
+PRODUCT_PINS = {
+    64: ("1bd0d594fd6013a4aee492bcccd31183a4d0b50f98b275a1e83eaa442132953a",
+         "58b88a6f3c0d7f60a89e3c5faf5c5b4aa0f4b676de5f5f1fe74099c82cf5a152"),
+    130: ("be31b3ebf75e42cbe6f192af4bcb37acc13937583460866b8df1265d59b579c8",
+          "8a68e6f5915ed90e5b017dd380626ee39fc924faed9d4b569d671c5e39f44d34"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(PRODUCT_PINS))
+def test_product_totals_and_gate_are_pinned(n):
+    totals_digest, gate_digest = PRODUCT_PINS[n]
     rng = rng_from_seed(400 + n)
     t = exact_ip_channel(n, leak_inputs=True).sample_batch(1, rng)
     x, y = t.xs[0], t.ys[0]
     f = open_transcript_estimator(n, noise_scale=2.0)
     pairs = [(pack_signs(x), pack_signs(y)), (pack_signs(flip(x, 3)), pack_signs(y))]
     totals = condense._product_totals(3, pairs, t, f, [1, 2, 3], 1300, rng)
-    rates, outs = condense._eve_outputs(n + 5, x, y, t, f, [2, 3, 5], 0.0, 700, rng)
-    data = np.asarray(totals, dtype=np.int64).tobytes() + rates.tobytes() + outs.tobytes()
-    assert hashlib.sha256(data).hexdigest() == digest
+    totals = np.asarray(totals, dtype=np.int64).tobytes()
+    assert hashlib.sha256(totals).hexdigest() == totals_digest
+    rates, outs = condense._eve_outputs(n + 5, *pairs[0], t, f, [2, 3, 5], 0.0, 700, rng)
+    assert hashlib.sha256(rates.tobytes() + outs.tobytes()).hexdigest() == gate_digest
+
+
+@pytest.mark.parametrize("n", [36, 64, 70, 130])
+def test_gate_queries_fix_bit_j_and_keep_pad_bits_zero(n):
+    # the gate draws its queries packed: bit j is set (r_j = -1) when i
+    # addresses x, cleared (r_j = +1) when i addresses y, the other bits
+    # are uniform and the pad bits are zero
+    class Recording(TripletEstimator):
+        def __init__(self):
+            self.n, self.lanes = n, []
+
+        def query_masked(self, views, rng):
+            self.lanes.append(views._pr)
+            return np.zeros(len(views.outs), dtype=np.int64)
+
+    x, y, t = open_triplet(n, 40 + n)
+    px, py = pack_signs(x), pack_signs(y)
+    for i in (0, n - 1, n, 2 * n - 1, 3 * n // 2):
+        f = Recording()
+        # v_min = 1 aborts every window, so the gate is the only query batch
+        condense._eve_outputs(i, px, py, t, f, [2], 1.0, 400, rng_from_seed(i))
+        (pr,) = f.lanes
+        bits = unpack_bits(pr, 64 * pr.shape[1])
+        j = i % n
+        assert (bits[:, j] == (i < n)).all()
+        assert not bits[:, n:].any()
+        assert 0.45 < np.delete(bits[:, :n], j, axis=1).mean() < 0.55
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,11 +17,12 @@ from noisyip import (
 )
 from noisyip.keyagreement import EveViews
 from noisyip.signvectors import (
-    flip_pair,
+    flip_lanes,
     pack_signs,
     packed_inner_products,
     packed_width,
     random_packed,
+    unpack_bits,
     unpack_signs,
 )
 
@@ -133,19 +136,26 @@ def test_flip_involution_and_example():
         flip(w, 11)
 
 
-def test_flip_pair_negates_one_entry_of_the_concatenated_pair():
+def test_flip_lanes_negates_one_entry_of_the_concatenated_pair():
     rng = rng_from_seed(3)
-    n = 7
-    for x, y in ((random_signs(n, rng), random_signs(n, rng)),
-                 (random_signs(n, rng, 5), random_signs(n, rng, 5))):
+    for n, rows in itertools.product((8, 64, 70, 130), (None, 5)):
+        x, y = random_signs(n, rng, rows), random_signs(n, rng, rows)
         pair = np.concatenate([x, y], axis=-1)
-        for i in (0, 3, n, 2 * n - 1):
-            xf, yf = flip_pair(x, y, i)
-            assert np.array_equal(np.concatenate([xf, yf], axis=-1), flip(pair, i))
+        px, py = pack_signs(x), pack_signs(y)
+        for i in range(2 * n):
+            fx, fy = flip_lanes(px, py, i, n)
+            flipped = np.concatenate([unpack_signs(fx, n), unpack_signs(fy, n)], axis=-1)
+            assert np.array_equal(flipped, np.atleast_2d(flip(pair, i)))
+            # pad bits stay zero
+            for lanes in (fx, fy):
+                assert not unpack_bits(lanes, 64 * lanes.shape[1])[:, n:].any()
             # the half without entry i is passed through, not copied
-            assert (yf is y) if i < n else (xf is x)
-        with pytest.raises(IndexError):
-            flip_pair(x, y, 2 * n)
+            assert (fy is py) if i < n else (fx is px)
+        # and the addressed half is a copy: the inputs are left as they were
+        assert np.array_equal(px, pack_signs(x)) and np.array_equal(py, pack_signs(y))
+        for i in (-1, 2 * n):
+            with pytest.raises(IndexError):
+                flip_lanes(px, py, i, n)
 
 
 @given(paired())
@@ -173,6 +183,15 @@ def test_bit_conventions_roundtrip():
     # fixed global convention: bit = (1 - sign)/2
     assert signs_to_bits(np.array([1, -1]))[0] == 0
     assert signs_to_bits(np.array([1, -1]))[1] == 1
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.bool_, np.int64])
+def test_bits_to_signs_and_random_signs_are_int8(dtype):
+    signs = bits_to_signs(np.array([[0, 1, 1], [1, 0, 0]], dtype=dtype))
+    assert signs.dtype == np.int8
+    assert signs.tolist() == [[1, -1, -1], [-1, 1, 1]]
+    rng = rng_from_seed(6)
+    assert random_signs(5, rng).dtype == random_signs(5, rng, 3).dtype == np.int8
 
 
 def test_index_sets():
