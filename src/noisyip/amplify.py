@@ -23,15 +23,14 @@ import numpy as np
 from .channels import Channel, ChannelBatch
 from .hashing import toeplitz_hash
 from .rng import keyed_uniform01
-from .signvectors import pack_bits
+from .signvectors import pack_bits, random_bits
 
 
 def _draw_hashes(n: int, m: int, size: int, rng: np.random.Generator):
     """``size`` uniform Toeplitz hashes {0,1}^n -> {0,1}^m: (diag, offset)."""
     if m < 1:
         raise ValueError("hash width m must be at least 1")
-    diag = rng.integers(0, 2, size=(size, n + m - 1), dtype=np.uint8)
-    return diag, rng.integers(0, 2, size=(size, m), dtype=np.uint8)
+    return random_bits((size, n + m - 1), rng), random_bits((size, m), rng)
 
 
 def _draw_rounds(channel: Channel, m: int, size: int, rng: np.random.Generator):
@@ -41,7 +40,7 @@ def _draw_rounds(channel: Channel, m: int, size: int, rng: np.random.Generator):
     n = channel.n
     b = channel.sample_batch(size, rng)
     diag, offset = _draw_hashes(n, m, size, rng)
-    r2 = rng.integers(0, 2, size=(size, n), dtype=np.uint8)
+    r2 = random_bits((size, n), rng)
     aborted = np.any(toeplitz_hash(diag, offset, b.px ^ b.py) != offset, axis=1)
     lanes = pack_bits(r2) & np.stack((b.px, b.py))
     par = np.bitwise_count(np.bitwise_xor.reduce(lanes, axis=-1)) & 1
@@ -163,7 +162,7 @@ def gl_decode(
 
     # probe row c is the XOR of the base rows at the set bits of c
     probes = np.zeros((1, n), dtype=np.uint8)
-    for row in rng.integers(0, 2, size=(t, n), dtype=np.uint8):
+    for row in random_bits((t, n), rng):
         probes = np.concatenate((probes, probes ^ row))
 
     # votes[c - 1, i] = oracle(probe_c xor e_i); one batched call per bit
@@ -171,7 +170,7 @@ def gl_decode(
     votes = np.stack([oracle(probes[1:] ^ e) for e in units], axis=1)
     candidates = _majority_bits(votes)  # row g: the bits under guess g
 
-    fresh = rng.integers(0, 2, size=(check_probes, n), dtype=np.uint8)
+    fresh = random_bits((check_probes, n), rng)
     answers = oracle(fresh)
     parities = _packed_parities(pack_bits(candidates), pack_bits(fresh))
     agreement = (parities == answers).sum(axis=1)
@@ -211,7 +210,7 @@ def eve_amplified(
     probability exactly 2^-m, diluting the adversary's success by that
     factor and no more."""
     diag, offset = _draw_hashes(b.n, m, len(b), rng)
-    v = rng.integers(0, 2, size=(len(b), m), dtype=np.uint8)
+    v = random_bits((len(b), m), rng)
     guess = np.asarray(hash_adversary(b.outs, b.extras, diag, offset, v), dtype=np.uint8)
     if guess.shape != (len(b), b.n):
         raise ValueError("hash adversary must return an n-bit guess per row")

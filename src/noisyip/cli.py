@@ -27,7 +27,7 @@ from . import amplify, channels, condense, keyagreement, reconstruct
 from .errors import PreconditionViolation
 from .reporting import ExperimentReport, wald_half_width
 from .rng import CHUNK_TRIALS, map_streams, rng_from_seed, spawn_rngs, sum_chunks
-from .signvectors import packed_inner_products, random_signs
+from .signvectors import packed_inner_products, random_bits, random_signs
 from .sources import SvSourceSpec
 
 
@@ -404,7 +404,7 @@ def cmd_gl(args) -> ExperimentReport:
     rng = rng_from_seed(args.seed)
     hits = 0
     for _ in range(args.runs):
-        x = rng.integers(0, 2, size=args.n, dtype=np.uint8)
+        x = random_bits(args.n, rng)
         oracle = amplify.parity_oracle(x, args.noise, int(rng.integers(0, 2**62)))
         hits += int(np.array_equal(amplify.gl_decode(oracle, args.n, rng), x))
     report = ExperimentReport("gl", args.seed, config)

@@ -45,7 +45,7 @@ from .errors import PreconditionViolation, UnsupportedModel
 from .keyagreement import EveViews
 from .rng import hash_uniform01, map_streams, rng_from_seed, sum_chunks
 from .signvectors import flip_lanes, pack_bits, pack_signs, random_packed
-from .signvectors import random_signs, unpack_signs
+from .signvectors import bits_to_signs, random_signs
 from .reconstruct import _CHUNK_ROWS, _residuals, _vote_sums
 from .sources import SvSourceSpec, laplace_from_uniform, round_half_away
 
@@ -128,6 +128,11 @@ def open_transcript_estimator(
 # ---------------------------------------------------------------------------
 
 
+def _signs_at(lanes, j: int) -> np.ndarray:
+    """Entry j of each packed sign row, read off bit j % 64 of lane j // 64."""
+    return bits_to_signs((lanes[..., j // 64] >> (j % 64)) & 1)
+
+
 def _product_residuals(j: int, px, py, t: ChannelBatch, f: TripletEstimator, pr, rng):
     """The database attack's p = a - <x*y, r>, the r_j and (x*y)_j: f answers
     each query lane of pr on the triplet views of the pair with lanes px, py,
@@ -137,7 +142,7 @@ def _product_residuals(j: int, px, py, t: ChannelBatch, f: TripletEstimator, pr,
     # two ufuncs: np.clip's Python wrapper outweighs them on small batches
     answers = np.minimum(np.maximum(f.query_masked(views, rng), -t.n), t.n)
     z = px ^ py  # the lanes of x*y
-    return _residuals(answers, pr, z[0], t.n), views.R[:, j], unpack_signs(z, t.n)[0, j]
+    return _residuals(answers, pr, z[0], t.n), _signs_at(pr, j), _signs_at(z, j)[0]
 
 
 def _product_totals(j: int, pairs, t: ChannelBatch, f, ells, samples: int, rng):
@@ -227,7 +232,7 @@ def _flip_outputs(i: int, px, py, t: ChannelBatch, f, ells, samples: int, rng):
     totals = _product_totals(j, list(fired.values()), t, f, ells, samples, rng)
     out = np.zeros((3, len(ells)), dtype=bool)
     for (d, (xf, yf)), total in zip(fired.items(), totals):
-        out[d - 1] = np.where(total > 0, 1, -1) != unpack_signs(xf ^ yf, t.n)[0, j]
+        out[d - 1] = np.where(total > 0, 1, -1) != _signs_at(xf ^ yf, j)[0]
     return out
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signvectors import pack_bits
+from .signvectors import pack_bits, packed_width
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,18 +44,20 @@ def toeplitz_hash(diag: np.ndarray, offset: np.ndarray, lanes) -> np.ndarray:
     One hash (diag (n+m-1,), offset (m,)) applies to lanes of shape (W,) or
     (batch, W); a batch of hashes (diag (batch, n+m-1), offset (batch, m))
     applies row by row to lanes of shape (batch, W).  Returns uint8 bits.
-    With rd the reversed diagonal, (T x)_i is the parity of
-    x & rd[m-1-i : m-1-i+n].  rd is packed once, with one zero lane
-    appended, and each window is a funnel shift of two of its lanes (numpy
-    shifts by 64 give 0); x's zero pad bits mask the window's tail.
+    With rd the reversed diagonal, packed once from a contiguous copy plus a
+    zero lane, (T x)_i is the parity of x & rd[m-1-i : m-1-i+n]: lane by lane
+    a funnel shift of two rd columns by a constant (numpy shifts by 64 give
+    0), ANDed with x's lane (its zero pad bits mask the tail), XORed into a word.
     """
-    m, w = offset.shape[-1], lanes.shape[-1]
-    rd = np.pad(pack_bits(diag[..., ::-1]), [(0, 0)] * (diag.ndim - 1) + [(0, 1)])
-    q, r = np.divmod(np.arange(m - 1, -1, -1), 64)  # window i starts at bit m-1-i
-    idx, r = q[:, None] + np.arange(w), r[:, None].astype(np.uint64)
-    win = (rd[..., idx] >> r) | (rd[..., idx + 1] << (np.uint64(64) - r))
-    lin = np.bitwise_count(np.bitwise_xor.reduce(win & lanes[..., None, :], axis=-1))
-    return (lin & 1) ^ offset
+    m, w, d = offset.shape[-1], lanes.shape[-1], diag.shape[-1]
+    rd = pack_bits(np.ascontiguousarray(diag[..., ::-1]), packed_width(d) + 1)
+    words = np.zeros((*np.broadcast_shapes(diag.shape[:-1], lanes.shape[:-1]), m), np.uint64)
+    for i in range(m):
+        q, r = divmod(m - 1 - i, 64)  # window i starts at bit m-1-i
+        for k in range(w):
+            window = (rd[..., q + k] >> r) | (rd[..., q + k + 1] << (64 - r))
+            words[..., i] ^= window & lanes[..., k]
+    return (np.bitwise_count(words) & 1) ^ offset
 
 
 def all_toeplitz_hashes(n: int, m: int):

@@ -30,8 +30,7 @@ def as_signs(values, name: str = "vector") -> np.ndarray:
 
 def random_signs(n: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
     """Uniform sign vector(s): shape (n,) or (size, n)."""
-    shape = (n,) if size is None else (size, n)
-    return 2 * rng.integers(0, 2, size=shape, dtype=SIGN_DTYPE) - 1
+    return 2 * random_bits((n,) if size is None else (size, n), rng).view(SIGN_DTYPE) - 1
 
 
 def inner_product(x, y) -> int:
@@ -79,12 +78,22 @@ def packed_width(n: int) -> int:
     return (n + 63) // 64
 
 
-def pack_bits(bits) -> np.ndarray:
-    """Pack rows of 0/1 entries into uint64 lanes (layout as above)."""
+def random_bits(shape, rng: np.random.Generator) -> np.ndarray:
+    """Uniform 0/1 uint8 entries: ``rng.integers(0, 2, shape, dtype=np.uint8)``
+    exactly, and the same generator state after, as numpy's bounded draw
+    (Lemire) at range 2 is the top bit of each byte of ceil(k/4) uint32s."""
+    k = int(np.prod(shape))
+    bytes_ = rng.integers(0, 2**32, -(-k // 4), dtype=np.uint32).view(np.uint8)
+    return np.right_shift(bytes_, 7, out=bytes_)[:k].reshape(shape)
+
+
+def pack_bits(bits, lanes: int | None = None) -> np.ndarray:
+    """Pack rows of 0/1 entries into uint64 lanes (layout as above), zero
+    padded to ``lanes`` lanes (default: as many as the rows need)."""
     packed = np.packbits(bits, axis=-1, bitorder="little")
-    pad = (-packed.shape[-1]) % 8
+    pad = 8 * (lanes or packed_width(np.shape(bits)[-1])) - packed.shape[-1]
     if pad:
-        packed = np.pad(packed, [(0, 0)] * (packed.ndim - 1) + [(0, pad)])
+        packed = np.concatenate((packed, np.zeros((*packed.shape[:-1], pad), np.uint8)), -1)
     return packed.view(np.uint64)
 
 

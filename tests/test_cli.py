@@ -326,6 +326,31 @@ def test_audit_artifacts_are_pinned(tmp_path, argv, digest):
             assert abs(metrics[name]["value"] - p) <= 4 * sigma, name
 
 
+AMPLIFY = ["amplify", "--n", "32", "--alpha", "0.25", "--trials", "20000"]
+GL = ["gl", "--n", "32", "--noise", "0.2", "--runs", "10"]
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (AMPLIFY + ["--seed", "1"],
+     "6c8206a78714ec40b89e82455037c50fea6fcd1faad84ecb5cfda955afbdee5c"),
+    (AMPLIFY + ["--seed", "5"],
+     "0fe7c5ba8fa2be56ae0e8627d8f45077fb22eccc25f6f734ec83ac3f33663b07"),
+    (AMPLIFY + ["--seed", "7"],
+     "4764c826ad2710714046ad62c061f7dded87b6bc1de432c8a768ff992853a2d2"),
+    (GL + ["--seed", "1"],
+     "a195568df07249018e20006694af5fd097a45e0538c7a196a2ae0a9284fb1a31"),
+    (GL + ["--seed", "5"],
+     "ae3341b6a160d6394ff2cc8c463792d0e0d90b6aba433482271cf73db95c1605"),
+    (GL + ["--seed", "7"],
+     "e0b165c7444c6b3d0033c5e7f057dc7cd978087fbd24d2e584fb55d468f8c415"),
+], ids=["amplify-s1", "amplify-s5", "amplify-s7", "gl-s1", "gl-s5", "gl-s7"])
+def test_amplify_and_gl_artifacts_are_pinned(tmp_path, argv, digest):
+    # the bit draws, Toeplitz hashes and GL probes as the amplifier makes them
+    out = tmp_path / "artifact.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_audit_search_grid_membership(tmp_path):
     out = tmp_path / "audit.json"
     code = main([

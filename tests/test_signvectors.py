@@ -18,9 +18,11 @@ from noisyip import (
 from noisyip.keyagreement import EveViews
 from noisyip.signvectors import (
     flip_lanes,
+    pack_bits,
     pack_signs,
     packed_inner_products,
     packed_width,
+    random_bits,
     random_packed,
     unpack_bits,
     unpack_signs,
@@ -192,6 +194,36 @@ def test_bits_to_signs_and_random_signs_are_int8(dtype):
     assert signs.tolist() == [[1, -1, -1], [-1, 1, 1]]
     rng = rng_from_seed(6)
     assert random_signs(5, rng).dtype == random_signs(5, rng, 3).dtype == np.int8
+
+
+@pytest.mark.parametrize("shape", [(0,), (1,), (3,), (4,), (5,), (7, 41), (10000, 10)])
+def test_random_bits_is_numpys_bounded_uint8_draw(shape):
+    # both generators have drawn an odd number of 32-bit words, so a half
+    # of a 64-bit output is buffered when the bit draws start
+    ours, numpys = rng_from_seed(8), rng_from_seed(8)
+    for g in (ours, numpys):
+        g.integers(0, 2**32, 3, dtype=np.uint32)
+    got = random_bits(shape, ours)
+    want = numpys.integers(0, 2, shape, dtype=np.uint8)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert ours.integers(0, 2**63, 5).tolist() == numpys.integers(0, 2**63, 5).tolist()
+    # random_signs draws through it: the same stream as numpy's int8 draw
+    signs = random_signs(shape[-1], rng_from_seed(3), 2)
+    assert np.array_equal(
+        signs, 2 * rng_from_seed(3).integers(0, 2, (2, shape[-1]), dtype=np.int8) - 1)
+
+
+@pytest.mark.parametrize("n", [1, 7, 41, 63, 64, 65, 130])
+def test_pack_bits_roundtrip_with_zero_pad_bits(n):
+    bits = random_bits((9, n), rng_from_seed(n))
+    for lanes in (None, packed_width(n) + 1):
+        P = pack_bits(bits, lanes)
+        width = packed_width(n) if lanes is None else lanes
+        assert P.dtype == np.uint64 and P.shape == (9, width)
+        assert np.array_equal(unpack_bits(P, n), bits)
+        assert not unpack_bits(P, 64 * width)[:, n:].any()
+    assert np.array_equal(pack_bits(bits[0]), pack_bits(bits)[0])
 
 
 def test_index_sets():
