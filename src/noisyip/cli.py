@@ -31,8 +31,8 @@ from .signvectors import packed_inner_products, random_bits, random_signs
 from .sources import SvSourceSpec
 
 
-class ConfigError(ValueError):
-    pass
+class ConfigError(ValueError, argparse.ArgumentTypeError):
+    """Invalid input (exit 2); argparse prints its message for a flag's type."""
 
 
 # ---------------------------------------------------------------------------
@@ -110,21 +110,39 @@ def _rate_metric(report, name, hits, trials):
 # ---------------------------------------------------------------------------
 
 
+# The flags each --channel reads, with their defaults (None: required).
+_CHANNEL_FLAGS = {
+    "exact": {},
+    "exact_open": {},
+    "laplace": {"eps": None},
+    "randomized_response": {"eps": None},
+    "constant": {"z": 0, "alpha": 1.0},
+    "equality": {"alpha": None},
+}
+
+
 def _channel_config(args) -> dict:
-    cfg = {"kind": args.channel, "n": args.n}
-    if args.channel in ("laplace", "randomized_response"):
-        if args.eps is None:
-            raise ConfigError(f"--eps is required for channel {args.channel}")
-        cfg["eps"] = args.eps
-    if args.channel == "constant":
-        cfg["z"] = args.z
-        cfg["alpha_a"] = args.alpha if args.alpha is not None else 1.0
-        cfg["alpha_b"] = args.alpha if args.alpha is not None else 1.0
-    if args.channel == "equality":
-        if args.alpha is None:
-            raise ConfigError("--alpha is required for the equality channel")
-        cfg["alpha"] = args.alpha
+    kind = args.channel
+    reads = _CHANNEL_FLAGS[kind]
+    # --eps is let through: a config file may set it for a noisy channel that
+    # a --channel flag then overrides
+    _reject_unread(args, [f for f in ("z", "alpha") if f not in reads],
+                   f"--channel {kind}")
+    cfg = {"kind": kind, "n": args.n}
+    for flag, default in reads.items():
+        value = getattr(args, flag)
+        if value is None and default is None:
+            raise ConfigError(f"--{flag} is required for channel {kind}")
+        cfg[flag] = default if value is None else value
+    if kind == "constant":
+        cfg["alpha_a"] = cfg["alpha_b"] = cfg.pop("alpha")
     return cfg
+
+
+def _reject_unread(args, flags, where: str) -> None:
+    for flag in flags:
+        if getattr(args, flag) is not None:
+            raise ConfigError(f"--{flag} does not apply to {where}")
 
 
 def _build_estimator(spec: str, z, eps, rng):
@@ -176,15 +194,10 @@ def cmd_recon(args) -> ExperimentReport:
     rng = rng_from_seed(args.seed)
     z = random_signs(args.n, rng)
     est = _build_estimator(args.estimator, z, args.eps, rng)  # rejects a missing eps
-    ell = args.ell
-    if ell is None:
-        laplace = args.estimator == "laplace"
-        ell = reconstruct.best_laplace_ell(args.n, 2.0 / args.eps) if laplace else 1
-    certify_trials = args.trials if args.trials is not None else 20_000
-    profile = reconstruct.certify_estimator(est, z, ell, certify_trials, rng)
-    samples = args.samples
-    if samples is None:
-        samples = reconstruct.default_num_samples(args.n)
+    ell = args.ell or (reconstruct.best_laplace_ell(args.n, 2.0 / args.eps)
+                       if args.estimator == "laplace" else 1)
+    profile = reconstruct.certify_estimator(est, z, ell, args.trials, rng)
+    samples = args.samples or reconstruct.default_num_samples(args.n)
     result = reconstruct.reconstruct_all(
         z, est, ell, samples, rng, threads=args.threads
     )
@@ -193,7 +206,7 @@ def cmd_recon(args) -> ExperimentReport:
         "ell": ell,
         "estimator": args.estimator,
         "eps": args.eps,
-        "certify_trials": certify_trials,
+        "certify_trials": args.trials,
         "samples_per_bit": samples,
     }
     report = ExperimentReport("recon", args.seed, config)
@@ -213,8 +226,7 @@ def cmd_recon(args) -> ExperimentReport:
 
 def cmd_ka(args) -> ExperimentReport:
     cfg = _channel_config(args)
-    ell = args.ell if args.ell is not None else max(2, math.isqrt(args.n))
-    trials = args.trials if args.trials is not None else 10_000
+    ell = args.ell or max(2, math.isqrt(args.n))
     config = {"channel": cfg, "ell": ell, "adversary": args.adversary}
 
     if args.adversary == "openbook" and cfg["kind"] != "exact_open":
@@ -223,13 +235,15 @@ def cmd_ka(args) -> ExperimentReport:
             "--channel exact_open"
         )
     channel = channels.channel_from_config(cfg)
-    adv = None if args.adversary == "none" else _build_adversary(args.adversary, ell)
+    # each --adversary choice but none names a keyagreement.<choice>_adversary
+    adv = (None if args.adversary == "none"
+           else getattr(keyagreement, f"{args.adversary}_adversary")(ell))
 
     def chunk(rng, size):
         return [*keyagreement.count_rounds(channel, ell, size, rng, adv), size]
 
     agree, leak_hits, total = run_chunked(
-        config, args.seed, trials, chunk, threads=args.threads, out_path=args.out
+        config, args.seed, args.trials, chunk, threads=args.threads, out_path=args.out
     )
     report = ExperimentReport("ka", args.seed, config)
     agreement = _rate_metric(report, "agreement", agree, total)
@@ -249,36 +263,27 @@ def cmd_ka(args) -> ExperimentReport:
     return report
 
 
-def _build_adversary(spec: str, ell: int):
-    if spec == "blind":
-        return keyagreement.blind_adversary(ell)
-    if spec == "readout":
-        return keyagreement.readout_adversary(ell)
-    if spec == "openbook":
-        return keyagreement.openbook_adversary(ell)
-    raise ConfigError(f"unknown adversary {spec!r}")
-
-
 def cmd_condense(args) -> ExperimentReport:
-    alphas = [float(a) for a in str(args.alpha or "1.0").split(",")]
     if args.mode == "mod":
+        _reject_unread(args, ["trials"], "--mode mod")
         trials = None  # exact laws: nothing is sampled
         modulus = args.modulus or max(2, math.isqrt(args.n))
     else:
-        trials = args.trials if args.trials is not None else 64  # conditionings
+        _reject_unread(args, ["modulus"], "--mode seeded")
+        trials = args.trials or 64  # conditionings
         modulus = None
     config = {
         "mode": args.mode,
         "n": args.n,
-        "alphas": alphas,
+        "alphas": args.alphas,
         "modulus": modulus,
         "trials": trials,
     }
     report = ExperimentReport("condense", args.seed, config)
     rng = rng_from_seed(args.seed)
-    child = spawn_rngs(rng, len(alphas))
+    child = spawn_rngs(rng, len(args.alphas))
     record_estimates = {}
-    for alpha, crng in zip(alphas, child):
+    for alpha, crng in zip(args.alphas, child):
         spec = SvSourceSpec(alpha=alpha, n=args.n)
         if args.mode == "mod":
             rep = condense.condense_mod_experiment(spec, spec, modulus)
@@ -291,7 +296,7 @@ def cmd_condense(args) -> ExperimentReport:
     report.record = {
         "experiment": args.mode,
         "n": args.n,
-        "alpha": alphas[0] if len(alphas) == 1 else None,
+        "alpha": args.alphas[0] if len(args.alphas) == 1 else None,
         "params": {"modulus": modulus},
         "estimate": record_estimates,
         "ci": None,
@@ -302,13 +307,12 @@ def cmd_condense(args) -> ExperimentReport:
 
 
 def cmd_amplify(args) -> ExperimentReport:
-    alpha = args.alpha if args.alpha is not None else 0.25
+    alpha = args.alpha
     if not 0 < alpha <= 1:
         raise ConfigError(f"--alpha must lie in (0, 1] for amplify, got {alpha}")
-    m = args.m if args.m is not None else amplify.default_hash_width(alpha)
-    trials = args.trials if args.trials is not None else 100_000
+    m = args.m or amplify.default_hash_width(alpha)
     cfg = {"kind": "equality", "n": args.n, "alpha": alpha}
-    config = {"channel": cfg, "m": m, "trials": trials,
+    config = {"channel": cfg, "m": m, "trials": args.trials,
               "wrapper_runs": args.wrapper_runs}
 
     channel = channels.channel_from_config(cfg)
@@ -321,7 +325,7 @@ def cmd_amplify(args) -> ExperimentReport:
         return [int(ok.sum()), int((bit_a[ok] == bit_b[ok]).sum()), size]
 
     ok_count, match, total = run_chunked(
-        config, args.seed, trials, chunk, threads=args.threads, out_path=args.out
+        config, args.seed, args.trials, chunk, threads=args.threads, out_path=args.out
     )
     report = ExperimentReport("amplify", args.seed, config)
     abort_rate = _rate_metric(report, "abort_rate", total - ok_count, total)
@@ -353,30 +357,32 @@ def cmd_amplify(args) -> ExperimentReport:
 
 
 def cmd_audit(args) -> ExperimentReport:
-    cfg = _channel_config(args)
-    if args.search and cfg["kind"] != "exact_open":
+    if not args.search:
+        _reject_unread(args, ["ell", "budget"], "an audit without --search")
+    elif args.channel != "exact_open":
         raise ConfigError(
             "--search reads inputs from the transcript and requires "
             "--channel exact_open"
         )
+    cfg = _channel_config(args)
     channel = channels.channel_from_config(cfg)
-    trials = args.trials if args.trials is not None else 2_000
     search = args.search and {"ell": args.ell or 1, "eps": args.eps or 0.0,
-                              "budget": args.budget}
-    config = {"channel": cfg, "trials": trials, "flip_index": args.flip_index,
+                              "budget": args.budget or 2_000_000}
+    config = {"channel": cfg, "trials": args.trials, "flip_index": args.flip_index,
               "distinguisher": args.distinguisher, "search": search}
     rng = rng_from_seed(args.seed)
     dist = _build_distinguisher(args.distinguisher)
-    audit = channels.dp_audit(channel, dist, args.flip_index, trials, rng, args.threads)
+    audit = channels.dp_audit(channel, dist, args.flip_index, args.trials,
+                              rng, args.threads)
     report = ExperimentReport("audit", args.seed, config)
-    report.add_metric("p_real", audit.p_real, trials)
-    report.add_metric("p_flipped", audit.p_flipped, trials)
-    report.add_metric("eps_hat_lower", audit.eps_hat_lower, trials)
+    report.add_metric("p_real", audit.p_real, args.trials)
+    report.add_metric("p_flipped", audit.p_flipped, args.trials)
+    report.add_metric("eps_hat_lower", audit.eps_hat_lower, args.trials)
     record = {
         "channel": cfg,
         "eps_hat_lower": audit.eps_hat_lower,
         "seed": args.seed,
-        "trials": trials,
+        "trials": args.trials,
     }
     if search:
         est = condense.open_transcript_estimator(channel.n)
@@ -419,32 +425,88 @@ def cmd_gl(args) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="JSON config file; flags override it")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--ell", type=int, default=None)
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--alpha", default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument(
-        "--samples", type=int, default=None,
-        help="recon query count, one batch shared by every bit (default 64*n^3, the analysis-scale budget; far smaller values suffice in practice)",
-    )
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("csv", "json"), default=None)
-    p.add_argument("--threads", type=int, default=None, help="worker threads for "
-                   "chunked trial loops; changes no bytes; audit --search runs on one")
+def _at_least(low):
+    return lambda v: v is None or v >= low
 
 
-_CHANNEL_CHOICES = (
-    "exact",
-    "exact_open",
-    "laplace",
-    "randomized_response",
-    "constant",
-    "equality",
-)
+def _alpha_list(text) -> tuple[float, ...]:
+    """condense --alpha: comma-separated alphas whose metric names differ,
+    so no alpha's run overwrites another's metric."""
+    alphas = tuple(float(a) for a in str(text).split(","))
+    if len({f"{a:g}" for a in alphas}) < len(alphas):
+        raise ConfigError(f"two alphas share a metric name in {text!r}")
+    return alphas
+
+
+# Every flag by destination: its argparse keywords ("option" when it is not
+# spelled after its destination) and the check its merged value must pass.
+_FLAGS = {
+    "config": ({"help": "JSON config file; flags override it"}, None),
+    "n": ({"type": int}, _at_least(1)),
+    "seed": ({"type": int}, None),
+    "out": ({}, None),
+    "format": ({"choices": ("csv", "json")}, None),
+    "threads": ({"type": int, "help": "worker threads for chunked trial loops; "
+                 "changes no bytes; audit --search runs on one"}, _at_least(1)),
+    "trials": ({"type": int}, _at_least(1)),
+    "ell": ({"type": int}, _at_least(1)),
+    "eps": ({"type": float}, lambda v: v is None or v > 0),  # also rejects nan
+    "alpha": ({"type": float}, None),
+    "alphas": ({"option": "--alpha", "type": _alpha_list, "metavar": "ALPHA,..."},
+               None),
+    "samples": ({"type": int, "help": "recon query count, one batch shared by "
+                 "every bit (default 64*n^3, the analysis-scale budget; far "
+                 "smaller values suffice in practice)"}, _at_least(1)),
+    "estimator": ({"help": "exact | zero | laplace | replay:<path>"}, None),
+    "channel": ({"choices": tuple(_CHANNEL_FLAGS)}, None),
+    "z": ({"type": int}, None),
+    "adversary": ({"choices": ("none", "blind", "readout", "openbook")}, None),
+    "mode": ({"choices": ("mod", "seeded")}, None),
+    "modulus": ({"type": int}, _at_least(2)),
+    "m": ({"type": int}, _at_least(1)),
+    "wrapper_runs": ({"type": int}, _at_least(1)),
+    "flip_index": ({"type": int}, None),
+    "distinguisher": ({}, None),
+    "search": ({"action": "store_true"}, None),
+    "budget": ({"type": int, "help": "--search queries (default 2,000,000): per "
+                "(triplet, side) the gate and the reconstruction each get "
+                "max(64, budget // 2E), E = 2 x 48 triplets x (up to 72) "
+                "parameter triples, and every triple reads the same ones"},
+               _at_least(1)),
+    "noise": ({"type": float}, lambda v: 0 <= v <= 1),  # also rejects nan
+    "runs": ({"type": int}, _at_least(1)),
+}
+
+_COMMON = {"config": None, "n": 64, "seed": 1, "out": None, "format": "json"}
+
+# Every subcommand: its function, its help and {flag: default} for exactly
+# the flags it reads.  A None default leaves the subcommand to work the value
+# out (ka's --ell) or to reject a flag it reads only in other settings
+# (condense --trials with --mode mod).
+_SUBCOMMANDS = {
+    "recon": (cmd_recon, "estimator certification + bit reconstruction", {
+        **_COMMON, "estimator": "laplace", "eps": None, "ell": None,
+        "trials": 20_000, "samples": None, "threads": 1}),
+    "ka": (cmd_ka, "key-agreement round statistics", {
+        **_COMMON, "channel": "exact", "eps": None, "z": None, "alpha": None,
+        "ell": None, "trials": 10_000, "adversary": "none", "threads": 1}),
+    "condense": (cmd_condense, "min-entropy experiments", {
+        **_COMMON, "mode": "mod", "alphas": (1.0,), "modulus": None,
+        "trials": None}),
+    "amplify": (cmd_amplify, "hash-and-parity amplification statistics", {
+        **_COMMON, "alpha": 0.25, "m": None, "trials": 100_000,
+        "wrapper_runs": 2000, "threads": 1}),
+    "audit": (cmd_audit, "privacy lower-bound audit", {
+        **_COMMON, "channel": "laplace", "eps": None, "z": None, "alpha": None,
+        "trials": 2_000, "flip_index": 0, "distinguisher": "near:0",
+        "search": False, "ell": None, "budget": None, "threads": 1}),
+    "gl": (cmd_gl, "parity decoder benchmark", {
+        **_COMMON, "noise": 0.2, "runs": 100}),
+}
+
+
+def _option(dest: str) -> str:
+    return _FLAGS[dest][0].get("option", "--" + dest.replace("_", "-"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -452,139 +514,64 @@ def build_parser() -> argparse.ArgumentParser:
         prog="noisyip", description="noisy inner-product experiment driver"
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("recon", help="estimator certification + bit reconstruction")
-    _add_common(p)
-    p.add_argument("--estimator", help="exact | zero | laplace | replay:<path>")
-
-    p = sub.add_parser("ka", help="key-agreement round statistics")
-    _add_common(p)
-    p.add_argument("--channel", choices=_CHANNEL_CHOICES)
-    p.add_argument("--z", type=int)
-    p.add_argument("--adversary", help="none | blind | readout | openbook")
-
-    p = sub.add_parser("condense", help="min-entropy experiments")
-    _add_common(p)
-    p.add_argument("--mode", choices=("mod", "seeded"))
-    p.add_argument("--modulus", type=int, default=None)
-
-    p = sub.add_parser("amplify", help="hash-and-parity amplification statistics")
-    _add_common(p)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--wrapper-runs", type=int)
-
-    p = sub.add_parser("audit", help="privacy lower-bound audit")
-    _add_common(p)
-    p.add_argument("--channel", choices=_CHANNEL_CHOICES)
-    p.add_argument("--z", type=int)
-    p.add_argument("--flip-index", type=int)
-    p.add_argument("--distinguisher")
-    p.add_argument("--search", action="store_true", default=None)
-    p.add_argument("--budget", type=int, help="--search queries (default 2,000,000): "
-                   "per (triplet, side) the gate and the reconstruction each get "
-                   "max(64, budget // 2E), E = 2 x 48 triplets x (up to 72) "
-                   "parameter triples, and every triple reads the same ones")
-
-    p = sub.add_parser("gl", help="parity decoder benchmark")
-    _add_common(p)
-    p.add_argument("--noise", type=float)
-    p.add_argument("--runs", type=int)
-
+    for name, (_, help_text, defaults) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for dest in defaults:
+            kwargs = {k: v for k, v in _FLAGS[dest][0].items() if k != "option"}
+            # None until merged: a config-file value fills it before the default
+            p.add_argument(_option(dest), dest=dest, default=None, **kwargs)
     return parser
 
 
-# Flags parse to None when absent from the command line, so a config-file
-# value fills them first and these defaults fill what is left.
-_DEFAULTS = {"n": 64, "seed": 1, "threads": 1, "format": "json"}
-_COMMAND_DEFAULTS = {
-    "recon": {"estimator": "laplace"},
-    "ka": {"channel": "exact", "z": 0, "adversary": "none"},
-    "condense": {"mode": "mod"},
-    "amplify": {"wrapper_runs": 2000},
-    "audit": {"channel": "laplace", "z": 0, "flip_index": 0,
-              "distinguisher": "near:0", "search": False, "budget": 2_000_000},
-    "gl": {"noise": 0.2, "runs": 100},
-}
-
-_VALIDATORS = {
-    "n": lambda v: v >= 1,
-    "trials": lambda v: v is None or v >= 1,
-    "samples": lambda v: v is None or v >= 1,
-    "threads": lambda v: v >= 1,
-    "ell": lambda v: v is None or v >= 1,
-    "eps": lambda v: v is None or v > 0,  # also rejects nan
-    "m": lambda v: v is None or v >= 1,
-    "wrapper_runs": lambda v: v >= 1,
-    "runs": lambda v: v >= 1,
-    "budget": lambda v: v >= 1,
-    "modulus": lambda v: v is None or v >= 2,
-    "noise": lambda v: 0 <= v <= 1,  # also rejects nan
-}
-
-
-def _config_value(key: str, value, action: argparse.Action):
+def _config_value(key: str, value, kwargs: dict):
     """A config-file value checked against its flag and converted as the flag
     would: switches take a bool, int flags an int, float flags a number, and
-    untyped flags a string or a number."""
-    if action.nargs == 0:
+    other flags a string or a number."""
+    if kwargs.get("action") == "store_true":
         ok = isinstance(value, bool)
     else:
-        kinds = {int: int, float: (int, float)}.get(action.type, (str, int, float))
+        convert = kwargs.get("type", str)
+        kinds = {int: int, float: (int, float)}.get(convert, (str, int, float))
         ok = isinstance(value, kinds) and not isinstance(value, bool)
-        value = (action.type or str)(value) if ok else value
-    if not ok or (action.choices is not None and value not in action.choices):
+        value = convert(value) if ok else value
+    if not ok or ("choices" in kwargs and value not in kwargs["choices"]):
         raise ConfigError(f"invalid value for config key {key!r}: {value!r}")
     return value
 
 
-def _merge_config(args, parser: argparse.ArgumentParser) -> None:
-    file_cfg = {}
+def _merge_config(args, _parser=None) -> None:
+    """Fill every flag the command line left out from the config file, then
+    from the subcommand's default, and check it.  ``_parser`` is not read:
+    the table declares the flags."""
+    defaults = _SUBCOMMANDS[args.subcommand][2]
     if args.config:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    actions = {a.dest: a for a in sub.choices[args.subcommand]._actions}
-    for key, value in file_cfg.items():
-        attr = key.replace("-", "_")
-        if attr not in actions or not hasattr(args, attr):
-            raise ConfigError(f"unknown config key {key!r}")
-        value = _config_value(key, value, actions[attr])
-        if getattr(args, attr) is None:
-            setattr(args, attr, value)
-    for key, value in {**_DEFAULTS, **_COMMAND_DEFAULTS[args.subcommand]}.items():
-        if getattr(args, key) is None:
-            setattr(args, key, value)
-    if args.subcommand == "condense":
-        unused = {"mod": "trials", "seeded": "modulus"}[args.mode]
-        if getattr(args, unused) is not None:
-            raise ConfigError(f"--{unused} does not apply to --mode {args.mode}")
-    if getattr(args, "alpha", None) is not None and args.subcommand != "condense":
-        args.alpha = float(args.alpha)
-    for key, check in _VALIDATORS.items():
-        if hasattr(args, key) and not check(getattr(args, key)):
-            flag = key.replace("_", "-")
-            raise ConfigError(f"invalid value for --{flag}: {getattr(args, key)}")
-
-
-_COMMANDS = {
-    "recon": cmd_recon,
-    "ka": cmd_ka,
-    "condense": cmd_condense,
-    "amplify": cmd_amplify,
-    "audit": cmd_audit,
-    "gl": cmd_gl,
-}
+        dests = {_option(d): d for d in defaults if d != "config"}
+        for key, value in file_cfg.items():
+            dest = dests.get("--" + key.replace("_", "-"))
+            if dest is None:
+                raise ConfigError(f"unknown config key {key!r}")
+            value = _config_value(key, value, _FLAGS[dest][0])
+            if getattr(args, dest) is None:
+                setattr(args, dest, value)
+    for dest, default in defaults.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+        check = _FLAGS[dest][1]
+        if check is not None and not check(getattr(args, dest)):
+            raise ConfigError(f"invalid value for {_option(dest)}: "
+                              f"{getattr(args, dest)}")
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        _merge_config(args, parser)
+        _merge_config(args)
         start = time.monotonic()
-        report = _COMMANDS[args.subcommand](args)
+        report = _SUBCOMMANDS[args.subcommand][0](args)
         wall = time.monotonic() - start
         payload = (
             report.to_json_bytes() if args.format == "json" else report.to_csv_bytes()

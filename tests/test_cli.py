@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import json
@@ -592,6 +593,97 @@ def test_exit_code_missing_replay_file(tmp_path, capsys):
     assert "replay file" in capsys.readouterr().err
 
 
+def exit_code(argv):
+    """main's exit code, counting argparse's usage errors (SystemExit)."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+# one cheap command per subcommand that runs to exit 0
+CHEAP = {
+    "recon": ["recon", "--estimator", "exact", "--n", "16", "--ell", "1",
+              "--trials", "10", "--samples", "10"],
+    "ka": ["ka", "--n", "16", "--trials", "10"],
+    "condense": ["condense", "--n", "16"],
+    "amplify": ["amplify", "--n", "8", "--trials", "10", "--wrapper-runs", "1"],
+    "audit": ["audit", "--channel", "exact", "--n", "16", "--trials", "10"],
+    "gl": ["gl", "--n", "8", "--runs", "1"],
+}
+
+# every (subcommand, flag) pair that used to be parsed and then ignored
+UNREAD = [("recon", "alpha"), ("ka", "samples"), ("condense", "ell"),
+          ("condense", "eps"), ("condense", "samples"), ("condense", "threads"),
+          ("amplify", "ell"), ("amplify", "eps"), ("amplify", "samples"),
+          ("audit", "samples"), ("gl", "ell"), ("gl", "eps"), ("gl", "alpha"),
+          ("gl", "trials"), ("gl", "samples"), ("gl", "threads")]
+
+
+@pytest.mark.parametrize("sub, flag", UNREAD, ids=[f"{s}-{f}" for s, f in UNREAD])
+def test_a_flag_the_subcommand_does_not_read_exits_2(tmp_path, capsys, sub, flag):
+    argv = CHEAP[sub] + ["--out", str(tmp_path / "out")]
+    assert exit_code(argv) == 0
+    assert exit_code(argv + [f"--{flag}", "2"]) == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({flag: 2}))
+    assert exit_code(argv + ["--config", str(cfg)]) == 2
+    assert f"unknown config key {flag!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha", ["", "0.5,0.50", "1.0,0.1234567,0.1234568"])
+def test_condense_alpha_list_names_each_alpha_once(tmp_path, alpha):
+    # an empty list used to run at alpha 1, and a list naming one metric
+    # twice ran both alphas and kept only the last one's metric
+    argv = ["condense", "--n", "16", "--out", str(tmp_path / "out")]
+    assert exit_code(argv + [f"--alpha={alpha}"]) == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"alpha": alpha}))
+    assert exit_code(argv + ["--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (["ka"], "z", 3),
+    (["ka", "--channel", "laplace", "--eps", "1"], "z", 3),
+    (["ka"], "alpha", 0.5),
+    (["ka", "--channel", "randomized_response", "--eps", "1"], "alpha", 0.5),
+    (["audit", "--eps", "1"], "z", 3),
+    (["audit", "--channel", "exact_open"], "alpha", 0.5),
+    (["audit", "--eps", "1"], "budget", 1000),
+    (["audit", "--eps", "1"], "ell", 2),
+])
+def test_a_channel_or_search_flag_that_is_not_read_exits_2(
+        tmp_path, capsys, argv, flag, value):
+    argv = argv + ["--n", "16", "--trials", "10", "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    assert main(argv + [f"--{flag}", str(value)]) == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({flag: value}))
+    assert main(argv + ["--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.count(f"--{flag} does not apply") == 2
+
+
+CONSTANT = ["ka", "--channel", "constant", "--alpha", "0.5", "--z", "3"]
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (CONSTANT + ["--seed", "1"],
+     "528374f688e5b38c5de7b872491ee0d9871bd0338e6be99ca0466ea8d2ae6875"),
+    (CONSTANT + ["--seed", "5"],
+     "f9e7a71368be6a344c6d1bd64f14ad917fa3ee95ef084ae9e9cbd404df57fcbd"),
+    (CONSTANT + ["--seed", "7"],
+     "34665e43232d94f6328177485a4171372727d998b3892a9289dbd574c53abd9c"),
+    # the constant channel's own defaults, z = 0 and alpha = 1
+    (["ka", "--channel", "constant", "--seed", "1"],
+     "2e358318024a67096522f0512fa6e8634b2572b57fbd5464d5bf9ae704ad7282"),
+], ids=["s1", "s5", "s7", "defaults-s1"])
+def test_constant_channel_artifacts_are_pinned(tmp_path, argv, digest):
+    # --z and --alpha as the constant channel reads them
+    out = tmp_path / "ka.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"frobnicate": 1}))
@@ -615,3 +707,27 @@ def test_readme_examples_parse_and_merge():
         parser = build_parser()
         args = parser.parse_args(argv[1:])
         _merge_config(args, parser)
+
+
+def readme_flag_lists():
+    """{subcommand: flags} from the README's per-subcommand flag list."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"^Each subcommand accepts exactly .*?\n\n(.*?)\n\n",
+                      readme, re.S | re.M).group(1)
+    lists = {}
+    for item in block.removeprefix("- ").split("\n- "):
+        name, flags = item.split(":", 1)
+        lists[name.strip("`")] = set(re.findall(r"`(--[a-z-]+)", flags))
+    common = lists.pop("every subcommand")
+    return {name: common | flags for name, flags in lists.items()}
+
+
+def test_readme_flag_lists_match_the_parser():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    declared = {
+        name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
+    assert readme_flag_lists() == declared
