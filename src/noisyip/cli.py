@@ -539,10 +539,9 @@ def _config_value(key: str, value, kwargs: dict):
     return value
 
 
-def _merge_config(args, _parser=None) -> None:
+def _merge_config(args) -> None:
     """Fill every flag the command line left out from the config file, then
-    from the subcommand's default, and check it.  ``_parser`` is not read:
-    the table declares the flags."""
+    from the subcommand's default, and check it."""
     defaults = _SUBCOMMANDS[args.subcommand][2]
     if args.config:
         with open(args.config) as fh:
@@ -567,7 +566,10 @@ def _merge_config(args, _parser=None) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 2 for a usage error, 0 for --help
+        return exc.code
     try:
         _merge_config(args)
         start = time.monotonic()

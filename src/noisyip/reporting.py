@@ -133,6 +133,31 @@ def _fmt(v):
     return "" if v is None else repr(v)
 
 
+class ReportError(ValueError):
+    """A report payload that breaks ``REPORT_SCHEMA``."""
+
+
 def validate_report(payload: dict) -> None:
-    import jsonschema  # imported on first use: importing noisyip skips it
-    jsonschema.validate(payload, REPORT_SCHEMA)
+    """Raise a ReportError naming the path of a value that breaks the schema."""
+    _check(payload, REPORT_SCHEMA, "report")
+
+
+_TYPES = dict(object=dict, string=str, null=type(None), number=(int, float), integer=int)
+
+
+def _check(value, schema: dict, path: str) -> None:
+    """The keywords ``REPORT_SCHEMA`` uses, as JSON Schema 2020-12 reads them:
+    a bool is neither an integer nor a number, and 3.0 is an integer."""
+    types = schema.get("type", [])
+    kind = int if isinstance(value, float) and value.is_integer() else type(value)
+    if types and (kind is bool or not any(issubclass(kind, _TYPES[t]) for t in (
+            [types] if isinstance(types, str) else types))):
+        raise ReportError(f"{path}: {value!r} is not of type {types!r}")
+    if "const" in schema and value != schema["const"]:
+        raise ReportError(f"{path}: {value!r} is not {schema['const']!r}")
+    if isinstance(value, dict):
+        if missing := [k for k in schema.get("required", []) if k not in value]:
+            raise ReportError(f"{path}: lacks required keys {missing}")
+        extra = schema.get("additionalProperties", {})
+        for key, item in value.items():
+            _check(item, schema.get("properties", {}).get(key, extra), f"{path}.{key}")

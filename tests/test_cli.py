@@ -6,6 +6,8 @@ import math
 import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -593,12 +595,23 @@ def test_exit_code_missing_replay_file(tmp_path, capsys):
     assert "replay file" in capsys.readouterr().err
 
 
-def exit_code(argv):
-    """main's exit code, counting argparse's usage errors (SystemExit)."""
-    try:
-        return main(argv)
-    except SystemExit as exc:
-        return exc.code
+def run_python(*args):
+    """A fresh interpreter that imports this checkout's noisyip."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True)
+
+
+def test_a_usage_error_returns_2_and_help_returns_0(capsys):
+    # argparse's usage errors used to raise SystemExit(2) out of main()
+    assert main(["ka", "--bogus"]) == 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    assert main(["ka", "--channel", "nope"]) == 2
+    assert main(["ka", "--help"]) == 0
+    assert "--adversary" in capsys.readouterr().out
+    assert run_python("-m", "noisyip", "ka", "--bogus").returncode == 2
 
 
 # one cheap command per subcommand that runs to exit 0
@@ -623,11 +636,11 @@ UNREAD = [("recon", "alpha"), ("ka", "samples"), ("condense", "ell"),
 @pytest.mark.parametrize("sub, flag", UNREAD, ids=[f"{s}-{f}" for s, f in UNREAD])
 def test_a_flag_the_subcommand_does_not_read_exits_2(tmp_path, capsys, sub, flag):
     argv = CHEAP[sub] + ["--out", str(tmp_path / "out")]
-    assert exit_code(argv) == 0
-    assert exit_code(argv + [f"--{flag}", "2"]) == 2
+    assert main(argv) == 0
+    assert main(argv + [f"--{flag}", "2"]) == 2
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({flag: 2}))
-    assert exit_code(argv + ["--config", str(cfg)]) == 2
+    assert main(argv + ["--config", str(cfg)]) == 2
     assert f"unknown config key {flag!r}" in capsys.readouterr().err
 
 
@@ -636,10 +649,10 @@ def test_condense_alpha_list_names_each_alpha_once(tmp_path, alpha):
     # an empty list used to run at alpha 1, and a list naming one metric
     # twice ran both alphas and kept only the last one's metric
     argv = ["condense", "--n", "16", "--out", str(tmp_path / "out")]
-    assert exit_code(argv + [f"--alpha={alpha}"]) == 2
+    assert main(argv + [f"--alpha={alpha}"]) == 2
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"alpha": alpha}))
-    assert exit_code(argv + ["--config", str(cfg)]) == 2
+    assert main(argv + ["--config", str(cfg)]) == 2
 
 
 @pytest.mark.parametrize("argv, flag, value", [
@@ -704,9 +717,7 @@ def test_readme_examples_parse_and_merge():
     examples = readme_examples()
     assert len(examples) >= 8
     for argv in examples:
-        parser = build_parser()
-        args = parser.parse_args(argv[1:])
-        _merge_config(args, parser)
+        _merge_config(build_parser().parse_args(argv[1:]))
 
 
 def readme_flag_lists():

@@ -1,13 +1,10 @@
 """The package's public names: the reference list a lazy ``noisyip`` must keep."""
 
 import json
-import os
-import subprocess
-import sys
 import types
-from pathlib import Path
 
 import noisyip
+from test_cli import run_python
 
 EXPORTS = [
     "ABORT", "AccuracyReport", "Channel", "DimensionMismatch", "DpAuditReport",
@@ -45,11 +42,8 @@ print(json.dumps([n for n in names if not hasattr(noisyip, n)]))
 
 
 def _missing_after_bare_import(names):
-    src = str(Path(noisyip.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
-    out = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(names)],
-                         env=env, capture_output=True, text=True, check=True)
+    out = run_python("-c", _PROBE, json.dumps(names))
+    assert out.returncode == 0, out.stderr
     return json.loads(out.stdout)
 
 
