@@ -181,9 +181,10 @@ def parity_oracle(
     x: np.ndarray, noise: float, seed: int
 ) -> Callable[[np.ndarray], np.ndarray]:
     """An oracle for <x, r> mod 2 as :func:`gl_decode` takes it, wrong at r
-    exactly when ``hash_uniform01(r, seed) < noise``: a fixed function of r
-    that errs on each distinct query with probability ``noise``.  Each query
-    batch is packed once, for both the parity and the noise key."""
+    exactly when ``keyed_uniform01(pack_bits(r), seed) < noise``: a fixed
+    function of r that errs on each distinct query with probability
+    ``noise``.  Each query batch is packed once, for both the parity and the
+    noise key."""
     x_lanes = pack_bits(x[None])
 
     def oracle(R):

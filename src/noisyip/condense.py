@@ -43,10 +43,11 @@ import numpy as np
 from .channels import Channel, ChannelBatch
 from .errors import PreconditionViolation, UnsupportedModel
 from .keyagreement import EveViews
-from .rng import hash_uniform01, map_streams, rng_from_seed, sum_chunks
+from .rng import keyed_uniform01, map_streams, rng_from_seed
 from .signvectors import flip_lanes, pack_bits, pack_signs, random_packed
 from .signvectors import bits_to_signs, random_signs
-from .reconstruct import _CHUNK_ROWS, _residuals, _vote_sums
+from .reconstruct import EstimatorHandle, _residuals, _vote_sums, _vote_totals
+from .reconstruct import reconstruct_bit
 from .sources import SvSourceSpec, laplace_from_uniform, round_half_away
 
 
@@ -99,28 +100,26 @@ class OpenTranscriptEstimator(TripletEstimator):
 
     Only works on channels that place ``x`` and ``y`` in the transcript
     (e.g. ``exact_ip_channel(n, leak_inputs=True)``).  The optional noise is
-    a *pure* function of r (hash-derived), so the estimator is a fixed
-    function and can be queried repeatedly with consistent answers.
+    a *pure* function of r (keyed by r under the fixed key 7), so the
+    estimator is a fixed function and can be queried repeatedly with
+    consistent answers.
     """
 
-    def __init__(self, n: int, noise_scale: float = 0.0, noise_seed: int = 7):
+    def __init__(self, n: int, noise_scale: float = 0.0):
         self.n = int(n)
         self.noise_scale = float(noise_scale)
-        self.noise_seed = int(noise_seed)
 
     def query_masked(self, views, rng):
         R, extras = views.R, views.extras
         answers = (R * extras["x"] * extras["y"]).sum(axis=1, dtype=np.int64)
         if self.noise_scale > 0:
-            u = hash_uniform01(R, self.noise_seed)
+            u = keyed_uniform01(pack_bits(R > 0), 7)
             answers += round_half_away(laplace_from_uniform(u, self.noise_scale))
         return answers
 
 
-def open_transcript_estimator(
-    n: int, noise_scale: float = 0.0, noise_seed: int = 7
-) -> OpenTranscriptEstimator:
-    return OpenTranscriptEstimator(n, noise_scale, noise_seed)
+def open_transcript_estimator(n: int, noise_scale: float = 0.0) -> OpenTranscriptEstimator:
+    return OpenTranscriptEstimator(n, noise_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -133,28 +132,11 @@ def _signs_at(lanes, j: int) -> np.ndarray:
     return bits_to_signs((lanes[..., j // 64] >> (j % 64)) & 1)
 
 
-def _product_residuals(j: int, px, py, t: ChannelBatch, f: TripletEstimator, pr, rng):
-    """The database attack's p = a - <x*y, r>, the r_j and (x*y)_j: f answers
-    each query lane of pr on the triplet views of the pair with lanes px, py,
-    clipped to [-n, n], and z = x*y has px ^ py as lanes.  The residual at
-    index j is p + (x*y)_j r_j, in which (x*y)_j cancels exactly."""
-    views = _triplet_views(pr, px, py, t)
-    # two ufuncs: np.clip's Python wrapper outweighs them on small batches
-    answers = np.minimum(np.maximum(f.query_masked(views, rng), -t.n), t.n)
-    z = px ^ py  # the lanes of x*y
-    return _residuals(answers, pr, z[0], t.n), _signs_at(pr, j), _signs_at(z, j)[0]
-
-
-def _product_totals(j: int, pairs, t: ChannelBatch, f, ells, samples: int, rng):
-    """Expected-vote totals (len(pairs), len(ells)) at index j of z = x*y for
-    each pair of lanes (px, py) and window, over ``samples`` queries drawn in
-    the database attack's chunks, so the totals are ``reconstruct_bit``'s."""
-    def chunk(stream, size):
-        pr = random_packed(t.n, size, stream)
-        return [_vote_sums(*_product_residuals(j, px, py, t, f, pr, rng), t.n, ells)
-                for px, py in pairs]
-
-    return sum_chunks(chunk, rng, samples, _CHUNK_ROWS)
+def _pair_estimator(px, py, t: ChannelBatch, f: TripletEstimator, rng) -> EstimatorHandle:
+    """f as a database estimator of z = x*y, whose lanes are px ^ py: it
+    answers each query lane on the triplet views of the pair with lanes px,
+    py, and every call passes f the same ``rng``."""
+    return EstimatorHandle(lambda P: f.query_masked(_triplet_views(P, px, py, t), rng), t.n)
 
 
 def reconstruct_product_bit(
@@ -167,13 +149,12 @@ def reconstruct_product_bit(
     samples: int,
     rng: np.random.Generator,
 ) -> int:
-    """Recover (x*y)_j by the database attack on z = x*y: the sign of the
-    expected vote over ``samples`` fresh queries, each answered by f on the
-    triplet views of (x, y).  Ties resolve to -1.  Position j of the
-    product cancels exactly from every residual."""
-    pair = (pack_signs(x), pack_signs(y))
-    total = _product_totals(j, [pair], t, f, [ell], samples, rng)[0, 0]
-    return 1 if total > 0 else -1
+    """Recover (x*y)_j by the database attack on z = x*y: ``reconstruct_bit``
+    with f answering each query on the triplet views of (x, y).  Ties
+    resolve to -1.  Position j of the product cancels exactly from every
+    residual."""
+    f_xy = _pair_estimator(pack_signs(x), pack_signs(y), t, f, rng)
+    return reconstruct_bit(j, np.delete(x * y, j), f_xy, ell, samples, rng)
 
 
 def variant_vote_split(
@@ -202,10 +183,11 @@ def variant_vote_split(
     bit = pack_bits(np.arange(t.n) == j)  # XOR negates entry j
     variants = {"xy": (px, py), "fx_y": (px ^ bit, py),
                 "x_fy": (px, py ^ bit), "fx_fy": (px ^ bit, py ^ bit)}
-    out = {}
-    for name, pair in variants.items():
-        p, r_j, z_j = _product_residuals(j, *pair, t, f, pr, rng)
-        out[name] = tuple(int(_vote_sums(p[m], r_j[m], z_j, t.n, [ell])[0])
+    r_j, out = _signs_at(pr, j), {}
+    for name, (vx, vy) in variants.items():
+        z = (vx ^ vy)[0]  # the lanes of x*y
+        p = _residuals(_pair_estimator(vx, vy, t, f, rng).query_packed(pr), pr, z, t.n)
+        out[name] = tuple(int(_vote_sums(p[m], r_j[m], _signs_at(z, j), t.n, [ell])[0])
                           for m in (r_j < 0, r_j > 0))
     return out
 
@@ -229,10 +211,12 @@ def _flip_outputs(i: int, px, py, t: ChannelBatch, f, ells, samples: int, rng):
     bit = pack_bits(np.arange(t.n) == j)
     fired = {d: (px ^ bit if fx else px, py ^ bit if fy else py)
              for d, (fx, fy, low) in _PATTERNS.items() if low == (i < t.n)}
-    totals = _product_totals(j, list(fired.values()), t, f, ells, samples, rng)
+    pairs = [(_pair_estimator(xf, yf, t, f, rng), (xf ^ yf)[0])
+             for xf, yf in fired.values()]
+    totals = _vote_totals(pairs, [j], ells, samples, rng)[..., 0]
     out = np.zeros((3, len(ells)), dtype=bool)
-    for (d, (xf, yf)), total in zip(fired.items(), totals):
-        out[d - 1] = np.where(total > 0, 1, -1) != _signs_at(xf ^ yf, j)[0]
+    for d, (_, z), total in zip(fired, pairs, totals):
+        out[d - 1] = np.where(total > 0, 1, -1) != _signs_at(z, j)
     return out
 
 
@@ -297,8 +281,9 @@ def _eve_outputs(i: int, px, py, t: ChannelBatch, f, ell_hats, v_min, samples: i
     bit = pack_bits(np.arange(n) == j)  # the gate's r_j: -1 (bit set) below n
     pr = random_packed(n, samples, rng)
     pr = pr | bit if i < n else pr & ~bit
-    p, r_j, z_j = _product_residuals(j, px, py, t, f, pr, rng)
-    distance = np.abs(p + z_j * r_j)
+    z = (px ^ py)[0]  # the lanes of x*y
+    p = _residuals(_pair_estimator(px, py, t, f, rng).query_packed(pr), pr, z, n)
+    distance = np.abs(p + _signs_at(z, j) * _signs_at(pr, j))
     rates = np.array([np.count_nonzero(distance <= lh) for lh in ell_hats]) / samples
     outputs = np.zeros((3, len(ell_hats)), dtype=bool)
     live = rates > v_min
@@ -522,7 +507,8 @@ def condense_mod_experiment(
     pa, pb = a.one_probs(), b.one_probs()
     pmf = _signed_sum_pmf(pa * pb + (1 - pa) * (1 - pb))
     sums = 2 * np.arange(a.n + 1) - a.n
-    max_prob = float(np.bincount(sums % modulus, pmf, minlength=modulus).max())
+    _, buckets = np.unique(sums % modulus, return_inverse=True)  # n + 1 at most
+    max_prob = float(np.bincount(buckets, pmf).max())
     # 0.0 - log2(1) is 0.0, where -log2(1) would be written as -0.0
     return CondenseReport("mod", a.n, modulus, max_prob, 0.0 - math.log2(max_prob))
 

@@ -267,7 +267,9 @@ class EstimatorHandle:
     def _answer(self, P: np.ndarray) -> np.ndarray:
         with self._lock:
             self._queries += P.shape[0]
-        return np.clip(self._packed_fn(P), -self.n, self.n).astype(np.int64)
+        # two ufuncs: np.clip's Python wrapper outweighs them on small batches
+        answers = np.minimum(np.maximum(self._packed_fn(P), -self.n), self.n)
+        return answers.astype(np.int64, copy=False)
 
 
 def exact_estimator(z) -> EstimatorHandle:
@@ -409,19 +411,28 @@ def _vote_sums(p, r, z_r, n: int, ells) -> np.ndarray:
     return (np.multiply.outer((hi - lo).sum(axis=1), z_r) + (hi + lo) @ r) // 2
 
 
-def _vote_totals(f, z, cols, ell, num_queries, rng, threads=1) -> np.ndarray:
-    """Expected-vote totals, times D of ``_expected_vote_table``, at each index
-    c in ``cols`` of the sign vector z, in which z_c cancels exactly, over
-    ``num_queries`` uniform queries shared by every column: two table reads
-    per query and one int64 column sum per chunk, exact for any ``threads``."""
+def _database_lanes(z, f: EstimatorHandle) -> np.ndarray:
+    """The one-row lanes of the sign vector z that f answers queries about."""
     if len(z) != f.n:
         raise DimensionMismatch(f"database length {len(z)} != estimator size {f.n}")
-    z_lanes = pack_signs(z)[0]
+    return pack_signs(z)[0]
 
-    def chunk(stream: np.random.Generator, rows: int) -> np.ndarray:
-        P = random_packed(f.n, rows, stream)
-        p = _residuals(f.query_packed(P), P, z_lanes, f.n)
-        return _vote_sums(p, unpack_signs(P, f.n)[:, cols], z[cols], f.n, [ell])[0]
+
+def _vote_totals(pairs, cols, ells, num_queries, rng, threads=1) -> np.ndarray:
+    """Expected-vote totals (len(pairs), len(ells), columns), times D of
+    ``_expected_vote_table``, of each (estimator f, database lanes z) pair
+    at each window in ``ells`` and each index c in ``cols`` of z, in which
+    z_c cancels exactly, over ``num_queries`` uniform queries shared by
+    every pair and column: two table reads per query and one int64 column
+    sum per pair and chunk, exact for any ``threads``."""
+    n = pairs[0][0].n
+    z_cols = [unpack_signs(z[None], n)[0, cols] for _, z in pairs]
+
+    def chunk(stream: np.random.Generator, rows: int) -> list:
+        P = random_packed(n, rows, stream)
+        ps = [_residuals(f.query_packed(P), P, z, n) for f, z in pairs]
+        R = unpack_signs(P, n)[:, cols]
+        return [_vote_sums(p, R, z_c, n, ells) for p, z_c in zip(ps, z_cols)]
 
     return sum_chunks(chunk, rng, num_queries, _CHUNK_ROWS, threads)
 
@@ -442,7 +453,8 @@ def reconstruct_bit(
     if not 0 <= i <= len(z_minus_i):
         raise PreconditionViolation("index must lie in [0, n)")
     z = np.insert(z_minus_i, i, 1)  # any sign: the kernel cancels it
-    total = _vote_totals(f, z, [i], ell, num_samples, rng)[0]
+    pair = (f, _database_lanes(z, f))
+    total = _vote_totals([pair], [i], [ell], num_samples, rng)[0, 0, 0]
     return 1 if total > 0 else -1
 
 
@@ -470,7 +482,8 @@ def reconstruct_all(
     n = len(z)
     num = default_num_samples(n) if num_samples_per_bit is None else num_samples_per_bit
     queries_before = f.query_count
-    totals = _vote_totals(f, z, slice(None), ell, num, rng, threads)
+    pair = (f, _database_lanes(z, f))
+    totals = _vote_totals([pair], slice(None), [ell], num, rng, threads)[0, 0]
     guess = np.where(totals > 0, 1, -1).astype(SIGN_DTYPE)
     return ReconstructionResult(
         guess=guess,

@@ -14,8 +14,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .signvectors import pack_bits
-
 Generator = np.random.Generator
 
 
@@ -113,10 +111,3 @@ def keyed_uniform01(lanes: np.ndarray, key: int) -> np.ndarray:
             acc ^= acc >> np.uint64(29)
         acc = _splitmix(acc)
     return (acc >> np.uint64(11)).astype(np.float64) * 2.0**-53
-
-
-def hash_uniform01(rows: np.ndarray, seed: int) -> np.ndarray:
-    """Deterministic per-row uniforms in [0, 1) from sign or bit rows: rows
-    are reduced to bits (positive entries map to 1), packed into 64-bit lanes
-    and keyed through :func:`keyed_uniform01`."""
-    return keyed_uniform01(pack_bits(np.atleast_2d(rows) > 0), seed)

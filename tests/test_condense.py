@@ -24,12 +24,13 @@ from noisyip import (
     seeded_condense_experiment,
     v_hat_grid,
 )
-from noisyip import condense
+from noisyip import condense, exact_estimator, reconstruct, reconstruct_bit
 from noisyip.condense import (
     ScalarTripletEstimator,
     TripletEstimator,
     variant_vote_split,
 )
+from noisyip.cli import main
 from noisyip.rng import spawn_rngs
 from noisyip.signvectors import flip, pack_signs, random_signs, unpack_bits
 
@@ -401,11 +402,52 @@ def test_product_totals_and_gate_are_pinned(n):
     x, y = t.xs[0], t.ys[0]
     f = open_transcript_estimator(n, noise_scale=2.0)
     pairs = [(pack_signs(x), pack_signs(y)), (pack_signs(flip(x, 3)), pack_signs(y))]
-    totals = condense._product_totals(3, pairs, t, f, [1, 2, 3], 1300, rng)
-    totals = np.asarray(totals, dtype=np.int64).tobytes()
+    handles = [(condense._pair_estimator(px, py, t, f, rng), (px ^ py)[0])
+               for px, py in pairs]
+    totals = reconstruct._vote_totals(handles, [3], [1, 2, 3], 1300, rng)
+    assert totals.shape == (2, 3, 1) and totals.dtype == np.int64
+    totals = totals.tobytes()
     assert hashlib.sha256(totals).hexdigest() == totals_digest
     rates, outs = condense._eve_outputs(n + 5, *pairs[0], t, f, [2, 3, 5], 0.0, 700, rng)
     assert hashlib.sha256(rates.tobytes() + outs.tobytes()).hexdigest() == gate_digest
+
+
+@pytest.mark.parametrize("n", [64, 70])
+def test_triplet_attack_is_the_database_attack(n):
+    # f read through the views of a size-1 exact_open triplet at noise 0
+    # answers <x*y, r> exactly, so the triplet attack is reconstruct_bit
+    # on z = x*y with the exact estimator: the same bit at every j from
+    # the same seed, and the same vote totals at every column
+    t = exact_ip_channel(n, leak_inputs=True).sample_batch(1, rng_from_seed(500 + n))
+    x, y = t.xs[0], t.ys[0]
+    f, z, ell = open_transcript_estimator(n), x * y, 2
+    for j in range(n):
+        s = 510 + j
+        assert reconstruct_product_bit(j, x, y, t, f, ell, 1300, rng_from_seed(s)) == (
+            reconstruct_bit(j, np.delete(z, j), exact_estimator(z), ell, 1300,
+                            rng_from_seed(s))
+        )
+    lanes = (t.px ^ t.py)[0]
+    assert np.array_equal(lanes, pack_signs(z)[0])
+    totals = [
+        reconstruct._vote_totals([(g, lanes)], slice(None), [ell], 1300, rng_from_seed(520))
+        for g in (condense._pair_estimator(t.px, t.py, t, f, rng_from_seed(521)),
+                  exact_estimator(z))
+    ]
+    assert np.array_equal(*totals)
+
+
+def test_condense_mod_buckets_only_the_residues_that_occur(tmp_path):
+    # a modulus above 2n leaves every residue of <X,Y> in its own bucket,
+    # so 10^12 reads the same law as 2n + 1, without a 10^12-entry count
+    n = 8
+    spec = SvSourceSpec(alpha=0.5, n=n)
+    huge = condense_mod_experiment(spec, spec, 10**12)
+    assert huge.max_prob == condense_mod_experiment(spec, spec, 2 * n + 1).max_prob
+    assert huge.min_entropy_bits > 0
+    out = tmp_path / "mod.json"
+    assert main(["condense", "--mode", "mod", "--n", str(n), "--modulus", str(10**12),
+                 "--out", str(out)]) == 0
 
 
 @pytest.mark.parametrize("n", [36, 64, 70, 130])

@@ -22,7 +22,7 @@ from noisyip.amplify import (
     parity_oracle,
 )
 from noisyip.hashing import all_toeplitz_hashes, toeplitz_hash
-from noisyip.rng import hash_uniform01
+from noisyip.rng import keyed_uniform01
 from noisyip.signvectors import pack_bits
 
 
@@ -327,7 +327,7 @@ def test_parity_oracle_is_the_keyed_noisy_parity(n):
     R = rng.integers(0, 2, size=(300, n), dtype=np.uint8)
     exact = R.astype(np.int64) @ x % 2
     for noise in (0.0, 0.2, 1.0):
-        wrong = hash_uniform01(R, 7) < noise
+        wrong = keyed_uniform01(pack_bits(R), 7) < noise
         assert np.array_equal(parity_oracle(x, noise, 7)(R), exact ^ wrong)
 
 

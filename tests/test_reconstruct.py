@@ -560,6 +560,12 @@ def test_reconstruct_threads_do_not_change_results():
         assert res1.queries == res2.queries == 1300
 
 
+def _totals(f, z, cols, ell, queries, rng):
+    """The vote loop's totals of the one database z at the one window ell."""
+    pair = (f, pack_signs(z)[0])
+    return reconstruct._vote_totals([pair], cols, [ell], queries, rng)[0, 0]
+
+
 @pytest.mark.parametrize("n", [9, 16])
 def test_vote_kernel_exhaustive_total_is_brute_force_mean(n, monkeypatch):
     # fed all 2^n queries as one chunk, the kernel's integer totals divided
@@ -571,9 +577,8 @@ def test_vote_kernel_exhaustive_total_is_brute_force_mean(n, monkeypatch):
     monkeypatch.setattr(reconstruct, "random_packed", lambda n, size, rng: P)
     estimators = (exact_estimator(z), zero_estimator(n), laplace_estimator(z, 1.5, rng))
     # the triplet attack: f read through the views of a size-1 triplet batch
-    # with x*y = z, at noise 0 and 2, scored by the shared residual popcount
-    # and vote sums on all 2^n queries; the oracle asks the same f through a
-    # handle
+    # with x*y = z, at noise 0 and 2, scored by the shared vote loop on all
+    # 2^n queries; the oracle asks the same f through its own handle
     x = random_signs(n, rng)
     y = x * z
     ip = np.array([np.dot(x.astype(np.int64), y)])
@@ -589,15 +594,15 @@ def test_vote_kernel_exhaustive_total_is_brute_force_mean(n, monkeypatch):
     for ell in range(1, math.isqrt(n) - 1):
         denom = math.lcm(*(p.denominator for p in offset_pmf(n, ell).values()))
         for f in estimators:
-            totals = reconstruct._vote_totals(f, z, slice(None), ell, 2**n, rng)
+            totals = _totals(f, z, slice(None), ell, 2**n, rng)
             for i in (0, 3, n - 1):
                 assert Fraction(int(totals[i]), denom * 2**n) == (
                     brute_force_vote_mean(i, z, f, ell)
                 )
         for g, oracle in zip(triplet, oracles):
             for j in (0, 3, n - 1):
-                p, r_j, z_j = condense._product_residuals(j, px, py, t, g, P, rng)
-                total = reconstruct._vote_sums(p, r_j, z_j, n, [ell])[0]
+                pair = (condense._pair_estimator(px, py, t, g, rng), (px ^ py)[0])
+                total = reconstruct._vote_totals([pair], [j], [ell], 2**n, rng)[0, 0, 0]
                 assert Fraction(int(total), denom * 2**n) == (
                     brute_force_vote_mean(j, z, oracle, ell)
                 )
@@ -663,8 +668,7 @@ def test_vote_totals_reach_both_ends_of_the_padded_table(monkeypatch):
     f = EstimatorHandle.from_signs(lambda R: -(R @ z.astype(np.int64)), n)
     for ell in range(1, math.isqrt(n) - 1):
         denom = math.lcm(*(p.denominator for p in offset_pmf(n, ell).values()))
-        totals = reconstruct._vote_totals(f, z, slice(None), ell, 2**n,
-                                          rng_from_seed(271))
+        totals = _totals(f, z, slice(None), ell, 2**n, rng_from_seed(271))
         for i in range(n):
             assert Fraction(int(totals[i]), denom * 2**n) == (
                 brute_force_vote_mean(i, z, f, ell)
@@ -686,11 +690,9 @@ def test_vote_totals_never_depend_on_the_attacked_bit(n, queries, monkeypatch):
     negated = EstimatorHandle.from_signs(lambda R: -(R @ z.astype(np.int64)), n)
     for f in (exact_estimator(z), laplace_estimator(z, 1.5, rng_from_seed(250)),
               negated):
-        totals = reconstruct._vote_totals(f, z, slice(None), ell, queries,
-                                          rng_from_seed(260))
+        totals = _totals(f, z, slice(None), ell, queries, rng_from_seed(260))
         for i in range(n):
-            flipped = reconstruct._vote_totals(f, flip(z, i), [i], ell, queries,
-                                               rng_from_seed(260))
+            flipped = _totals(f, flip(z, i), [i], ell, queries, rng_from_seed(260))
             assert flipped[0] == totals[i], i
 
 
@@ -706,7 +708,7 @@ def test_vote_totals_are_pinned(n, kind, digest):
     rng = rng_from_seed(300 + n)
     z = random_signs(n, rng)
     f = exact_estimator(z) if kind == "exact" else laplace_estimator(z, 2.0, rng)
-    totals = reconstruct._vote_totals(f, z, slice(None), 2, 1300, rng)
+    totals = _totals(f, z, slice(None), 2, 1300, rng)
     assert totals.dtype == np.int64
     assert hashlib.sha256(totals.tobytes()).hexdigest() == digest
 

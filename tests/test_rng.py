@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from noisyip import ensure_rng, rng_from_seed, spawn_rngs
-from noisyip.rng import hash_uniform01
-from noisyip.signvectors import random_signs
+from noisyip.rng import keyed_uniform01
+from noisyip.signvectors import pack_bits, random_signs
 
 
 def test_rng_from_seed_deterministic():
@@ -34,23 +34,23 @@ def test_spawned_streams_are_disjoint_and_stable():
     assert len(set(draws)) == 3
 
 
-def test_hash_uniform01_deterministic_per_row_content():
+def test_keyed_uniform01_deterministic_per_row_content():
     rng = rng_from_seed(2)
     R = random_signs(33, rng, 100)
-    u1 = hash_uniform01(R, seed=11)
-    u2 = hash_uniform01(R.copy(), seed=11)
+    u1 = keyed_uniform01(pack_bits(R > 0), 11)
+    u2 = keyed_uniform01(pack_bits(R.copy() > 0), 11)
     assert np.array_equal(u1, u2)
-    # different seed decorrelates
-    u3 = hash_uniform01(R, seed=12)
+    # a different key decorrelates
+    u3 = keyed_uniform01(pack_bits(R > 0), 12)
     assert not np.array_equal(u1, u3)
     # single row matches its batch value
-    assert hash_uniform01(R[0], 11)[0] == u1[0]
+    assert keyed_uniform01(pack_bits(R[:1] > 0), 11)[0] == u1[0]
 
 
-def test_hash_uniform01_roughly_uniform():
+def test_keyed_uniform01_roughly_uniform():
     rng = rng_from_seed(3)
     R = random_signs(64, rng, 200_000)
-    u = hash_uniform01(R, seed=4)
+    u = keyed_uniform01(pack_bits(R > 0), 4)
     assert np.all((0 <= u) & (u < 1))
     hist, _ = np.histogram(u, bins=16, range=(0, 1))
     expected = len(u) / 16
@@ -58,11 +58,11 @@ def test_hash_uniform01_roughly_uniform():
     assert chi2 < 45  # 15 dof, well beyond the 0.999 quantile (~37.7)
 
 
-def test_hash_uniform01_sensitive_to_single_bit():
+def test_keyed_uniform01_sensitive_to_single_bit():
     rng = rng_from_seed(4)
     R = random_signs(128, rng, 1000)
     R2 = R.copy()
     R2[:, 77] = -R2[:, 77]
-    u1 = hash_uniform01(R, seed=5)
-    u2 = hash_uniform01(R2, seed=5)
+    u1 = keyed_uniform01(pack_bits(R > 0), 5)
+    u2 = keyed_uniform01(pack_bits(R2 > 0), 5)
     assert np.all(u1 != u2)
