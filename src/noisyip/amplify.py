@@ -23,29 +23,27 @@ import numpy as np
 from .channels import Channel, ChannelBatch
 from .hashing import toeplitz_hash
 from .rng import keyed_uniform01
-from .signvectors import pack_bits, random_bits
+from .signvectors import pack_bits, random_bits, random_packed
 
 
 def _draw_hashes(n: int, m: int, size: int, rng: np.random.Generator):
-    """``size`` uniform Toeplitz hashes {0,1}^n -> {0,1}^m: (diag, offset)."""
+    """``size`` uniform Toeplitz hashes {0,1}^n -> {0,1}^m: (rd, offset), packed."""
     if m < 1:
         raise ValueError("hash width m must be at least 1")
-    return random_bits((size, n + m - 1), rng), random_bits((size, m), rng)
+    return random_packed(n + m - 1, size, rng), random_packed(m, size, rng)
 
 
 def _draw_rounds(channel: Channel, m: int, size: int, rng: np.random.Generator):
-    """``size`` rounds: (channel batch, hash diagonals, hash offsets, masks
-    r2, aborted, bit_a, bit_b), bits -1 where aborted, read off the packed
+    """``size`` rounds: (channel batch, hashes rd and offset, masks r2, all
+    packed, aborted, bit_a, bit_b), bits -1 where aborted, read off the packed
     channel lanes (bit = (1 - sign)/2); h(x) = h(y) exactly when T(x xor y) = 0."""
-    n = channel.n
     b = channel.sample_batch(size, rng)
-    diag, offset = _draw_hashes(n, m, size, rng)
-    r2 = random_bits((size, n), rng)
-    aborted = np.any(toeplitz_hash(diag, offset, b.px ^ b.py) != offset, axis=1)
-    lanes = pack_bits(r2) & np.stack((b.px, b.py))
-    par = np.bitwise_count(np.bitwise_xor.reduce(lanes, axis=-1)) & 1
+    rd, offset = _draw_hashes(channel.n, m, size, rng)
+    r2 = random_packed(channel.n, size, rng)
+    aborted = np.any(toeplitz_hash(rd, 0, b.px ^ b.py, m), axis=1)
+    par = np.bitwise_count(np.bitwise_xor.reduce(r2 & np.stack((b.px, b.py)), axis=-1)) & 1
     bit_a, bit_b = np.where(aborted, -1, par.astype(np.int64))
-    return b, diag, offset, r2, aborted, bit_a, bit_b
+    return b, rd, offset, r2, aborted, bit_a, bit_b
 
 
 def hashed_parity_trials(
@@ -205,14 +203,14 @@ def eve_amplified(
 ) -> np.ndarray:
     """Run a (transcript, hash, hash-value) guesser on the transcripts of
     the channel batch ``b``: one call ``hash_adversary(b.outs, b.extras,
-    diag, offset, v)`` with a sampled hash and a uniform candidate value v
-    per row, returning its (rows, n) bit guess; it never sees the inputs.
-    Where the parties' values agree, v matches the real hash with
-    probability exactly 2^-m, diluting the adversary's success by that
-    factor and no more."""
-    diag, offset = _draw_hashes(b.n, m, len(b), rng)
-    v = random_bits((len(b), m), rng)
-    guess = np.asarray(hash_adversary(b.outs, b.extras, diag, offset, v), dtype=np.uint8)
+    rd, offset, v)`` with a sampled hash (packed as ``toeplitz_hash`` takes
+    it) and a uniform packed candidate value v per row, returning its
+    (rows, n) bit guess; it never sees the inputs.  Where the parties'
+    values agree, v matches the real hash with probability exactly 2^-m,
+    diluting the adversary's success by that factor and no more."""
+    rd, offset = _draw_hashes(b.n, m, len(b), rng)
+    v = random_packed(m, len(b), rng)
+    guess = np.asarray(hash_adversary(b.outs, b.extras, rd, offset, v), dtype=np.uint8)
     if guess.shape != (len(b), b.n):
         raise ValueError("hash adversary must return an n-bit guess per row")
     return guess

@@ -308,8 +308,8 @@ def cmd_condense(args) -> ExperimentReport:
 
 def cmd_amplify(args) -> ExperimentReport:
     alpha = args.alpha
-    if not 0 < alpha <= 1:
-        raise ConfigError(f"--alpha must lie in (0, 1] for amplify, got {alpha}")
+    if not 0 < alpha <= 1 or 5 / alpha > CHUNK_TRIALS:  # a wrapper run fits one chunk
+        raise ConfigError(f"--alpha must lie in [{5 / CHUNK_TRIALS}, 1] for amplify, got {alpha}")
     m = args.m or amplify.default_hash_width(alpha)
     cfg = {"kind": "equality", "n": args.n, "alpha": alpha}
     config = {"channel": cfg, "m": m, "trials": args.trials,
@@ -318,9 +318,7 @@ def cmd_amplify(args) -> ExperimentReport:
     channel = channels.channel_from_config(cfg)
 
     def chunk(rng, size):
-        aborted, bit_a, bit_b = amplify.hashed_parity_trials(
-            channel, m, size, rng
-        )
+        aborted, bit_a, bit_b = amplify.hashed_parity_trials(channel, m, size, rng)
         ok = ~aborted
         return [int(ok.sum()), int((bit_a[ok] == bit_b[ok]).sum()), size]
 
@@ -339,7 +337,7 @@ def cmd_amplify(args) -> ExperimentReport:
         return amplify.repeat_until_success_batch(
             channel, alpha, runs, rng, m).all_failed.sum()
 
-    runs_per_chunk = max(1, CHUNK_TRIALS // math.ceil(5 / alpha))
+    runs_per_chunk = CHUNK_TRIALS // math.ceil(5 / alpha)
     all_failed = sum_chunks(wrapper_chunk, rng_from_seed(args.seed + 1),
                             args.wrapper_runs, runs_per_chunk, args.threads)
     _rate_metric(report, "all_fail_rate", int(all_failed), args.wrapper_runs)

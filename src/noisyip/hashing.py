@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signvectors import pack_bits, packed_width
+from .signvectors import pack_bits, packed_width, unpack_bits
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,30 +34,32 @@ class ToeplitzHash:
 
     def hash_bits(self, xbits: np.ndarray) -> np.ndarray:
         """Hash bit vector(s); accepts shape (n,) or (batch, n)."""
-        return toeplitz_hash(self.diag, self.offset, pack_bits(xbits))
+        rd, offset = pack_bits(self.diag[::-1]), pack_bits(self.offset)
+        return unpack_bits(toeplitz_hash(rd, offset, pack_bits(xbits), self.m), self.m)
 
 
-def toeplitz_hash(diag: np.ndarray, offset: np.ndarray, lanes) -> np.ndarray:
-    """h(x) = T x xor b over GF(2), with T[i, j] = diag[..., i - j + n - 1],
-    for x given as packed uint64 lanes (``noisyip.signvectors`` layout).
-
-    One hash (diag (n+m-1,), offset (m,)) applies to lanes of shape (W,) or
-    (batch, W); a batch of hashes (diag (batch, n+m-1), offset (batch, m))
-    applies row by row to lanes of shape (batch, W).  Returns uint8 bits.
-    With rd the reversed diagonal, packed once from a contiguous copy plus a
-    zero lane, (T x)_i is the parity of x & rd[m-1-i : m-1-i+n]: lane by lane
-    a funnel shift of two rd columns by a constant (numpy shifts by 64 give
-    0), ANDed with x's lane (its zero pad bits mask the tail), XORed into a word.
-    """
-    m, w, d = offset.shape[-1], lanes.shape[-1], diag.shape[-1]
-    rd = pack_bits(np.ascontiguousarray(diag[..., ::-1]), packed_width(d) + 1)
-    words = np.zeros((*np.broadcast_shapes(diag.shape[:-1], lanes.shape[:-1]), m), np.uint64)
+def toeplitz_hash(rd: np.ndarray, offset, lanes: np.ndarray, m: int) -> np.ndarray:
+    """h(x) = T x xor b over GF(2) as packed words, shape (..., packed_width(m)),
+    for x as packed lanes.  rd packs the reversed diagonal (T[i, j] is bit
+    m-1-i+j of rd; a uniform diagonal's reversal is uniform) and ``offset``
+    packs b (0 gives T x).  One hash (rd (D,), offset (M,)) applies to lanes
+    (W,) or (batch, W); a batch of hashes (rd (batch, D), offset (batch, M))
+    applies row by row to lanes (batch, W).  (T x)_i is the parity of
+    x & rd[m-1-i : m-1-i+n]: lane by lane a funnel shift of two rd lanes by a
+    constant (shifts by 64 give 0; past rd's last lane x has only zero pad
+    bits), ANDed with x's lane."""
+    out = np.zeros((*np.broadcast_shapes(rd.shape[:-1], lanes.shape[:-1]), packed_width(m)),
+                   np.uint64)
     for i in range(m):
         q, r = divmod(m - 1 - i, 64)  # window i starts at bit m-1-i
-        for k in range(w):
-            window = (rd[..., q + k] >> r) | (rd[..., q + k + 1] << (64 - r))
-            words[..., i] ^= window & lanes[..., k]
-    return (np.bitwise_count(words) & 1) ^ offset
+        word = 0
+        for k in range(lanes.shape[-1]):
+            window = rd[..., q + k] >> r
+            if q + k + 1 < rd.shape[-1]:
+                window |= rd[..., q + k + 1] << (64 - r)
+            word ^= window & lanes[..., k]
+        out[..., i // 64] |= (np.bitwise_count(word) & 1).astype(np.uint64) << i % 64
+    return out ^ offset
 
 
 def all_toeplitz_hashes(n: int, m: int):

@@ -87,11 +87,10 @@ def random_bits(shape, rng: np.random.Generator) -> np.ndarray:
     return np.right_shift(bytes_, 7, out=bytes_)[:k].reshape(shape)
 
 
-def pack_bits(bits, lanes: int | None = None) -> np.ndarray:
-    """Pack rows of 0/1 entries into uint64 lanes (layout as above), zero
-    padded to ``lanes`` lanes (default: as many as the rows need)."""
+def pack_bits(bits) -> np.ndarray:
+    """Pack rows of 0/1 entries into uint64 lanes (layout as above)."""
     packed = np.packbits(bits, axis=-1, bitorder="little")
-    pad = 8 * (lanes or packed_width(np.shape(bits)[-1])) - packed.shape[-1]
+    pad = 8 * packed_width(np.shape(bits)[-1]) - packed.shape[-1]
     if pad:
         packed = np.concatenate((packed, np.zeros((*packed.shape[:-1], pad), np.uint8)), -1)
     return packed.view(np.uint64)
@@ -124,13 +123,15 @@ def unpack_signs(P: np.ndarray, n: int) -> np.ndarray:
 
 
 def random_packed(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform packed sign vectors, pad bits cleared: shape (size, W)."""
+    """Uniform packed sign vectors, pad bits cleared: shape (size, W).  The
+    words and the next draws are those of ``rng.bytes(8 * size * W)``, which
+    draws the same uint32s, a uint64's low half first, and copies them."""
     w = packed_width(n)
-    raw = np.frombuffer(rng.bytes(size * w * 8), dtype=np.uint64).reshape(size, w)
-    raw = raw.copy()
-    rem = n % 64
-    if rem:
-        raw[:, -1] &= np.uint64((1 << rem) - 1)
+    if size * w == 0:  # rng.bytes(0) still draws one uint32
+        rng.bytes(0)
+        return np.zeros((size, w), np.uint64)
+    raw = rng.integers(0, 2**32, (size, 2 * w), dtype=np.uint32).view(np.uint64)
+    raw[:, -1] &= np.uint64(2**64 - 1) >> np.uint64(-n % 64)  # clear the pad bits
     return raw
 
 

@@ -335,11 +335,11 @@ GL = ["gl", "--n", "32", "--noise", "0.2", "--runs", "10"]
 
 @pytest.mark.parametrize("argv, digest", [
     (AMPLIFY + ["--seed", "1"],
-     "6c8206a78714ec40b89e82455037c50fea6fcd1faad84ecb5cfda955afbdee5c"),
+     "632d2381f01825dbcbebc3fcc0e1509513c9add700909e5998ee51f74a75f1be"),
     (AMPLIFY + ["--seed", "5"],
-     "0fe7c5ba8fa2be56ae0e8627d8f45077fb22eccc25f6f734ec83ac3f33663b07"),
+     "6b9656ee56ddee7c18d85ac4bb4b73de1afbd12ed2546374bfb4b90d2eec4425"),
     (AMPLIFY + ["--seed", "7"],
-     "4764c826ad2710714046ad62c061f7dded87b6bc1de432c8a768ff992853a2d2"),
+     "af0526ded09c7bb276f4252dabe869c78b6bd6e6d2a839e3a92690e5028075e9"),
     (GL + ["--seed", "1"],
      "a195568df07249018e20006694af5fd097a45e0538c7a196a2ae0a9284fb1a31"),
     (GL + ["--seed", "5"],
@@ -348,7 +348,7 @@ GL = ["gl", "--n", "32", "--noise", "0.2", "--runs", "10"]
      "e0b165c7444c6b3d0033c5e7f057dc7cd978087fbd24d2e584fb55d468f8c415"),
 ], ids=["amplify-s1", "amplify-s5", "amplify-s7", "gl-s1", "gl-s5", "gl-s7"])
 def test_amplify_and_gl_artifacts_are_pinned(tmp_path, argv, digest):
-    # the bit draws, Toeplitz hashes and GL probes as the amplifier makes them
+    # the packed hash and mask draws of the amplifier, and the GL probes
     out = tmp_path / "artifact.json"
     assert main(argv + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
@@ -471,6 +471,15 @@ def test_search_requires_leaky_channel():
         "--trials", "100", "--seed", "1", "--search",
     ])
     assert code == 2
+
+
+@pytest.mark.parametrize("alpha, code", [("0.0005", 0), ("0.00049", 2), ("1e-300", 2)])
+def test_amplify_alpha_whose_wrapper_run_overflows_a_chunk_exits_2(tmp_path, alpha, code):
+    # a wrapper run's ceil(5/alpha) rounds must fit one 10,000-round chunk;
+    # alpha = 1e-300 used to ask for 5e300 rounds and exit 1 with OverflowError
+    argv = ["amplify", "--n", "8", "--trials", "10", "--wrapper-runs", "1",
+            "--alpha", alpha, "--out", str(tmp_path / "a.json")]
+    assert main(argv) == code
 
 
 def test_exit_code_invalid_config(tmp_path, capsys, monkeypatch):

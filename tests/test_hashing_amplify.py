@@ -23,7 +23,7 @@ from noisyip.amplify import (
 )
 from noisyip.hashing import all_toeplitz_hashes, toeplitz_hash
 from noisyip.rng import keyed_uniform01
-from noisyip.signvectors import pack_bits
+from noisyip.signvectors import pack_bits, packed_width, unpack_bits
 
 
 # ---------------------------------------------------------------------------
@@ -86,13 +86,21 @@ def test_hash_batch_matches_scalar():
         assert np.array_equal(batch[i], h.hash_bits(X[i]))
 
 
+def _kernel_bits(diag, offset, lanes):
+    """The kernel on the packed form of a hash (diag, offset), as bits."""
+    m = offset.shape[-1]
+    words = toeplitz_hash(pack_bits(diag[..., ::-1]), pack_bits(offset), lanes, m)
+    assert words.dtype == np.uint64 and words.shape[-1] == packed_width(m)
+    return unpack_bits(words, m)
+
+
 def test_kernel_with_one_hash_per_row_matches_definition():
     rng = rng_from_seed(14)
     batch, n, m = 30, 11, 5
     diag = rng.integers(0, 2, size=(batch, n + m - 1), dtype=np.uint8)
     offset = rng.integers(0, 2, size=(batch, m), dtype=np.uint8)
     X = rng.integers(0, 2, size=(batch, n), dtype=np.uint8)
-    got = toeplitz_hash(diag, offset, pack_bits(X))
+    got = _kernel_bits(diag, offset, pack_bits(X))
     assert got.shape == (batch, m) and got.dtype == np.uint8
     for t in range(batch):
         T = np.array([[diag[t, i - j + n - 1] for j in range(n)] for i in range(m)])
@@ -109,7 +117,8 @@ def _toeplitz_matrix(diag, n, m):
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
 def test_kernel_matches_definition_across_lane_boundaries(n, m):
     # windows start at bits 0 .. m-1 of the reversed diagonal: for m > 64
-    # some start in its second lane, and for n > 64 every one spans lanes
+    # some start in its second lane, for n > 64 every one spans lanes, and
+    # some reach past the diagonal's last lane into x's zero pad bits
     rng = rng_from_seed(1000 * n + m)
     batch = 40
     diag = rng.integers(0, 2, size=(batch, n + m - 1), dtype=np.uint8)
@@ -117,14 +126,14 @@ def test_kernel_matches_definition_across_lane_boundaries(n, m):
     X = rng.integers(0, 2, size=(batch, n), dtype=np.uint8)
     lanes = pack_bits(X)
     # one hash per row
-    got = toeplitz_hash(diag, offset, lanes)
+    got = _kernel_bits(diag, offset, lanes)
     for t in range(batch):
         want = (_toeplitz_matrix(diag[t], n, m) @ X[t] + offset[t]) % 2
         assert np.array_equal(got[t], want)
     # one hash for every row, on a batch and on a single input
     want = (X @ _toeplitz_matrix(diag[0], n, m).T + offset[0]) % 2
-    assert np.array_equal(toeplitz_hash(diag[0], offset[0], lanes), want)
-    assert np.array_equal(toeplitz_hash(diag[0], offset[0], lanes[3]), want[3])
+    assert np.array_equal(_kernel_bits(diag[0], offset[0], lanes), want)
+    assert np.array_equal(_kernel_bits(diag[0], offset[0], lanes[3]), want[3])
     h = ToeplitzHash(n=n, m=m, diag=diag[0], offset=offset[0])
     assert np.array_equal(h.hash_bits(X), want)
 
@@ -151,8 +160,8 @@ def test_no_bits_on_hash_mismatch():
     assert aborted.any()
     assert np.all(bit_a[aborted] == -1) and np.all(bit_b[aborted] == -1)
     # the same draws: a round aborts exactly when h(x) != h(y)
-    b, diag, offset, *_ = _draw_rounds(ch, 12, 50, rng_from_seed(3))
-    hx, hy = (toeplitz_hash(diag, offset, lanes) for lanes in (b.px, b.py))
+    b, rd, offset, *_ = _draw_rounds(ch, 12, 50, rng_from_seed(3))
+    hx, hy = (toeplitz_hash(rd, offset, lanes, 12) for lanes in (b.px, b.py))
     assert np.array_equal(aborted, np.any(hx != hy, axis=1))
 
 
@@ -195,34 +204,58 @@ def test_batch_rounds_match_scalar_semantics():
 
 
 def test_rounds_are_pinned():
-    # the draws and output bits of the rounds, as computed by the byte-wise
-    # hash and parity this module used before the packed-lane kernel
+    # the draws and output bits of the rounds: hashes and masks drawn as
+    # packed words, the abort read off the kernel's words of T(x xor y)
     ch = equality_channel(32, 0.25)
     aborted, bit_a, bit_b = hashed_parity_trials(ch, 10, 10_000, rng_from_seed(11))
     assert (aborted.dtype, bit_a.dtype, bit_b.dtype) == (bool, np.int64, np.int64)
     digest = hashlib.sha256(aborted.tobytes() + bit_a.tobytes() + bit_b.tobytes())
     assert digest.hexdigest() == (
-        "4039e170ba98797993ce89d8471ebce118d0546b8f7b1ab25866bd3d2283af7f"
+        "99c0b62fa1a79a86b841132a493be883d41c6304c199ab9f99edf396991c8b1b"
     )
     digest = hashlib.sha256()
     for seed in range(20):
-        b, diag, offset, *_ = _draw_rounds(ch, 10, 1, rng_from_seed(seed))
-        digest.update(toeplitz_hash(diag, offset, b.px).tobytes())
+        b, rd, offset, *_ = _draw_rounds(ch, 10, 1, rng_from_seed(seed))
+        digest.update(toeplitz_hash(rd, offset, b.px, 10).tobytes())
     assert digest.hexdigest() == (
-        "18baa63390c632978f5f2a8da9c0d24edaf20059b3c8e6c191a69b59a2804b16"
+        "08bda22258ad4d552f591bd264fa885172592e22de2991be0071266302aae375"
     )
+
+
+def test_round_laws_on_packed_draws():
+    # 3,000,000 rounds of the benchmark's setting: no abort when x = y, a
+    # pass rate of exactly 2^-m when x != y (T(x xor y) is uniform for a
+    # nonzero x xor y), and an abort rate of (1-alpha)(1-2^-n)(1-2^-m);
+    # both rates within 4 sigma
+    n, m, alpha, chunk, chunks = 32, 10, 0.25, 100_000, 30
+    ch = equality_channel(n, alpha)
+    rng = rng_from_seed(23)
+    aborts = differ = differ_passed = 0
+    for _ in range(chunks):
+        b, *_, aborted, _, _ = _draw_rounds(ch, m, chunk, rng)
+        same = np.all(b.px == b.py, axis=1)
+        assert not aborted[same].any()
+        aborts += int(aborted.sum())
+        differ += int((~same).sum())
+        differ_passed += int((~same & ~aborted).sum())
+    total = chunk * chunks
+    for hits, trials, p in ((differ_passed, differ, 2.0**-m),
+                            (aborts, total, (1 - alpha) * (1 - 2.0**-n) * (1 - 2.0**-m))):
+        sigma = math.sqrt(p * (1 - p) / trials)
+        assert abs(hits / trials - p) < 4 * sigma, (hits / trials, p)
 
 
 def test_view_hash_is_the_round_hash_of_x():
     for seed in range(20):
         ch = equality_channel(40, 0.5)
-        b, diag, offset, r2, aborted, bit_a, _ = _draw_rounds(ch, 6, 1, rng_from_seed(seed))
-        hx = toeplitz_hash(diag, offset, b.px)[0]
+        b, rd, offset, r2, aborted, bit_a, _ = _draw_rounds(ch, 6, 1, rng_from_seed(seed))
+        hx = unpack_bits(toeplitz_hash(rd, offset, b.px, 6), 6)[0]
         x = ch.sample_batch(1, rng_from_seed(seed)).xs[0]
-        h = ToeplitzHash(n=40, m=6, diag=diag[0], offset=offset[0])
+        diag = unpack_bits(rd, 45)[0, ::-1]  # rd is the reversed diagonal
+        h = ToeplitzHash(n=40, m=6, diag=diag, offset=unpack_bits(offset, 6)[0])
         assert np.array_equal(hx, h.hash_bits(x < 0))
         if not aborted[0]:
-            assert bit_a[0] == int((r2[0] & (x < 0)).sum() % 2)
+            assert bit_a[0] == int((unpack_bits(r2, 40)[0] & (x < 0)).sum() % 2)
 
 
 @pytest.mark.parametrize("channel_alpha", [0.3, 1e-9])
@@ -429,13 +462,13 @@ def test_eve_amplified_passthrough_and_shapes():
     fixed = np.ones((7, 16), dtype=np.uint8)
     calls = []
 
-    def ignore_all(outs, extras, diag, offset, v):
-        calls.append((outs.shape, diag.shape, offset.shape, v.shape))
+    def ignore_all(outs, extras, rd, offset, v):
+        calls.append((outs.shape, rd.shape, offset.shape, v.shape))
         return fixed
 
     guess = eve_amplified(ignore_all, b, 5, rng)
     assert np.array_equal(guess, fixed)
-    assert calls == [((7,), (7, 20), (7, 5), (7, 5))]
+    assert calls == [((7,), (7, 1), (7, 1), (7, 1))]  # 20, 5 and 5 packed bits
     with pytest.raises(ValueError, match="guess per row"):
         eve_amplified(lambda *view: fixed[0], b, 5, rng)
 
@@ -449,8 +482,8 @@ def test_eve_amplified_dilution_is_exactly_two_to_minus_m():
     trials = 40_000
     b = equality_channel(n, 1.0).sample_batch(trials, rng)
 
-    def needs_hash(outs, extras, diag, offset, v):
-        ok = np.all(v == toeplitz_hash(diag, offset, pack_bits(xbits)), axis=1)
+    def needs_hash(outs, extras, rd, offset, v):
+        ok = np.all(v == toeplitz_hash(rd, offset, pack_bits(xbits), m), axis=1)
         return np.where(ok[:, None], xbits, 1 - xbits)  # always wrong otherwise
 
     hits = np.all(eve_amplified(needs_hash, b, m, rng) == xbits, axis=1).sum()

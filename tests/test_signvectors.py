@@ -217,12 +217,10 @@ def test_random_bits_is_numpys_bounded_uint8_draw(shape):
 @pytest.mark.parametrize("n", [1, 7, 41, 63, 64, 65, 130])
 def test_pack_bits_roundtrip_with_zero_pad_bits(n):
     bits = random_bits((9, n), rng_from_seed(n))
-    for lanes in (None, packed_width(n) + 1):
-        P = pack_bits(bits, lanes)
-        width = packed_width(n) if lanes is None else lanes
-        assert P.dtype == np.uint64 and P.shape == (9, width)
-        assert np.array_equal(unpack_bits(P, n), bits)
-        assert not unpack_bits(P, 64 * width)[:, n:].any()
+    P = pack_bits(bits)
+    assert P.dtype == np.uint64 and P.shape == (9, packed_width(n))
+    assert np.array_equal(unpack_bits(P, n), bits)
+    assert not unpack_bits(P, 64 * packed_width(n))[:, n:].any()
     assert np.array_equal(pack_bits(bits[0]), pack_bits(bits)[0])
 
 
@@ -250,6 +248,34 @@ def test_packed_roundtrip_and_inner_products():
         zp = pack_signs(z)[0]
         expected = R.astype(np.int64) @ z.astype(np.int64)
         assert np.array_equal(packed_inner_products(P, zp, n), expected)
+
+
+PRIOR_DRAWS = {
+    "fresh": lambda g: None,
+    "buffered_uint32": lambda g: g.integers(0, 2**32, 1, dtype=np.uint32),
+    "after_random": lambda g: g.random(),
+}
+
+
+@pytest.mark.parametrize("prior", PRIOR_DRAWS)
+@pytest.mark.parametrize("n", [1, 64, 65, 130])
+@pytest.mark.parametrize("size", [0, 1, 2, 3, 1001])
+def test_random_packed_is_the_byte_draw(prior, n, size):
+    # the words and the generator's next draws are those of rng.bytes
+    ours, bytes_ = rng_from_seed(9), rng_from_seed(9)
+    for g in (ours, bytes_):
+        PRIOR_DRAWS[prior](g)
+    got = random_packed(n, size, ours)
+    w = packed_width(n)
+    want = np.frombuffer(bytes_.bytes(8 * size * w), np.uint64).reshape(size, w).copy()
+    if n % 64:
+        want[:, -1] &= np.uint64((1 << n % 64) - 1)
+    assert got.dtype == np.uint64 and np.array_equal(got, want)
+    for g in (ours, bytes_):
+        g.bytes(4)  # leaves a uint32 buffered if none was
+    assert ours.integers(0, 2**32, 3, dtype=np.uint32).tolist() == \
+        bytes_.integers(0, 2**32, 3, dtype=np.uint32).tolist()
+    assert ours.integers(0, 2**63, 3).tolist() == bytes_.integers(0, 2**63, 3).tolist()
 
 
 def test_random_packed_matches_uniform_marginals():
