@@ -23,7 +23,8 @@ exact expectation T over k (Rao-Blackwell: same mean, lower variance), on one
 query batch shared by every bit, as in Dinur-Nissim reconstruction.  With
 p = a - <z,r>, bit c's residual is p + z_c r_c = p +- 1, so each query reads
 T twice, at p + 1 and p - 1 (T is padded to [-2n-1, 2n+1], as p spans
-[-2n, 2n]), and every bit's total is one int64 weighted column sum.
+[-2n, 2n]), and every bit's total is one weighted column sum: a BLAS float
+product, exact while sum|w| < 2^53, over exact int64 popcount residuals.
 """
 
 from __future__ import annotations
@@ -403,12 +404,19 @@ def _residuals(a, P, z_lanes, n: int) -> np.ndarray:
 def _vote_sums(p, r, z_r, n: int, ells) -> np.ndarray:
     """Expected-vote totals, times D, of the residuals p at each window in
     ``ells`` (rows) and each column r_c of r (columns), z_r holding z_c: two
-    table reads per query and one int64 column sum.  As z_c r_c = +-1, the
+    table reads per query and one weighted column sum.  As z_c r_c = +-1, the
     vote T[p + z_c r_c] r_c summed over the queries is, exactly (the sum is
-    even), (z_c sum(T[p+1] - T[p-1]) + (T[p+1] + T[p-1]) @ r_c) / 2."""
+    even), (z_c sum(T[p+1] - T[p-1]) + w @ r_c) / 2 with w = T[p+1] + T[p-1],
+    w @ r a BLAS float product whose partial sums are integers of size at most
+    sum|w| <= 2 rows max|T|: exact in float32 below 2^24, float64 below 2^53."""
     table = _expected_vote_table(n, tuple(ells))
     hi, lo = np.take(table, p + (2 * n + 2), axis=1), np.take(table, p + 2 * n, axis=1)
-    return (np.multiply.outer((hi - lo).sum(axis=1), z_r) + (hi + lo) @ r) // 2
+    bound = 2 * len(p) * int(np.abs(table).max())
+    if bound >= 2**53:
+        raise PreconditionViolation(f"vote sums up to {bound} are not exact in float64")
+    dtype = np.float32 if bound < 2**24 else np.float64
+    sums = ((hi + lo).astype(dtype) @ r.astype(dtype)).astype(np.int64)
+    return (np.multiply.outer((hi - lo).sum(axis=1), z_r) + sums) // 2
 
 
 def _database_lanes(z, f: EstimatorHandle) -> np.ndarray:
@@ -423,8 +431,8 @@ def _vote_totals(pairs, cols, ells, num_queries, rng, threads=1) -> np.ndarray:
     ``_expected_vote_table``, of each (estimator f, database lanes z) pair
     at each window in ``ells`` and each index c in ``cols`` of z, in which
     z_c cancels exactly, over ``num_queries`` uniform queries shared by
-    every pair and column: two table reads per query and one int64 column
-    sum per pair and chunk, exact for any ``threads``."""
+    every pair and column: two table reads per query and one exact weighted
+    column sum per pair and chunk, the same for any ``threads`` or BLAS threads."""
     n = pairs[0][0].n
     z_cols = [unpack_signs(z[None], n)[0, cols] for _, z in pairs]
 

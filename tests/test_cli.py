@@ -604,11 +604,12 @@ def test_exit_code_missing_replay_file(tmp_path, capsys):
     assert "replay file" in capsys.readouterr().err
 
 
-def run_python(*args):
-    """A fresh interpreter that imports this checkout's noisyip."""
+def run_python(*args, **env):
+    """A fresh interpreter that imports this checkout's noisyip, in this
+    process's environment updated by ``env``."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else ""), **env}
     return subprocess.run([sys.executable, *args], env=env, capture_output=True,
                           text=True)
 
@@ -621,6 +622,22 @@ def test_a_usage_error_returns_2_and_help_returns_0(capsys):
     assert main(["ka", "--help"]) == 0
     assert "--adversary" in capsys.readouterr().out
     assert run_python("-m", "noisyip", "ka", "--bogus").returncode == 2
+
+
+def test_blas_threads_do_not_change_bytes(tmp_path):
+    # the vote kernel's column sum runs on BLAS, exact in any summation
+    # order, so neither BLAS's thread count nor --threads moves the bytes
+    outs = []
+    for blas in ("1", "2"):
+        for threads in ("1", "2"):
+            out = tmp_path / f"recon{blas}{threads}.json"
+            proc = run_python("-m", "noisyip", "recon", "--estimator", "laplace",
+                              "--eps", "1", "--n", "256", "--samples", "4096",
+                              "--seed", "7", "--threads", threads, "--out", str(out),
+                              OPENBLAS_NUM_THREADS=blas)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(out.read_bytes())
+    assert outs[0] == outs[1] == outs[2] == outs[3]
 
 
 # one cheap command per subcommand that runs to exit 0

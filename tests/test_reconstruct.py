@@ -655,6 +655,37 @@ def test_residual_kernel_is_the_masked_int64_product(n, monkeypatch):
         assert np.array_equal(totals, old)
 
 
+@pytest.mark.parametrize("c", [129055, 129057, 2**53 // 65],
+                         ids=["below_2^24", "above_2^24", "above_2^53"])
+def test_vote_sums_are_exact_at_the_float_switch(c, monkeypatch):
+    # T = c or c - 1 by index // 2 % 2 makes every w = T[p+1] + T[p-1] equal
+    # 2c - 1, so over 65 queries sum|w| = 65 (2c - 1): 2^24 - 131 (float32),
+    # 2^24 + 129 (float64; the all-(+1) column's odd sum is not a float32,
+    # so a plain float32 product rounds it) and >= 2^53, which is refused
+    n, rows = 8, 65
+    rng = rng_from_seed(280)
+    T = c - (np.arange(4 * n + 3) // 2 % 2)[None, :]
+    monkeypatch.setattr(reconstruct, "_expected_vote_table", lambda n, ells: T)
+    p = rng.integers(-2 * n, 2 * n + 1, size=rows)
+    R = unpack_signs(random_packed(n, rows, rng), n)
+    R[:, 0] = 1
+    z = random_signs(n, rng)
+    hi, lo = T[:, p + 2 * n + 2], T[:, p + 2 * n]
+    w = hi + lo
+    assert np.all(w == 2 * c - 1)
+    if rows * (2 * c - 1) >= 2**53:
+        with pytest.raises(PreconditionViolation):
+            reconstruct._vote_sums(p, R, z, n, (1,))
+        return
+    exact = w @ R.astype(np.int64)
+    if c > 2**24 // (2 * rows):
+        assert exact[0, 0] > 2**24
+        assert (w.astype(np.float32) @ R.astype(np.float32))[0, 0] != exact[0, 0]
+    totals = reconstruct._vote_sums(p, R, z, n, (1,))
+    assert totals.dtype == np.int64
+    assert np.array_equal(totals, (np.multiply.outer((hi - lo).sum(axis=1), z) + exact) // 2)
+
+
 def test_vote_totals_reach_both_ends_of_the_padded_table(monkeypatch):
     # f = -<z,r> puts p = a - <z,r> = -2<z,r> at both -2n and 2n (r = +-z), so
     # the vote sums read the table at -2n-1 and 2n+1; over all 2^n queries in
