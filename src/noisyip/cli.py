@@ -4,8 +4,8 @@ Subcommands: recon | ka | condense | amplify | audit | gl.  Every run is
 fully determined by (config, seed): trials are partitioned into fixed-size
 chunks, each chunk draws from its own spawned generator stream, and chunk
 results merge in index order, so neither --threads nor interruptions change
-the output bytes.  Long trial loops checkpoint their per-chunk aggregates
-so interrupted runs resume.
+the output bytes.  The ``ka`` rounds and ``amplify`` trial rounds checkpoint
+the sum of their finished prefix of chunks, so interrupted runs resume.
 
 Exit codes: 0 ok, 2 invalid configuration, 3 precondition violation.
 """
@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 
@@ -26,7 +26,8 @@ import numpy as np
 from . import amplify, channels, condense, keyagreement, reconstruct
 from .errors import PreconditionViolation
 from .reporting import ExperimentReport, wald_half_width
-from .rng import CHUNK_TRIALS, map_streams, rng_from_seed, spawn_rngs, sum_chunks
+from .rng import CHUNK_TRIALS, rng_from_seed, spawn_rngs, sum_chunks
+from .rng import _save_ckpt  # noqa: F401  the benchmark's tracer counts saves here
 from .signvectors import packed_inner_products, random_bits, random_signs
 from .sources import SvSourceSpec
 
@@ -40,63 +41,15 @@ class ConfigError(ValueError, argparse.ArgumentTypeError):
 # ---------------------------------------------------------------------------
 
 
-def _config_hash(config: dict) -> str:
-    return hashlib.sha256(
-        json.dumps(config, sort_keys=True).encode()
-    ).hexdigest()
-
-
-def run_chunked(
-    config: dict,
-    seed: int,
-    trials: int,
-    chunk_fn,
-    threads: int = 1,
-    out_path: str | None = None,
-) -> list[int]:
-    """Deterministic chunked sum over trials.
-
-    ``chunk_fn(rng, size) -> list of ints`` runs one chunk of at most
-    ``CHUNK_TRIALS`` trials; the lists are summed elementwise.  When
-    ``out_path`` is given, a sidecar checkpoint stores completed chunk
-    aggregates keyed by a hash of (config, seed) and is removed on completion.
-    """
-    num_chunks = (trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
-    key = _config_hash({"config": config, "seed": seed, "trials": trials})
-    ckpt_path = f"{out_path}.ckpt" if out_path else None
-
-    done: dict[int, list[int]] = {}
-    if ckpt_path and os.path.exists(ckpt_path):
-        try:
-            with open(ckpt_path) as fh:
-                saved = json.load(fh)
-            if saved["key"] != key:
-                raise ValueError("it was written for another configuration")
-            done = {int(k): v for k, v in saved["chunks"].items()}
-        except (OSError, ValueError, TypeError, KeyError, AttributeError) as exc:
-            print(f"note: ignoring checkpoint {ckpt_path}: {exc}", file=sys.stderr)
-
-    def run_one(i, rng):
-        return i, chunk_fn(rng, min(CHUNK_TRIALS, trials - i * CHUNK_TRIALS))
-
-    root = rng_from_seed(seed)
-    for i, agg in map_streams(run_one, root, num_chunks, threads, set(done)):
-        done[i] = agg
-        if ckpt_path and len(done) < num_chunks:
-            _save_ckpt(ckpt_path, key, done)
-
-    result = [sum(col) for col in zip(*(done[i] for i in range(num_chunks)))]
-    if ckpt_path and os.path.exists(ckpt_path):
-        os.remove(ckpt_path)
-    return result
-
-
-def _save_ckpt(path, key, done):
-    # write-then-rename, so an interrupted write never leaves a torn file
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        json.dump({"key": key, "chunks": {str(k): v for k, v in done.items()}}, fh)
-    os.replace(tmp, path)
+def run_chunked(config: dict, seed: int, trials: int, chunk_fn, threads: int = 1,
+                out_path: str | None = None) -> np.ndarray:
+    """``rng.sum_chunks`` of ``chunk_fn(rng, size)`` over chunks of
+    ``CHUNK_TRIALS`` trials, checkpointed to ``<out_path>.ckpt`` when
+    ``out_path`` is given, keyed by a hash of (config, seed, trials)."""
+    key = hashlib.sha256(json.dumps({"config": config, "seed": seed, "trials": trials},
+                                    sort_keys=True).encode()).hexdigest()
+    return sum_chunks(chunk_fn, rng_from_seed(seed), trials, CHUNK_TRIALS, threads,
+                      out_path and (f"{out_path}.ckpt", key))
 
 
 def _rate_metric(report, name, hits, trials):
@@ -239,14 +192,12 @@ def cmd_ka(args) -> ExperimentReport:
     adv = (None if args.adversary == "none"
            else getattr(keyagreement, f"{args.adversary}_adversary")(ell))
 
-    def chunk(rng, size):
-        return [*keyagreement.count_rounds(channel, ell, size, rng, adv), size]
-
-    agree, leak_hits, total = run_chunked(
-        config, args.seed, args.trials, chunk, threads=args.threads, out_path=args.out
-    )
+    agree, leak_hits = map(int, run_chunked(
+        config, args.seed, args.trials,
+        lambda rng, size: keyagreement.count_rounds(channel, ell, size, rng, adv),
+        threads=args.threads, out_path=args.out))
     report = ExperimentReport("ka", args.seed, config)
-    agreement = _rate_metric(report, "agreement", agree, total)
+    agreement = _rate_metric(report, "agreement", agree, args.trials)
     leakage = None
     if args.adversary != "none" and agree > 0:
         leakage = _rate_metric(report, "equality_leakage", leak_hits, agree)
@@ -258,7 +209,7 @@ def cmd_ka(args) -> ExperimentReport:
         "leakage": leakage,
         "abort_rate": None,
         "seed": args.seed,
-        "trials": total,
+        "trials": args.trials,
     }
     return report
 
@@ -319,14 +270,12 @@ def cmd_amplify(args) -> ExperimentReport:
 
     def chunk(rng, size):
         aborted, bit_a, bit_b = amplify.hashed_parity_trials(channel, m, size, rng)
-        ok = ~aborted
-        return [int(ok.sum()), int((bit_a[ok] == bit_b[ok]).sum()), size]
+        return (~aborted).sum(), ((bit_a == bit_b) & ~aborted).sum()
 
-    ok_count, match, total = run_chunked(
-        config, args.seed, args.trials, chunk, threads=args.threads, out_path=args.out
-    )
+    ok_count, match = map(int, run_chunked(config, args.seed, args.trials, chunk,
+                                           threads=args.threads, out_path=args.out))
     report = ExperimentReport("amplify", args.seed, config)
-    abort_rate = _rate_metric(report, "abort_rate", total - ok_count, total)
+    abort_rate = _rate_metric(report, "abort_rate", args.trials - ok_count, args.trials)
     agreement = None
     if ok_count:
         agreement = _rate_metric(
@@ -349,7 +298,7 @@ def cmd_amplify(args) -> ExperimentReport:
         "leakage": None,
         "abort_rate": abort_rate,
         "seed": args.seed,
-        "trials": total,
+        "trials": args.trials,
     }
     return report
 
@@ -507,6 +456,7 @@ def _option(dest: str) -> str:
     return _FLAGS[dest][0].get("option", "--" + dest.replace("_", "-"))
 
 
+@functools.cache  # one parser per process: main leaves no parser as garbage
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="noisyip", description="noisy inner-product experiment driver"

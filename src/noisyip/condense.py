@@ -319,22 +319,33 @@ def eve_distinguisher(
     return ABORT if rates[0] <= params.v_hat else int(outputs[params.d - 1, 0])
 
 
-def v_hat_grid(n: int, ell: int, eps: float, c_eps: float = 1.0) -> np.ndarray:
+def v_hat_grid(n: int, ell: int, eps: float, c_eps: float = 1.0,
+               cap: int | None = None) -> np.ndarray:
     """Threshold grid [c ell/4 sqrt(n), c ell/2 sqrt(n)] in steps of
-    ell/(sqrt(n) log2(n)^3), with c = c_eps * e^(4 eps).
+    ell/(sqrt(n) log2(n)^3), with c = c_eps * e^(4 eps), or only ``cap`` of
+    its points spread evenly from end to end.
 
     The scale constant is exposed because the analysis-level value is far
-    too large to be meaningful at experiment sizes.  The step needs n >= 2.
+    too large to be meaningful at experiment sizes.  The step needs n >= 2,
+    and the grid at most 2^53 points.
     """
     if n < 2:
         raise PreconditionViolation("the threshold grid needs n >= 2")
-    c = c_eps * math.exp(4 * eps)
+    try:
+        c = c_eps * math.exp(4 * eps)
+    except OverflowError:  # past float range, and so is the grid's size
+        c = math.inf
     root = math.sqrt(n)
     lo = c * ell / (4 * root)
     hi = c * ell / (2 * root)
     alpha = ell / (root * math.log2(n) ** 3)
-    count = int(math.floor((hi - lo) / alpha)) + 1
-    return lo + alpha * np.arange(count)
+    steps = (hi - lo) / alpha
+    if not steps < 2**53:  # float64 indexes are exact below 2^53; fails on nan
+        raise PreconditionViolation(f"the threshold grid at eps={eps} has over 2^53 points")
+    count = int(math.floor(steps)) + 1
+    keep = (np.arange(count) if cap is None or count <= cap
+            else np.unique(np.linspace(0, count - 1, cap).astype(int)))
+    return lo + alpha * keep
 
 
 @dataclass(frozen=True)
@@ -381,10 +392,7 @@ def search_eve_params(
         ell_hat_candidates = (ell + 1, ell + 2, ell + 4)
     if num_triplets < 1 or grid_cap < 1 or not ell_hat_candidates or not d_candidates:
         raise ValueError("the search needs a triplet and a nonempty parameter grid")
-    grid = v_hat_grid(channel.n, ell, eps, c_eps)
-    if len(grid) > grid_cap:
-        keep = np.unique(np.linspace(0, len(grid) - 1, grid_cap).astype(int))
-        grid = grid[keep]
+    grid = v_hat_grid(channel.n, ell, eps, c_eps, grid_cap)
     combos = [
         (EveParams(ell_hat=int(lh), v_hat=float(v), d=int(d)), l, g)
         for d in d_candidates

@@ -9,6 +9,9 @@ same seed, every operation is deterministic.
 
 from __future__ import annotations
 
+import json
+import os
+import sys
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
@@ -42,14 +45,14 @@ def spawn_rngs(rng: Generator, count: int) -> list[Generator]:
     return [np.random.Generator(np.random.Philox(s)) for s in children]
 
 
-def map_streams(fn, rng: Generator, count: int, threads: int = 1, skip=()):
-    """Yield ``fn(c, stream_c)`` in order for each chunk c in ``range(count)``
-    not in ``skip``, where stream_c is ``spawn_rngs(rng, count)[c]``.  Streams
-    are spawned as their chunk is submitted and a few chunks per thread are in
+def map_streams(fn, rng: Generator, count: int, threads: int = 1, start: int = 0):
+    """Yield ``fn(c, stream_c)`` in order for each chunk c in ``range(start,
+    count)``, where stream_c is ``spawn_rngs(rng, count)[c]``.  Streams are
+    spawned as their chunk is submitted and a few chunks per thread are in
     flight, so neither memory nor start-up time grows with ``count``."""
     seq = rng.bit_generator.seed_seq
-    spawned = ((c, seq.spawn(1)[0]) for c in range(count))  # skipped ones too
-    todo = ((c, Generator(np.random.Philox(s))) for c, s in spawned if c not in skip)
+    seq.spawn(start)  # the earlier chunks' streams, so chunk c still gets child c
+    todo = ((c, Generator(np.random.Philox(seq.spawn(1)[0]))) for c in range(start, count))
     if threads <= 1:
         yield from (fn(c, stream) for c, stream in todo)
         return
@@ -68,18 +71,56 @@ def map_streams(fn, rng: Generator, count: int, threads: int = 1, skip=()):
 CHUNK_TRIALS = 10_000
 
 
-def sum_chunks(fn, rng: Generator, total: int, rows: int, threads: int = 1):
+def sum_chunks(fn, rng: Generator, total: int, rows: int, threads: int = 1,
+               checkpoint: tuple[str, str] | None = None):
     """Elementwise int64 sum of ``fn(stream_c, size_c)`` over the chunks of
     ``total`` trials, ``rows`` per chunk (the last one smaller), each drawing
     from its own stream of :func:`map_streams`.  Integer sums do not depend
-    on chunk order, so neither does the result on ``threads``."""
+    on chunk order, so neither does the result on ``threads``.  A
+    ``checkpoint = (path, key)`` saves the sum of the finished prefix of
+    chunks after every chunk but the last, resumes from a prefix saved under
+    the same key, and is removed at the end."""
     if total < 1:
         raise ValueError(f"need at least one trial, got {total}")
+    count = -(-total // rows)
+    done, acc = _load_ckpt(*checkpoint, count) if checkpoint else (0, 0)
 
     def chunk(c: int, stream: Generator) -> np.ndarray:
         return np.asarray(fn(stream, min(rows, total - c * rows)), dtype=np.int64)
 
-    return sum(map_streams(chunk, rng, -(-total // rows), threads), np.int64(0))
+    for done, part in enumerate(map_streams(chunk, rng, count, threads, done), done + 1):
+        acc = acc + part
+        if checkpoint and done < count:
+            _save_ckpt(*checkpoint, done, acc)
+    if checkpoint and os.path.exists(checkpoint[0]):
+        os.remove(checkpoint[0])
+    return acc
+
+
+def _load_ckpt(path: str, key: str, count: int):
+    """(done, sums) saved under ``key``, else (0, 0), noting why on stderr."""
+    try:
+        with open(path) as fh:
+            saved = json.load(fh)
+        if saved["key"] != key:
+            raise ValueError("it was written for another configuration")
+        done, sums = saved.get("done"), saved.get("sums")
+        if type(done) is not int or not 1 <= done < count or sums is None:
+            raise ValueError(f"it holds no sum of 1 to {count - 1} finished chunks")
+        return done, np.asarray(sums, dtype=np.int64)
+    except FileNotFoundError:
+        pass
+    except (OSError, ValueError, TypeError, KeyError) as exc:
+        print(f"note: ignoring checkpoint {path}: {exc}", file=sys.stderr)
+    return 0, 0
+
+
+def _save_ckpt(path: str, key: str, done: int, sums: np.ndarray) -> None:
+    # write-then-rename, so an interrupted write never leaves a torn file
+    tmp = f"{path}.tmp"
+    with open(tmp, "w") as fh:
+        json.dump({"key": key, "done": done, "sums": sums.tolist()}, fh)
+    os.replace(tmp, path)
 
 
 _SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import gc
 import hashlib
 import json
 import math
@@ -107,7 +108,11 @@ def test_threads_do_not_change_bytes(tmp_path):
         assert outs[0] == outs[1] == outs[2]
 
 
-def test_checkpoint_resume_matches_fresh(tmp_path):
+class Interrupted(Exception):
+    """Stops a run between two chunks, as a kill would."""
+
+
+def test_checkpoint_resume_matches_fresh(tmp_path, monkeypatch):
     args = [
         "ka", "--channel", "constant", "--n", "32", "--ell", "4",
         "--trials", "30000", "--seed", "17",
@@ -115,34 +120,40 @@ def test_checkpoint_resume_matches_fresh(tmp_path):
     fresh = tmp_path / "fresh.json"
     assert main(args + ["--out", str(fresh)]) == 0
 
-    # simulate an interrupted run: precompute a partial checkpoint by
-    # running with fewer chunks completed, then resume
-    from noisyip.cli import _config_hash, run_chunked  # noqa
+    # an interrupted run: chunk 0 finishes and is checkpointed, then the run
+    # stops before chunk 1; the resumed run computes only chunks 1 and 2
+    import noisyip.cli as cli_mod
+    from noisyip.rng import rng_from_seed, spawn_rngs
+
     resumed = tmp_path / "resumed.json"
     ckpt = str(resumed) + ".ckpt"
-    # craft a partial checkpoint from a full fresh run's chunk structure
-    import noisyip.cli as cli_mod
-
-    captured = {}
     orig = cli_mod.run_chunked
+    sizes, stop_after, first = [], [1], []
 
-    def capture_chunks(config, seed, trials, chunk_fn, **kw):
-        # run chunk 0 only and write it as a checkpoint, then delegate
-        from noisyip.rng import rng_from_seed, spawn_rngs
+    def counted(config, seed, trials, chunk_fn, **kw):
+        first[:] = chunk_fn(spawn_rngs(rng_from_seed(seed), 3)[0], cli_mod.CHUNK_TRIALS)
 
-        num_chunks = (trials + cli_mod.CHUNK_TRIALS - 1) // cli_mod.CHUNK_TRIALS
-        rngs = spawn_rngs(rng_from_seed(seed), num_chunks)
-        agg0 = chunk_fn(rngs[0], min(cli_mod.CHUNK_TRIALS, trials))
-        key = cli_mod._config_hash({"config": config, "seed": seed, "trials": trials})
-        with open(ckpt, "w") as fh:
-            json.dump({"key": key, "chunks": {"0": agg0}}, fh)
-        return orig(config, seed, trials, chunk_fn, **kw)
+        def chunk(rng, size):
+            if len(sizes) == stop_after[0]:
+                raise Interrupted
+            sizes.append(size)
+            return chunk_fn(rng, size)
 
-    cli_mod.run_chunked = capture_chunks
-    try:
-        assert main(args + ["--out", str(resumed)]) == 0
-    finally:
-        cli_mod.run_chunked = orig
+        return orig(config, seed, trials, chunk, **kw)
+
+    monkeypatch.setattr(cli_mod, "run_chunked", counted)
+    with pytest.raises(Interrupted):
+        main(args + ["--out", str(resumed)])
+    with open(ckpt) as fh:
+        saved = json.load(fh)
+    # the checkpoint holds the sum of the finished prefix: chunk 0's counts
+    assert sorted(saved) == ["done", "key", "sums"]
+    assert saved["done"] == 1 and saved["sums"] == list(first)
+
+    sizes.clear()
+    stop_after[0] = None
+    assert main(args + ["--out", str(resumed)]) == 0
+    assert sizes == [cli_mod.CHUNK_TRIALS] * 2  # not chunk 0 again
     assert resumed.read_bytes() == fresh.read_bytes()
     assert not os.path.exists(ckpt)
 
@@ -586,6 +597,34 @@ def test_exit_code_precondition_violation(capsys):
     code = main(["audit", "--channel", "exact_open", "--n", "1", "--trials", "10",
                  "--search", "--seed", "1"])
     assert code == 3
+
+
+@pytest.mark.parametrize("eps, code", [
+    # the grid held e^(4 eps) log2(n)^3 / 4 points: 4.8e8 took 7.8 s, 2.4e10
+    # (eps 5) asked for 195 GiB, and e^708 overflowed to a traceback
+    ("4", 0), ("5", 0), ("6", 0), ("8", 0),
+    ("10", 3),  # 1.3e19 points, over 2^53: int64 indexes of kept points wrap
+    ("177", 3), ("178", 3),  # a grid size past float range
+])
+def test_audit_search_threshold_grid_of_any_size(tmp_path, capsys, eps, code):
+    argv = ["audit", "--channel", "exact_open", "--n", "64", "--search",
+            "--eps", eps, "--trials", "20", "--budget", "2000", "--seed", "1",
+            "--out", str(tmp_path / "a.json")]
+    assert main(argv) == code
+    if code:
+        assert "threshold grid" in capsys.readouterr().err
+
+
+def test_the_parser_is_built_once(tmp_path):
+    # a parser per main call left 531 objects as cyclic garbage, so an
+    # audit's peak memory followed the garbage collector's phase
+    assert build_parser() is build_parser()
+    argv = ["audit", "--channel", "laplace", "--eps", "1.0", "--n", "16",
+            "--trials", "200", "--seed", "3", "--out", str(tmp_path / "a.json")]
+    assert main(argv) == 0
+    gc.collect()
+    assert main(argv) == 0
+    assert gc.collect() < 200
 
 
 def test_exit_code_config_value_of_wrong_type(tmp_path, capsys):

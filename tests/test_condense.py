@@ -264,6 +264,21 @@ def test_grid_shape():
     assert np.allclose(np.diff(grid), step)
 
 
+def test_capped_grid_is_the_full_grid_subsampled():
+    # the search's cap keeps evenly spread points, computed without the rest
+    for eps in (0.0, 0.3, 1.0, 2.0):
+        grid = v_hat_grid(64, 2, eps)
+        for cap in (1, 3, 8, len(grid), len(grid) + 5):
+            keep = np.unique(np.linspace(0, len(grid) - 1, cap).astype(int))
+            expected = grid if cap >= len(grid) else grid[keep]
+            assert np.array_equal(v_hat_grid(64, 2, eps, cap=cap), expected)
+    # at most 2^53 points, and a size past float range is refused too
+    assert len(v_hat_grid(64, 1, 8.0, cap=8)) == 8
+    for eps in (10.0, 177.0, 178.0, math.inf):
+        with pytest.raises(PreconditionViolation, match="2\\^53"):
+            v_hat_grid(64, 1, eps, cap=8)
+
+
 def test_search_positive_gap_on_open_channel():
     rng = rng_from_seed(17)
     n = 64

@@ -80,6 +80,8 @@ def test_traced_runs_write_untraced_bytes(tmp_path):
             assert stats["keyagreement.adversary"]["calls"] == 3
             assert stats["keyagreement.run_ka_rounds"]["rows"] == 25000
             assert "keyagreement.ka_transcript" not in stats
+            # a checkpoint after every chunk but the last, seen as cli.ckpt
+            assert stats["cli.ckpt"]["calls"] == 2
         elif argv is audit:
             # the real pairs and the flipped pairs, one call each
             assert stats["channels.distinguisher"]["calls"] == 2

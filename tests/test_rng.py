@@ -1,8 +1,11 @@
+import json
+import os
+
 import numpy as np
 import pytest
 
 from noisyip import ensure_rng, rng_from_seed, spawn_rngs
-from noisyip.rng import keyed_uniform01
+from noisyip.rng import keyed_uniform01, sum_chunks
 from noisyip.signvectors import pack_bits, random_signs
 
 
@@ -66,3 +69,89 @@ def test_keyed_uniform01_sensitive_to_single_bit():
     u1 = keyed_uniform01(pack_bits(R > 0), 5)
     u2 = keyed_uniform01(pack_bits(R2 > 0), 5)
     assert np.all(u1 != u2)
+
+
+# ---------------------------------------------------------------------------
+# sum_chunks: the chunk loop and its checkpoint
+# ---------------------------------------------------------------------------
+
+
+def draws(stream, size):
+    """One chunk's counts: a draw from its own stream, and its size."""
+    return [int(stream.integers(0, 1000)), size]
+
+
+class Interrupted(Exception):
+    """Stops a run between two chunks, as a kill would."""
+
+
+def counting(sizes, stop_after=None):
+    """``draws`` that records each chunk's size and stops after some chunks."""
+    def fn(stream, size):
+        if len(sizes) == stop_after:
+            raise Interrupted
+        sizes.append(size)
+        return draws(stream, size)
+    return fn
+
+
+def test_sum_chunks_sums_every_chunk_at_any_thread_count():
+    # 95 trials in chunks of 10: nine full chunks and one of 5
+    sums = [sum_chunks(draws, rng_from_seed(5), 95, 10, threads) for threads in (1, 2, 3)]
+    expected = sum(int(s.integers(0, 1000)) for s in spawn_rngs(rng_from_seed(5), 10))
+    for result in sums:
+        assert result.dtype == np.int64 and result.tolist() == [expected, 95]
+
+
+def test_sum_chunks_resumes_from_every_prefix(tmp_path, capsys):
+    path = str(tmp_path / "sums.ckpt")
+    fresh = sum_chunks(draws, rng_from_seed(5), 95, 10)
+    for k in range(1, 10):
+        with pytest.raises(Interrupted):
+            sum_chunks(counting([], k), rng_from_seed(5), 95, 10, checkpoint=(path, "key"))
+        with open(path) as fh:
+            assert json.load(fh)["done"] == k
+        sizes = []
+        resumed = sum_chunks(counting(sizes), rng_from_seed(5), 95, 10, 1 + k % 2,
+                             checkpoint=(path, "key"))
+        assert np.array_equal(resumed, fresh), k
+        assert sizes == [10] * (9 - k) + [5]  # only the chunks after the prefix
+        assert not os.path.exists(path)
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("saved", [
+    {"key": "other", "done": 3, "sums": [10**6, 30]},  # another configuration
+    {"key": "key", "chunks": {"0": [10**6, 10]}},  # the per-chunk format
+    {"key": "key", "done": 0, "sums": [10**6, 0]},
+    {"key": "key", "done": 10, "sums": [10**6, 95]},  # the last chunk is never saved
+    {"key": "key", "done": -1, "sums": [10**6, 0]},
+    {"key": "key", "done": 2.0, "sums": [10**6, 20]},
+    {"key": "key", "done": 2},
+], ids=["other-key", "per-chunk-format", "done-0", "done-count", "done-negative",
+        "done-float", "no-sums"])
+def test_sum_chunks_ignores_an_unusable_checkpoint(tmp_path, capsys, saved):
+    path = tmp_path / "sums.ckpt"
+    path.write_text(json.dumps(saved))
+    sizes = []
+    result = sum_chunks(counting(sizes), rng_from_seed(5), 95, 10,
+                        checkpoint=(str(path), "key"))
+    assert "ignoring checkpoint" in capsys.readouterr().err
+    assert np.array_equal(result, sum_chunks(draws, rng_from_seed(5), 95, 10))
+    assert len(sizes) == 10
+    assert not path.exists()
+
+
+def test_sum_chunks_checkpoint_does_not_grow_with_the_prefix(tmp_path):
+    # a save rewrites one running sum, never a record per finished chunk
+    path = tmp_path / "sums.ckpt"
+    sizes = []
+
+    def ones(stream, size):
+        if path.exists():  # chunk c starts after the save of chunks 0..c-1
+            sizes.append(path.stat().st_size)
+        return [1, 1, 1]
+
+    result = sum_chunks(ones, rng_from_seed(5), 9, 1, checkpoint=(str(path), "key"))
+    assert result.tolist() == [9] * 3
+    assert len(sizes) == 8 and len(set(sizes)) == 1
