@@ -9,6 +9,7 @@ amplifier with a Goldreich-Levin style decoder.
 """
 
 from .errors import DimensionMismatch, PreconditionViolation, UnsupportedModel
+from .reporting import Rate
 from .rng import ensure_rng, rng_from_seed, spawn_rngs
 from .signvectors import (
     as_signs,
@@ -26,7 +27,6 @@ from .sources import (
     sample_sv_source,
 )
 from .channels import (
-    AccuracyReport,
     Channel,
     DpAuditReport,
     Transcript,

@@ -32,12 +32,13 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch
-from .reporting import wald_half_width
+from .reporting import Rate
 from .rng import CHUNK_TRIALS, sum_chunks
 from .signvectors import flip_lanes, pack_bits, packed_inner_products
 from .signvectors import random_packed, unpack_signs
-from .sources import SvSourceSpec, sample_rounded_laplace, sample_sv_source
-from .sources import laplace_from_uniform, round_half_away
+from .sources import SvSourceSpec, check_laplace_scale, ip_laplace_scale
+from .sources import laplace_from_uniform, round_half_away, sample_rounded_laplace
+from .sources import sample_sv_source
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,9 +131,7 @@ def laplace_ip_channel(n: int, eps: float) -> Channel:
 
     eps = inf is accepted and degenerates to the exact channel (zero noise).
     """
-    if not eps > 0:  # also rejects nan
-        raise ValueError("eps must be positive")
-    scale = 0.0 if math.isinf(eps) else 2.0 / eps
+    scale = ip_laplace_scale(eps)
 
     def batch(size, rng):
         px, py = random_packed(n, size, rng), random_packed(n, size, rng)
@@ -176,7 +175,7 @@ def randomized_response_channel(n: int, eps: float) -> Channel:
     if n < 1:
         raise ValueError("n must be positive")
     p = randomized_response_p(eps)
-    lap_scale = 1.0 / (p * eps)
+    lap_scale = check_laplace_scale(1.0 / (p * eps))
 
     def batch(size, rng):
         px, py = random_packed(n, size, rng), random_packed(n, size, rng)
@@ -240,33 +239,18 @@ def equality_channel(n: int, alpha: float) -> Channel:
     return Channel(n, "equality", {"alpha": alpha}, batch)
 
 
-@dataclass(frozen=True)
-class AccuracyReport:
-    """Empirical (alpha, gamma)-accuracy of a channel for the inner product."""
-
-    alpha: int
-    gamma_hat: float
-    trials: int
-    half_width: float
-
-    def __post_init__(self):
-        if not 0 <= self.gamma_hat <= 1 or self.half_width < 0:
-            raise ValueError("invalid accuracy report")
-
-
 def estimate_accuracy(
     channel: Channel, alpha: int, trials: int, rng: np.random.Generator
-) -> AccuracyReport:
-    """Monte Carlo estimate of Pr[|out(t) - <x,y>| <= alpha]."""
+) -> Rate:
+    """Monte Carlo estimate of the (alpha, gamma)-accuracy of a channel for
+    the inner product, gamma = Pr[|out(t) - <x,y>| <= alpha]."""
 
     def hits(stream, size):
         b = channel.sample_batch(size, stream)
         ips = packed_inner_products(b.px, b.py, b.n)
         return np.count_nonzero(np.abs(b.outs - ips) <= alpha)
 
-    gamma = int(sum_chunks(hits, rng, trials, CHUNK_TRIALS)) / trials
-    half = wald_half_width(gamma, trials)
-    return AccuracyReport(alpha=alpha, gamma_hat=gamma, trials=trials, half_width=half)
+    return Rate(int(sum_chunks(hits, rng, trials, CHUNK_TRIALS)), trials)
 
 
 @dataclass(frozen=True)

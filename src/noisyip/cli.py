@@ -25,11 +25,11 @@ import numpy as np
 
 from . import amplify, channels, condense, keyagreement, reconstruct
 from .errors import PreconditionViolation
-from .reporting import ExperimentReport, wald_half_width
+from .reporting import ExperimentReport, Rate
 from .rng import CHUNK_TRIALS, rng_from_seed, spawn_rngs, sum_chunks
 from .rng import _save_ckpt  # noqa: F401  the benchmark's tracer counts saves here
 from .signvectors import packed_inner_products, random_bits, random_signs
-from .sources import SvSourceSpec
+from .sources import SvSourceSpec, ip_laplace_scale
 
 
 class ConfigError(ValueError, argparse.ArgumentTypeError):
@@ -53,9 +53,9 @@ def run_chunked(config: dict, seed: int, trials: int, chunk_fn, threads: int = 1
 
 
 def _rate_metric(report, name, hits, trials):
-    rate = hits / trials
-    report.add_metric(name, rate, trials, wald_half_width(rate, trials))
-    return rate
+    rate = Rate(hits, trials)
+    report.add_metric(name, rate.rate, trials, rate.half_width)
+    return rate.rate
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +107,7 @@ def _build_estimator(spec: str, z, eps, rng):
     if spec == "laplace":
         if eps is None:
             raise ConfigError("--eps is required for the laplace estimator")
-        return reconstruct.laplace_estimator(z, 2.0 / eps, rng)
+        return reconstruct.laplace_estimator(z, ip_laplace_scale(eps), rng)
     if spec.startswith("replay:"):
         return _replay_estimator(spec.split(":", 1)[1], n)
     raise ConfigError(f"unknown estimator {spec!r}")
@@ -147,7 +147,7 @@ def cmd_recon(args) -> ExperimentReport:
     rng = rng_from_seed(args.seed)
     z = random_signs(args.n, rng)
     est = _build_estimator(args.estimator, z, args.eps, rng)  # rejects a missing eps
-    ell = args.ell or (reconstruct.best_laplace_ell(args.n, 2.0 / args.eps)
+    ell = args.ell or (reconstruct.best_laplace_ell(args.n, ip_laplace_scale(args.eps))
                        if args.estimator == "laplace" else 1)
     profile = reconstruct.certify_estimator(est, z, ell, args.trials, rng)
     samples = args.samples or reconstruct.default_num_samples(args.n)

@@ -48,7 +48,7 @@ from .signvectors import flip_lanes, pack_bits, pack_signs, random_packed
 from .signvectors import bits_to_signs, random_signs
 from .reconstruct import EstimatorHandle, _residuals, _vote_sums, _vote_totals
 from .reconstruct import reconstruct_bit
-from .sources import SvSourceSpec, laplace_from_uniform, round_half_away
+from .sources import SvSourceSpec, check_laplace_scale, rounded_laplace
 
 
 class _Abort:
@@ -100,21 +100,22 @@ class OpenTranscriptEstimator(TripletEstimator):
 
     Only works on channels that place ``x`` and ``y`` in the transcript
     (e.g. ``exact_ip_channel(n, leak_inputs=True)``).  The optional noise is
-    a *pure* function of r (keyed by r under the fixed key 7), so the
-    estimator is a fixed function and can be queried repeatedly with
-    consistent answers.
+    a *pure* function of r (keyed by the lanes of -r, ``views.pr`` with every
+    entry's bit flipped, under the fixed key 7), so the estimator is a fixed
+    function and can be queried repeatedly with consistent answers.
     """
 
     def __init__(self, n: int, noise_scale: float = 0.0):
         self.n = int(n)
-        self.noise_scale = float(noise_scale)
+        self.noise_scale = check_laplace_scale(float(noise_scale))
+        self._flip_all = pack_bits(np.ones(self.n, dtype=bool))
 
     def query_masked(self, views, rng):
         R, extras = views.R, views.extras
         answers = (R * extras["x"] * extras["y"]).sum(axis=1, dtype=np.int64)
-        if self.noise_scale > 0:
-            u = keyed_uniform01(pack_bits(R > 0), 7)
-            answers += round_half_away(laplace_from_uniform(u, self.noise_scale))
+        if self.noise_scale:
+            u = keyed_uniform01(views.pr ^ self._flip_all, 7)
+            answers += rounded_laplace(u, self.noise_scale)
         return answers
 
 

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .channels import Channel, ChannelBatch
-from .reporting import wald_half_width
+from .reporting import Rate
 from .rng import CHUNK_TRIALS, sum_chunks
 from .signvectors import packed_inner_products, packed_width, random_packed
 from .signvectors import unpack_signs
@@ -77,7 +77,8 @@ class EveViews:
     ``outs``, the transcript ``extras`` (name -> per-row array), and x on r+
     and y on r- as zero-masked int8 rows ``x_plus``/``y_minus``; these three
     are unpacked from the (rows, packed_width(n)) lanes ``pr``, ``px`` and
-    ``py`` on first read.  The parties' full inputs are not part of the view.
+    ``py`` on first read.  An adversary reads x and y only through
+    ``x_plus``/``y_minus``: the lanes ``px``/``py`` hold the full inputs.
     """
 
     def __init__(self, n, pr, V, outs, extras, px, py):
@@ -87,19 +88,19 @@ class EveViews:
         if np.shape(V) != (rows,) or np.shape(outs) != (rows,):
             raise ValueError(f"V and outs must have {rows} rows")
         self.V, self.outs, self.extras = V, outs, extras
-        self._n, self._pr, self._px, self._py = n, pr, px, py
+        self.n, self.pr, self.px, self.py = n, pr, px, py
 
     @functools.cached_property
     def R(self) -> np.ndarray:
-        return unpack_signs(self._pr, self._n)
+        return unpack_signs(self.pr, self.n)
 
     @functools.cached_property
     def x_plus(self) -> np.ndarray:
-        return (self.R == 1) * unpack_signs(self._px, self._n)
+        return (self.R == 1) * unpack_signs(self.px, self.n)
 
     @functools.cached_property
     def y_minus(self) -> np.ndarray:
-        return (self.R == -1) * unpack_signs(self._py, self._n)
+        return (self.R == -1) * unpack_signs(self.py, self.n)
 
 
 # maps a batch of eavesdropper views to an int64 guess of o_A per row
@@ -125,19 +126,6 @@ def run_ka_rounds(
         o_a=_quantize(u_a, V, ell), o_b=_quantize(u_b, V, ell), u_a=u_a, u_b=u_b,
         outs=b.outs, ips=ips, pr=pr, V=V, channel_batch=b,
     )
-
-
-@dataclass(frozen=True)
-class RateReport:
-    rate: float
-    half_width: float
-    trials: int
-
-
-def _rate_report(hits: int, trials: int) -> RateReport:
-    rate = hits / trials if trials else float("nan")
-    half = wald_half_width(rate, trials) if trials else float("nan")
-    return RateReport(rate=rate, half_width=half, trials=trials)
 
 
 def count_rounds(
@@ -168,7 +156,7 @@ def count_rounds(
 
 def agreement_rate(
     channel: Channel, ell: int, trials: int, rng: np.random.Generator
-) -> RateReport:
+) -> Rate:
     """Monte Carlo Pr[o_A = o_B] over independent rounds: ``count_rounds`` on
     the ``ka`` command's chunks, so on ``rng_from_seed(s)`` it counts what
     ``ka --seed s`` counts."""
@@ -176,16 +164,7 @@ def agreement_rate(
         lambda stream, size: count_rounds(channel, ell, size, stream),
         rng, trials, CHUNK_TRIALS,
     )
-    return _rate_report(int(events), trials)
-
-
-@dataclass(frozen=True)
-class LeakageReport:
-    rate: float
-    half_width: float
-    agreement_events: int
-    trials: int
-    degenerate: bool
+    return Rate(int(events), trials)
 
 
 def equality_leakage_rate(
@@ -194,8 +173,10 @@ def equality_leakage_rate(
     adversary: Adversary,
     trials: int,
     rng: np.random.Generator,
-) -> LeakageReport:
-    """Adversary success at guessing o_A conditioned on o_A = o_B.
+) -> Rate:
+    """Adversary success at guessing o_A conditioned on o_A = o_B: the hits
+    over the agreement events, so its ``trials`` count the events (0, with
+    a nan rate, when no round agrees).
 
     The adversary maps an ``EveViews`` batch to an int64 guess per row; it
     is called once per chunk of rounds (as in ``agreement_rate``), on every
@@ -205,14 +186,7 @@ def equality_leakage_rate(
         lambda stream, size: count_rounds(channel, ell, size, stream, adversary),
         rng, trials, CHUNK_TRIALS,
     ))
-    base = _rate_report(hits, events)  # nan rate and width without events
-    return LeakageReport(
-        rate=base.rate,
-        half_width=base.half_width,
-        agreement_events=events,
-        trials=trials,
-        degenerate=events == 0,
-    )
+    return Rate(hits, events)
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +246,8 @@ def adversary_to_ip_estimator(adversary: Adversary, ell: int) -> Callable:
 
     def estimator(views: EveViews, rng: np.random.Generator) -> np.ndarray:
         V = rng.integers(1, ell + 1, size=len(views.outs))
-        shifted = EveViews(views._n, views._pr, V, views.outs, views.extras,
-                           views._px, views._py)
+        shifted = EveViews(views.n, views.pr, V, views.outs, views.extras,
+                           views.px, views.py)
         return views.outs - 2 * (adversary(shifted) + V)
 
     return estimator

@@ -48,7 +48,7 @@ from .signvectors import (
     random_packed,
     unpack_signs,
 )
-from .sources import laplace_from_uniform, round_half_away, rounded_laplace_tail
+from .sources import check_laplace_scale, rounded_laplace, rounded_laplace_tail
 
 # ---------------------------------------------------------------------------
 # The three-valued offset vote
@@ -289,18 +289,19 @@ def zero_estimator(n: int) -> EstimatorHandle:
 def laplace_estimator(z, scale: float, rng: np.random.Generator) -> EstimatorHandle:
     """f(r) = <z, r> + rounded Laplace(scale) noise keyed by the query.
 
-    One 63-bit key is drawn from ``rng``; the noise at r is the rounded
-    Laplace transform of ``keyed_uniform01(r, key)``.  The handle is
+    One 63-bit key is drawn from ``rng``; the noise at r is
+    ``rounded_laplace(keyed_uniform01(r, key), scale)``.  The handle is
     therefore one fixed noisy table over {-1,+1}^n, and the noise of
     distinct queries is independent Laplace up to the quality of the mixer.
     """
     z = as_signs(z)
     n = len(z)
     z_packed = pack_signs(z)[0]
+    check_laplace_scale(scale)
     key = int(rng.integers(0, 2**63))
 
     def packed(P):
-        noise = round_half_away(laplace_from_uniform(keyed_uniform01(P, key), scale))
+        noise = rounded_laplace(keyed_uniform01(P, key), scale)
         return packed_inner_products(P, z_packed, n) + noise
 
     return EstimatorHandle(packed, n)

@@ -111,10 +111,23 @@ class ExperimentReport:
         return buf.getvalue().encode()
 
 
-def wald_half_width(rate: float, trials: int) -> float:
-    """Half-width 1.96 sqrt(p(1-p)/T) of the normal-approximation 95%
-    interval of a rate p over T trials; it reads 0 at p = 0 or 1."""
-    return 1.96 * math.sqrt(rate * (1 - rate) / trials)
+@dataclass(frozen=True)
+class Rate:
+    """``hits`` out of ``trials``: the ``rate`` and the half-width
+    1.96 sqrt(p(1-p)/T) of its normal-approximation (Wald) 95% interval,
+    which reads 0 at p = 0 or 1.  Both are nan without trials."""
+
+    hits: int
+    trials: int
+
+    @property
+    def rate(self) -> float:
+        return self.hits / self.trials if self.trials else math.nan
+
+    @property
+    def half_width(self) -> float:
+        p = self.rate
+        return 1.96 * math.sqrt(p * (1 - p) / self.trials) if self.trials else math.nan
 
 
 def _finite(value):

@@ -99,20 +99,43 @@ def round_half_away(w: np.ndarray) -> np.ndarray:
     return (np.sign(w) * np.floor(np.abs(w) + 0.5)).astype(np.int64)
 
 
+MAX_LAPLACE_SCALE = 2.0**46
+
+
+def check_laplace_scale(scale: float) -> float:
+    """``scale`` if it lies in [0, 2^46], else ValueError.  A uniform on the
+    2^-53 grid (``rng.random``, ``keyed_uniform01``) other than 0 lands at
+    most 36.04 scales from 0, so up to the bound rounded noise is an exact
+    integer far inside int64; past it (a tiny eps) the noise would wrap."""
+    if not 0 <= scale <= MAX_LAPLACE_SCALE:
+        raise ValueError(f"Laplace scale {scale!r} is outside [0, 2^46]: eps is "
+                         "too small (or the scale negative) for exact integer noise")
+    return scale
+
+
+def ip_laplace_scale(eps: float) -> float:
+    """The Laplace scale 2/eps of an eps-private <x,y>, whose sensitivity is
+    2 (0 at eps = inf), checked by :func:`check_laplace_scale`."""
+    if not eps > 0:  # also rejects nan
+        raise ValueError("eps must be positive")
+    return check_laplace_scale(2.0 / eps)
+
+
+def rounded_laplace(u: np.ndarray, scale: float) -> np.ndarray:
+    """The rounded-Laplace transform of uniforms ``u`` in [0, 1):
+    :func:`laplace_from_uniform` rounded by :func:`round_half_away`, as
+    int64, at a scale :func:`check_laplace_scale` accepts."""
+    return round_half_away(laplace_from_uniform(u, check_laplace_scale(scale)))
+
+
 def sample_rounded_laplace(
     scale: float, rng: np.random.Generator, size: int | None = None
 ):
-    """Rounded Laplace noise: :func:`laplace_from_uniform` of a uniform
-    draw, rounded by :func:`round_half_away`.  scale = 0 degenerates to
-    exactly 0.
-    """
-    if scale < 0:
-        raise ValueError("scale must be non-negative")
+    """Rounded Laplace noise: :func:`rounded_laplace` of a uniform draw.
+    scale = 0 degenerates to exactly 0 and draws nothing."""
     shape = () if size is None else (size,)
-    if scale == 0:
-        out = np.zeros(shape, dtype=np.int64)
-    else:
-        out = round_half_away(laplace_from_uniform(rng.random(shape), scale))
+    out = (rounded_laplace(rng.random(shape), scale) if check_laplace_scale(scale)
+           else np.zeros(shape, dtype=np.int64))
     return int(out) if size is None else out
 
 

@@ -445,7 +445,7 @@ def test_criterion_10_trivial_protocol_tightness():
             rep = estimate_accuracy(ch, ell, trials, rng)
             exact = binomial_abs_window(n, ell)
             sigma = math.sqrt(exact * (1 - exact) / trials)
-            dev = abs(rep.gamma_hat - exact)
+            dev = abs(rep.rate - exact)
             worst = max(worst, dev / sigma if sigma else 0.0)
             if dev > 3 * sigma:
                 ok = False

@@ -49,7 +49,7 @@ def test_exact_channel_is_exact():
     ips = np.einsum("ij,ij->i", b.xs.astype(int), b.ys.astype(int))
     assert np.array_equal(b.outs, ips)
     rep = estimate_accuracy(ch, 0, 500, rng)
-    assert rep.gamma_hat == 1.0
+    assert rep.rate == 1.0
 
 
 def test_exact_open_channel_leaks_inputs():
@@ -75,7 +75,7 @@ def test_laplace_channel_concentration():
     n, eps, t = 1000, 1.0, 3
     ch = laplace_ip_channel(n, eps)
     rep = estimate_accuracy(ch, int(2 * t / eps), 30_000, rng)
-    assert rep.gamma_hat >= 1 - math.exp(-t) - 3 * rep.half_width
+    assert rep.rate >= 1 - math.exp(-t) - 3 * rep.half_width
 
 
 def test_laplace_channel_exact_window_oracle():
@@ -86,7 +86,7 @@ def test_laplace_channel_exact_window_oracle():
     trials = 60_000
     rep = estimate_accuracy(ch, alpha, trials, rng)
     exact = sum(rounded_laplace_pmf(k, 2.0 / eps) for k in range(-alpha, alpha + 1))
-    assert abs(rep.gamma_hat - exact) <= 3 * rep.half_width + 1e-9
+    assert abs(rep.rate - exact) <= 3 * rep.half_width + 1e-9
 
 
 def test_laplace_neighbor_likelihood_ratio_exact():
@@ -129,7 +129,7 @@ def test_randomized_response_accuracy_from_variance_oracle():
     ch = randomized_response_channel(n, eps)
     c_eps = math.sqrt(2 * randomized_response_variance(n, eps) / n)
     rep = estimate_accuracy(ch, int(c_eps * math.sqrt(n)), 4000, rng)
-    assert rep.gamma_hat >= 0.5 - 3 * rep.half_width
+    assert rep.rate >= 0.5 - 3 * rep.half_width
 
 
 def test_constant_channel_properties():
@@ -154,7 +154,7 @@ def test_constant_channel_accuracy_matches_binomial_oracle():
     trials = 40_000
     rep = estimate_accuracy(ch, ell, trials, rng)
     exact = float(exact_binomial_window(n, ell))
-    assert abs(rep.gamma_hat - exact) <= 3 * rep.half_width
+    assert abs(rep.rate - exact) <= 3 * rep.half_width
 
 
 def test_accuracy_monotone_in_alpha():
@@ -245,7 +245,7 @@ def test_dp_audit_counts_the_accuracy_estimates_chunk_streams(width):
     for seed in (1, 5):
         acc = estimate_accuracy(ch, width, trials, rng_from_seed(seed))
         rep = dp_audit(ch, near, 0, trials, rng_from_seed(seed))
-        assert rep.p_real == acc.gamma_hat
+        assert rep.p_real == acc.rate
 
 
 def test_dp_audit_laplace_within_eps():
@@ -287,3 +287,19 @@ def test_equality_channel_rate():
 def test_channel_from_config_rejects_unknown():
     with pytest.raises(ValueError):
         channel_from_config({"kind": "quantum", "n": 4})
+
+
+def test_laplace_channels_reject_an_eps_whose_noise_would_wrap():
+    # scale 2/eps meets the 2^46 bound at eps = 2^-45; randomized response's
+    # 1/(p*eps), about 4/eps^2, meets it near eps = 2^-22
+    rng = rng_from_seed(3)
+    with np.errstate(invalid="raise"):
+        b = laplace_ip_channel(8, 2.0**-45).sample_batch(2000, rng)
+        randomized_response_channel(8, 2.0**-21).sample_batch(100, rng)
+    assert np.all(np.abs(b.outs) < 2**52)
+    for eps in (np.nextafter(2.0**-45, 0), 1e-18, 1e-300):
+        with pytest.raises(ValueError, match="eps"):
+            laplace_ip_channel(8, eps)
+    for eps in (2.0**-23, 1e-15):
+        with pytest.raises(ValueError, match="eps"):
+            randomized_response_channel(8, eps)

@@ -545,13 +545,35 @@ RECON = ["recon", "--estimator", "laplace", "--n", "16", "--trials", "10",
      "--trials", "10"],
     ["audit", "--channel", "randomized_response", "--eps", "1e-20", "--n", "4",
      "--trials", "10"],
+    # a Laplace scale above 2^46: the noise wrapped in int64 and the runs
+    # exited 0, audit certifying eps_hat_lower 3.1-7.6
+    *[["audit", "--channel", "laplace", "--eps", eps, "--n", "8", "--seed", "3"]
+      for eps in ("1e-18", "1e-19", "1e-300")],
+    ["ka", "--channel", "laplace", "--eps", "1e-19", "--n", "8", "--seed", "3",
+     "--trials", "2000"],
+    ["audit", "--channel", "randomized_response", "--eps", "1e-15", "--n", "8",
+     "--seed", "3"],
+    ["ka", "--channel", "randomized_response", "--eps", "1e-15", "--n", "8",
+     "--seed", "3", "--trials", "2000"],
+    RECON + ["--eps", "1e-300"],
 ], ids=["recon-eps-0", "recon-eps-neg", "recon-eps-nan", "recon-eps-missing",
         "ka-laplace-eps-nan",
         "audit-rr-eps-nan", "ka-rr-eps-inf", "ka-rr-eps-underflow",
-        "audit-rr-eps-underflow"])
+        "audit-rr-eps-underflow", "audit-laplace-eps-1e-18",
+        "audit-laplace-eps-1e-19", "audit-laplace-eps-1e-300",
+        "ka-laplace-eps-1e-19", "audit-rr-eps-1e-15", "ka-rr-eps-1e-15",
+        "recon-laplace-eps-1e-300"])
 def test_exit_code_bad_eps(argv, capsys):
     assert main(argv) == 2
     assert "eps" in capsys.readouterr().err
+
+
+def test_smallest_laplace_eps_in_range_still_runs(capsys):
+    # scale 2/eps = 2e13 is below the 2^46 bound
+    code, out = run_cli(["audit", "--channel", "laplace", "--eps", "1e-13", "--n",
+                         "8", "--seed", "3"], capsys)
+    assert code == 0
+    assert json.loads(out)["metrics"]["eps_hat_lower"]["value"] < 1
 
 
 def test_exit_code_nan_eps_from_config(tmp_path, capsys):

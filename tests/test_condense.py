@@ -72,6 +72,31 @@ def test_rec_deterministic_under_fixed_seed():
     assert a == b
 
 
+def test_open_transcript_noise_is_keyed_by_the_lanes_of_minus_r(monkeypatch):
+    from noisyip.rng import keyed_uniform01
+    from noisyip.signvectors import pack_bits
+    from noisyip.sources import rounded_laplace
+
+    for bad in (-1.0, -1e-300, math.nan, 2.0**47):
+        with pytest.raises(ValueError, match="eps"):
+            open_transcript_estimator(8, noise_scale=bad)
+    n = 70
+    x, y, t = open_triplet(n, 3)
+    pr = pack_signs(random_signs(n, rng_from_seed(4), 40))
+    views = condense._triplet_views(pr, pack_signs(x), pack_signs(y), t)
+    exact = open_transcript_estimator(n).query_masked(views, None)
+    assert np.array_equal(exact, views.R.astype(np.int64) @ (x * y))
+    noisy = open_transcript_estimator(n, noise_scale=2.0).query_masked(views, None)
+    u = keyed_uniform01(pack_bits(views.R > 0), 7)
+    assert np.array_equal(noisy - exact, rounded_laplace(u, 2.0))
+
+    def no_noise(*args):
+        raise AssertionError("scale 0 computed keyed uniforms")
+
+    monkeypatch.setattr(condense, "keyed_uniform01", no_noise)
+    assert np.array_equal(open_transcript_estimator(n).query_masked(views, None), exact)
+
+
 def test_rec_success_floor_on_certified_good_estimators():
     # Monte Carlo success over (j, triplet) with 95% confidence margin.
     # The analysis-level precondition constant (a rate >= 1024 e^eps ell /
@@ -475,7 +500,7 @@ def test_gate_queries_fix_bit_j_and_keep_pad_bits_zero(n):
             self.n, self.lanes = n, []
 
         def query_masked(self, views, rng):
-            self.lanes.append(views._pr)
+            self.lanes.append(views.pr)
             return np.zeros(len(views.outs), dtype=np.int64)
 
     x, y, t = open_triplet(n, 40 + n)

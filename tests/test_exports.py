@@ -7,9 +7,9 @@ import noisyip
 from test_cli import run_python
 
 EXPORTS = [
-    "ABORT", "AccuracyReport", "Channel", "DimensionMismatch", "DpAuditReport",
+    "ABORT", "Channel", "DimensionMismatch", "DpAuditReport",
     "EstimatorHandle", "EstimatorProfile", "EveParams", "EveViews",
-    "OffsetParams", "PreconditionViolation", "SvSourceSpec", "ToeplitzHash",
+    "OffsetParams", "PreconditionViolation", "Rate", "SvSourceSpec", "ToeplitzHash",
     "Transcript", "UnsupportedModel", "adversary_to_ip_estimator",
     "agreement_rate", "as_signs", "bits_to_signs", "blind_adversary",
     "brute_force_vote_mean", "certify_estimator", "channel_from_config",
@@ -30,7 +30,7 @@ EXPORTS = [
     "zero_estimator", "__version__",
 ]
 
-REMOVED = ["AmplifiedView", "HashedRound", "run_hashed_parity_round",
+REMOVED = ["AccuracyReport", "AmplifiedView", "HashedRound", "run_hashed_parity_round",
            "sample_toeplitz_hash"]
 
 _PROBE = """

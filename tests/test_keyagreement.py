@@ -155,7 +155,7 @@ def test_library_rates_count_what_the_ka_command_counts(seed, tmp_path):
     agreement = agreement_rate(ch, ell, trials, rng_from_seed(seed))
     leak = equality_leakage_rate(ch, ell, blind_adversary(ell), trials,
                                  rng_from_seed(seed))
-    assert leak.agreement_events == round(agreement.rate * trials)
+    assert leak.trials == round(agreement.rate * trials)
     for threads in ("1", "2"):
         out = tmp_path / f"ka{threads}.json"
         assert main(["ka", "--channel", "laplace", "--eps", "1.0", "--n", "64",
@@ -164,7 +164,7 @@ def test_library_rates_count_what_the_ka_command_counts(seed, tmp_path):
                      "--out", str(out)]) == 0
         metrics = json.loads(out.read_text())["metrics"]
         assert metrics["agreement"]["value"] == agreement.rate
-        assert metrics["equality_leakage"]["trials"] == leak.agreement_events
+        assert metrics["equality_leakage"]["trials"] == leak.trials
         assert metrics["equality_leakage"]["value"] == leak.rate
 
 
@@ -268,8 +268,8 @@ def test_blind_adversary_matches_exact_baseline():
     rng = rng_from_seed(6)
     ch = exact_ip_channel(n)
     rep = equality_leakage_rate(ch, ell, blind_adversary(ell), 8000, rng)
-    assert not rep.degenerate
-    sigma = math.sqrt(exact * (1 - exact) / rep.agreement_events)
+    assert rep.trials > 0
+    sigma = math.sqrt(exact * (1 - exact) / rep.trials)
     assert abs(rep.rate - exact) < 4 * sigma
 
 
@@ -331,8 +331,8 @@ def test_leakage_degenerate_flagged():
     rng = rng_from_seed(9)
     ch = constant_channel(16, 16)
     rep = equality_leakage_rate(ch, 1, blind_adversary(1), 300, rng)
-    if rep.agreement_events == 0:
-        assert rep.degenerate
+    if rep.trials == 0:
+        assert math.isnan(rep.rate) and math.isnan(rep.half_width)
     else:  # agreement is possible but rare; rate must still be defined
         assert not math.isnan(rep.rate)
 

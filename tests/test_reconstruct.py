@@ -345,6 +345,12 @@ def test_certify_zero_estimator_against_binomial_oracle():
     assert prof.lambda_hat < 2.0  # small constant at this window
 
 
+@pytest.mark.parametrize("scale", [-1.0, math.nan, 2.0**47, 2e300])
+def test_laplace_estimator_rejects_a_scale_outside_the_exact_range(scale):
+    with pytest.raises(ValueError, match="eps"):
+        laplace_estimator(random_signs(8, rng_from_seed(1)), scale, rng_from_seed(2))
+
+
 def test_certify_laplace_estimator_matches_exact_oracle():
     rng = rng_from_seed(16)
     n, ell, scale = 1024, 6, 2.0

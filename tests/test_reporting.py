@@ -2,12 +2,13 @@
 
 import copy
 import json
+import math
 
 import jsonschema
 import pytest
 
 from noisyip.cli import main
-from noisyip.reporting import (REPORT_SCHEMA, ExperimentReport, ReportError,
+from noisyip.reporting import (REPORT_SCHEMA, ExperimentReport, Rate, ReportError,
                                validate_report)
 from test_cli import readme_examples, run_python
 
@@ -144,3 +145,30 @@ def test_a_command_writes_its_artifact_without_importing_jsonschema(tmp_path):
     assert proc.stdout.split("\n")[0] == "0 []", proc.stderr
     validate_report(json.loads(out.read_text()))
     assert accepts(ORACLE.validate, json.loads(out.read_text()))
+
+
+@pytest.mark.parametrize("hits, trials, rate, half_width", [
+    (0, 10, 0.0, 0.0),
+    (10, 10, 1.0, 0.0),
+    (3, 12, 0.25, 1.96 * math.sqrt(0.25 * 0.75 / 12)),
+    (1, 3, 1 / 3, 1.96 * math.sqrt((1 / 3) * (1 - 1 / 3) / 3)),
+])
+def test_rate_is_hits_over_trials_with_the_wald_half_width(hits, trials, rate,
+                                                           half_width):
+    r = Rate(hits, trials)
+    assert (r.hits, r.trials, r.rate, r.half_width) == (hits, trials, rate, half_width)
+
+
+def test_rate_without_trials_is_nan():
+    r = Rate(0, 0)
+    assert r.trials == 0
+    assert math.isnan(r.rate) and math.isnan(r.half_width)
+
+
+def test_rate_metric_writes_the_rate_and_its_half_width():
+    from noisyip.cli import _rate_metric
+
+    report = ExperimentReport("ka", 1, {})
+    assert _rate_metric(report, "agreement", 7, 20) == Rate(7, 20).rate
+    assert report.metrics["agreement"] == {
+        "value": 0.35, "half_width": Rate(7, 20).half_width, "trials": 20}

@@ -14,6 +14,8 @@ from noisyip import (
     sample_sv_source,
 )
 from noisyip.signvectors import unpack_signs
+from noisyip.sources import MAX_LAPLACE_SCALE, check_laplace_scale, ip_laplace_scale
+from noisyip.sources import rounded_laplace
 
 
 def test_spec_validation():
@@ -120,3 +122,38 @@ def test_rounded_laplace_pmf_matches_empirical():
         + sum(rounded_laplace_pmf(-k, scale) for k in range(3, 400)),
         rel=1e-9,
     )
+
+
+def test_rounded_laplace_at_the_largest_scale_stays_exact():
+    # the extreme uniforms on the 2^-53 grid land 36.04 scales from 0, which
+    # at scale 2^46 is still below 2^52: exact integers, no int64 wrap
+    scale = MAX_LAPLACE_SCALE
+    u = np.array([2.0**-53, 1 - 2.0**-53, 0.25, 0.5, 0.75])
+    with np.errstate(invalid="raise"):
+        got = rounded_laplace(u, scale)
+    expected = [-round(scale * 52 * math.log(2)), round(scale * 52 * math.log(2)),
+                -round(scale * math.log(2)), 0, round(scale * math.log(2))]
+    assert got.dtype == np.int64
+    assert np.all(np.abs(got) < 2**52)
+    assert np.all(np.abs(got - expected) <= scale * 1e-12)
+
+
+@pytest.mark.parametrize("scale", [
+    np.nextafter(MAX_LAPLACE_SCALE, math.inf), 2.0**60, 2e300, math.inf, -1.0,
+    -1e-300, math.nan])
+def test_a_scale_outside_the_exact_range_is_rejected(scale):
+    with pytest.raises(ValueError, match="eps"):
+        check_laplace_scale(scale)
+    with pytest.raises(ValueError, match="eps"):
+        rounded_laplace(np.array([0.3]), scale)
+    with pytest.raises(ValueError, match="eps"):
+        sample_rounded_laplace(scale, rng_from_seed(1), 4)
+
+
+def test_the_scale_check_admits_zero_and_the_bound():
+    assert check_laplace_scale(0.0) == 0.0
+    assert check_laplace_scale(MAX_LAPLACE_SCALE) == MAX_LAPLACE_SCALE
+    assert ip_laplace_scale(math.inf) == 0.0
+    assert ip_laplace_scale(2.0**-45) == MAX_LAPLACE_SCALE
+    with pytest.raises(ValueError, match="eps"):
+        ip_laplace_scale(np.nextafter(2.0**-45, 0))
