@@ -6,6 +6,8 @@ chunks, each chunk draws from its own spawned generator stream, and chunk
 results merge in index order, so neither --threads nor interruptions change
 the output bytes.  The ``ka`` rounds and ``amplify`` trial rounds checkpoint
 the sum of their finished prefix of chunks, so interrupted runs resume.
+Each subcommand imports the library modules it runs when it runs, so a
+command's start-up loads no module that it does not use.
 
 Exit codes: 0 ok, 2 invalid configuration, 3 precondition violation.
 """
@@ -23,7 +25,6 @@ import time
 
 import numpy as np
 
-from . import amplify, channels, condense, keyagreement, reconstruct
 from .errors import PreconditionViolation
 from .reporting import ExperimentReport, Rate
 from .rng import CHUNK_TRIALS, rng_from_seed, spawn_rngs, sum_chunks
@@ -99,6 +100,7 @@ def _reject_unread(args, flags, where: str) -> None:
 
 
 def _build_estimator(spec: str, z, eps, rng):
+    from . import reconstruct
     n = len(z)
     if spec == "exact":
         return reconstruct.exact_estimator(z)
@@ -114,6 +116,7 @@ def _build_estimator(spec: str, z, eps, rng):
 
 
 def _replay_estimator(path: str, n: int):
+    from . import reconstruct
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -144,6 +147,7 @@ def _replay_estimator(path: str, n: int):
 
 
 def cmd_recon(args) -> ExperimentReport:
+    from . import reconstruct
     rng = rng_from_seed(args.seed)
     z = random_signs(args.n, rng)
     est = _build_estimator(args.estimator, z, args.eps, rng)  # rejects a missing eps
@@ -178,6 +182,7 @@ def cmd_recon(args) -> ExperimentReport:
 
 
 def cmd_ka(args) -> ExperimentReport:
+    from . import channels, keyagreement
     cfg = _channel_config(args)
     ell = args.ell or max(2, math.isqrt(args.n))
     config = {"channel": cfg, "ell": ell, "adversary": args.adversary}
@@ -215,6 +220,7 @@ def cmd_ka(args) -> ExperimentReport:
 
 
 def cmd_condense(args) -> ExperimentReport:
+    from . import condense
     if args.mode == "mod":
         _reject_unread(args, ["trials"], "--mode mod")
         trials = None  # exact laws: nothing is sampled
@@ -258,6 +264,7 @@ def cmd_condense(args) -> ExperimentReport:
 
 
 def cmd_amplify(args) -> ExperimentReport:
+    from . import amplify, channels
     alpha = args.alpha
     if not 0 < alpha <= 1 or 5 / alpha > CHUNK_TRIALS:  # a wrapper run fits one chunk
         raise ConfigError(f"--alpha must lie in [{5 / CHUNK_TRIALS}, 1] for amplify, got {alpha}")
@@ -304,6 +311,7 @@ def cmd_amplify(args) -> ExperimentReport:
 
 
 def cmd_audit(args) -> ExperimentReport:
+    from . import channels
     if not args.search:
         _reject_unread(args, ["ell", "budget"], "an audit without --search")
     elif args.channel != "exact_open":
@@ -332,6 +340,7 @@ def cmd_audit(args) -> ExperimentReport:
         "trials": args.trials,
     }
     if search:
+        from . import condense
         est = condense.open_transcript_estimator(channel.n)
         best = condense.search_eve_params(
             channel, est, search["ell"], search["eps"], search["budget"], rng
@@ -353,6 +362,7 @@ def _build_distinguisher(spec: str):
 
 
 def cmd_gl(args) -> ExperimentReport:
+    from . import amplify
     config = {"n": args.n, "noise": args.noise, "runs": args.runs}
     rng = rng_from_seed(args.seed)
     hits = 0

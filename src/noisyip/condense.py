@@ -43,7 +43,7 @@ import numpy as np
 from .channels import Channel, ChannelBatch
 from .errors import PreconditionViolation, UnsupportedModel
 from .keyagreement import EveViews
-from .rng import keyed_uniform01, map_streams, rng_from_seed
+from .rng import CHUNK_TRIALS, keyed_uniform01, map_streams, rng_from_seed
 from .signvectors import flip_lanes, pack_bits, pack_signs, random_packed
 from .signvectors import bits_to_signs, random_signs
 from .reconstruct import EstimatorHandle, _residuals, _vote_sums, _vote_totals
@@ -386,7 +386,8 @@ def search_eve_params(
     outcome off that evaluation exactly as ``eve_distinguisher`` would.  The
     gate and the reconstruction each get max(64, budget // 2E) queries, with
     E = 2 * num_triplets * (number of triples), so the search asks at most
-    the budget only above that 64-query floor.  f must be pure.  Each
+    the budget only above that 64-query floor; a budget that gives more than
+    ``CHUNK_TRIALS`` is refused before anything is drawn.  f must be pure.  Each
     triplet is a size-1 batch of ``channel``.
     """
     if ell_hat_candidates is None:
@@ -402,6 +403,9 @@ def search_eve_params(
     ]
     evals = 2 * num_triplets * len(combos)
     samples = max(64, budget // (2 * evals))
+    if samples > CHUNK_TRIALS:  # each evaluation draws its batches whole
+        raise ValueError(f"--budget {budget} gives {samples} queries per evaluation, "
+                         f"max(64, budget // {2 * evals}), over one chunk of {CHUNK_TRIALS}")
 
     # hits[side, d - 1, l, g]: Eve = 1 on the real (0) or flipped (1) pair
     hits = np.zeros((2, 3, len(ell_hat_candidates), len(grid)), dtype=np.int64)

@@ -7,7 +7,6 @@ part of the serialized payload; runners print it to stderr instead.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
@@ -89,6 +88,7 @@ class ExperimentReport:
         ).encode()
 
     def to_csv_bytes(self) -> bytes:
+        import csv  # only --format csv needs it
         payload = self.to_dict()
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

@@ -13,7 +13,6 @@ import json
 import os
 import sys
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -56,6 +55,7 @@ def map_streams(fn, rng: Generator, count: int, threads: int = 1, start: int = 0
     if threads <= 1:
         yield from (fn(c, stream) for c, stream in todo)
         return
+    from concurrent.futures import ThreadPoolExecutor  # only a pool needs it
     with ThreadPoolExecutor(max_workers=threads) as pool:
         window = deque()
         for c, stream in todo:

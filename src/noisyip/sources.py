@@ -89,8 +89,9 @@ def sample_sv_source(
 
 
 def laplace_from_uniform(u: np.ndarray, scale: float) -> np.ndarray:
-    """Laplace(scale) by inverse CDF: -scale sign(c) log(1 - 2|c|), c = u - 1/2."""
-    c = u - 0.5
+    """Laplace(scale) by inverse CDF: -scale sign(c) log(1 - 2|c|), c = u - 1/2.
+    u = 0 (log 0) is read as the next grid point 2^-53, about -36.04 scales."""
+    c = np.maximum(u, 2.0**-53) - 0.5
     return -scale * np.sign(c) * np.log1p(-2.0 * np.abs(c))
 
 
@@ -104,8 +105,8 @@ MAX_LAPLACE_SCALE = 2.0**46
 
 def check_laplace_scale(scale: float) -> float:
     """``scale`` if it lies in [0, 2^46], else ValueError.  A uniform on the
-    2^-53 grid (``rng.random``, ``keyed_uniform01``) other than 0 lands at
-    most 36.04 scales from 0, so up to the bound rounded noise is an exact
+    2^-53 grid (``rng.random``, ``keyed_uniform01``) lands at most 36.04
+    scales from 0, so up to the bound rounded noise is an exact
     integer far inside int64; past it (a tiny eps) the noise would wrap."""
     if not 0 <= scale <= MAX_LAPLACE_SCALE:
         raise ValueError(f"Laplace scale {scale!r} is outside [0, 2^46]: eps is "

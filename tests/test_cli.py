@@ -9,10 +9,13 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
+import types
 from pathlib import Path
 
 import pytest
 
+import noisyip
 from noisyip.cli import _merge_config, build_parser, main
 from noisyip.reporting import validate_report
 
@@ -621,6 +624,23 @@ def test_exit_code_precondition_violation(capsys):
     assert code == 3
 
 
+def test_audit_search_budget_over_one_chunk_per_evaluation_exits_2(tmp_path, capsys):
+    # 10^15 used to ask 539 GiB for one gate batch and exit 1 with
+    # _ArrayMemoryError; now it is refused before the search draws anything
+    argv = ["audit", "--channel", "exact_open", "--n", "64", "--search",
+            "--trials", "100", "--budget", "1000000000000000",
+            "--out", str(tmp_path / "a.json")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "--budget 1000000000000000" in capsys.readouterr().err
+    assert peak < 2**24
+    assert not (tmp_path / "a.json").exists()
+
+
 @pytest.mark.parametrize("eps, code", [
     # the grid held e^(4 eps) log2(n)^3 / 4 points: 4.8e8 took 7.8 s, 2.4e10
     # (eps 5) asked for 195 GiB, and e^708 overflowed to a traceback
@@ -673,6 +693,71 @@ def run_python(*args, **env):
     env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else ""), **env}
     return subprocess.run([sys.executable, *args], env=env, capture_output=True,
                           text=True)
+
+
+_MODULES_PROBE = """
+import json, sys
+import noisyip
+if len(sys.argv) > 1:
+    from noisyip.cli import main
+    assert main(json.loads(sys.argv[1])) == 0
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def modules_after(argv=None):
+    """The names in a fresh interpreter's ``sys.modules`` after ``import
+    noisyip`` and, given ``argv``, after ``noisyip.cli.main(argv)`` returned 0."""
+    proc = run_python("-c", _MODULES_PROBE, *([json.dumps(argv)] if argv else []))
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout))
+
+
+def test_a_bare_import_loads_no_submodule_and_no_numpy():
+    loaded = modules_after()
+    assert "noisyip" in loaded
+    assert not {m for m in loaded if m.startswith("noisyip.") or m == "numpy"}
+
+
+def test_recon_imports_only_the_modules_it_runs(tmp_path):
+    loaded = modules_after(["recon", "--eps", "1.0", "--n", "16", "--samples", "64",
+                            "--out", str(tmp_path / "r.json")])
+    assert "noisyip.reconstruct" in loaded
+    assert not loaded & {"noisyip.channels", "noisyip.keyagreement", "noisyip.condense",
+                         "noisyip.hashing", "noisyip.amplify", "concurrent.futures", "csv"}
+
+
+def test_a_threaded_command_imports_the_pool_and_keeps_its_bytes(tmp_path):
+    ka = ["ka", "--channel", "laplace", "--eps", "1.0", "--n", "64", "--ell", "8",
+          "--trials", "25000", "--adversary", "blind", "--seed", "13"]
+    one, two = tmp_path / "one.json", tmp_path / "two.json"
+    assert main(ka + ["--threads", "1", "--out", str(one)]) == 0
+    assert "concurrent.futures" in modules_after(ka + ["--threads", "2", "--out", str(two)])
+    assert two.read_bytes() == one.read_bytes()
+
+
+@pytest.mark.parametrize("probe, printed", [
+    # the benchmark's load_library (perfbench/run.py) reads submodules of the
+    # package right after importing the CLI
+    ("import noisyip, noisyip.cli; print(noisyip.reconstruct.__name__, "
+     "noisyip.sources.__name__, noisyip.reporting.__name__)",
+     "noisyip.reconstruct noisyip.sources noisyip.reporting"),
+    ("import noisyip; print(noisyip.reconstruct_all.__module__)", "noisyip.reconstruct"),
+])
+def test_submodules_and_names_resolve_on_first_use(probe, printed):
+    proc = run_python("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == printed
+
+
+def test_dir_lists_every_export_and_each_resolves():
+    # the package binds no export itself, so the reference list is checked
+    # against what __dir__ offers
+    from test_exports import EXPORTS
+
+    assert {name for name in dir(noisyip) if not name.startswith("_")
+            and not isinstance(getattr(noisyip, name), types.ModuleType)} == \
+        set(EXPORTS) - {"__version__"}
 
 
 def test_a_usage_error_returns_2_and_help_returns_0(capsys):

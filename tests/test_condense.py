@@ -409,6 +409,18 @@ def test_search_rejects_empty_grids(empty):
                           rng_from_seed(26), **empty)
 
 
+def test_search_refuses_a_budget_over_one_chunk_per_evaluation_before_drawing():
+    # at n = 64 and eps = 0 the grid keeps 8 points, so E = 2 * 48 * 72 and a
+    # budget of 10,001 * 2E is the first to ask more than one chunk per batch
+    n, evals = 64, 2 * 48 * 72
+    channel = exact_ip_channel(n, leak_inputs=True)
+    rng = rng_from_seed(27)
+    with pytest.raises(ValueError, match="gives 10001 queries per evaluation"):
+        search_eve_params(channel, open_transcript_estimator(n), 1, 0.0,
+                          10_001 * 2 * evals, rng)
+    assert rng.random() == rng_from_seed(27).random()  # nothing was drawn
+
+
 @pytest.mark.parametrize("seed, gap", [(1, 0.625), (5, 0.5), (7, 0.5833333333333334)])
 def test_search_reports_are_pinned(seed, gap):
     # audit --channel exact_open --n 64 --search's search, as the int64 GEMV

@@ -10,7 +10,7 @@ import pytest
 from noisyip.cli import main
 from noisyip.reporting import (REPORT_SCHEMA, ExperimentReport, Rate, ReportError,
                                validate_report)
-from test_cli import readme_examples, run_python
+from test_cli import modules_after, readme_examples
 
 # what jsonschema.validate(payload, REPORT_SCHEMA) builds for each call
 ORACLE = jsonschema.validators.validator_for(REPORT_SCHEMA)(REPORT_SCHEMA)
@@ -137,12 +137,9 @@ def test_report_error_names_the_failing_path():
 
 def test_a_command_writes_its_artifact_without_importing_jsonschema(tmp_path):
     out = tmp_path / "recon.json"
-    argv = ["recon", "--estimator", "laplace", "--eps", "1.0", "--n", "36",
-            "--samples", "4096", "--seed", "7", "--out", str(out)]
-    probe = (f"import sys; from noisyip.cli import main; code = main({argv!r}); "
-             "print(code, sorted({'jsonschema', 'referencing'} & set(sys.modules)))")
-    proc = run_python("-c", probe)
-    assert proc.stdout.split("\n")[0] == "0 []", proc.stderr
+    assert not {"jsonschema", "referencing"} & modules_after(
+        ["recon", "--estimator", "laplace", "--eps", "1.0", "--n", "36",
+         "--samples", "4096", "--seed", "7", "--out", str(out)])
     validate_report(json.loads(out.read_text()))
     assert accepts(ORACLE.validate, json.loads(out.read_text()))
 

@@ -138,6 +138,12 @@ def test_rounded_laplace_at_the_largest_scale_stays_exact():
     assert np.all(np.abs(got - expected) <= scale * 1e-12)
 
 
+def test_a_uniform_of_zero_is_read_as_the_next_grid_point():
+    # u = 0 used to give log1p(-1) = -inf, cast with a RuntimeWarning (an
+    # error in this suite) to INT64_MIN noise
+    assert rounded_laplace(np.array([0.0, 2.0**-53]), 1.0).tolist() == [-36, -36]
+
+
 @pytest.mark.parametrize("scale", [
     np.nextafter(MAX_LAPLACE_SCALE, math.inf), 2.0**60, 2e300, math.inf, -1.0,
     -1e-300, math.nan])
