@@ -68,7 +68,9 @@ class Transcript:
 class ChannelBatch:
     """Column-major batch of channel samples.  The inputs are held only as
     packed uint64 lanes ``px``/``py`` (``noisyip.signvectors`` layout); the
-    (size, n) int8 sign rows ``xs``/``ys`` are unpacked on first read."""
+    (size, n) int8 sign rows ``xs``/``ys`` are unpacked on first read, and
+    the inner products ``ips`` = <x,y> computed on first read unless the
+    channel that sampled the batch set them."""
 
     n: int
     px: np.ndarray       # (size, packed_width(n)) uint64
@@ -83,6 +85,10 @@ class ChannelBatch:
     @functools.cached_property
     def ys(self) -> np.ndarray:
         return unpack_signs(self.py, self.n)
+
+    @functools.cached_property
+    def ips(self) -> np.ndarray:
+        return packed_inner_products(self.px, self.py, self.n)
 
     def __len__(self) -> int:
         return self.px.shape[0]
@@ -118,6 +124,7 @@ def exact_ip_channel(n: int, leak_inputs: bool = False) -> Channel:
     def batch(size, rng):
         px, py = random_packed(n, size, rng), random_packed(n, size, rng)
         b = ChannelBatch(n, px, py, packed_inner_products(px, py, n))
+        b.ips = b.outs
         if leak_inputs:
             b.extras.update(x=b.xs, y=b.ys)
         return b
@@ -136,7 +143,10 @@ def laplace_ip_channel(n: int, eps: float) -> Channel:
     def batch(size, rng):
         px, py = random_packed(n, size, rng), random_packed(n, size, rng)
         noise = sample_rounded_laplace(scale, rng, size)
-        return ChannelBatch(n, px, py, packed_inner_products(px, py, n) + noise)
+        ips = packed_inner_products(px, py, n)
+        b = ChannelBatch(n, px, py, ips + noise)
+        b.ips = ips
+        return b
 
     return Channel(n, "laplace", {"eps": eps, "scale": scale}, batch)
 
@@ -247,8 +257,7 @@ def estimate_accuracy(
 
     def hits(stream, size):
         b = channel.sample_batch(size, stream)
-        ips = packed_inner_products(b.px, b.py, b.n)
-        return np.count_nonzero(np.abs(b.outs - ips) <= alpha)
+        return np.count_nonzero(np.abs(b.outs - b.ips) <= alpha)
 
     return Rate(int(sum_chunks(hits, rng, trials, CHUNK_TRIALS)), trials)
 

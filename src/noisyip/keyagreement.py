@@ -118,13 +118,12 @@ def run_ka_rounds(
     b = channel.sample_batch(trials, rng)
     pr = random_packed(n, trials, rng)
     V = rng.integers(1, ell + 1, size=trials)
-    ips = packed_inner_products(b.px, b.py, n)
-    # u_a = ip_minus = (ips - <x*y, r>) / 2 exactly; u_b = out - ip_plus
-    u_a = (ips - packed_inner_products(b.px ^ b.py, pr, n)) // 2
-    u_b = b.outs - (ips - u_a)
+    # u_a = ip_minus = (<x,y> - <x*y, r>) / 2 exactly; u_b = out - ip_plus
+    u_a = (b.ips - packed_inner_products(b.px ^ b.py, pr, n)) // 2
+    u_b = b.outs - (b.ips - u_a)
     return KARoundBatch(
         o_a=_quantize(u_a, V, ell), o_b=_quantize(u_b, V, ell), u_a=u_a, u_b=u_b,
-        outs=b.outs, ips=ips, pr=pr, V=V, channel_batch=b,
+        outs=b.outs, ips=b.ips, pr=pr, V=V, channel_batch=b,
     )
 
 

@@ -131,8 +131,14 @@ def random_packed(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
         rng.bytes(0)
         return np.zeros((size, w), np.uint64)
     raw = rng.integers(0, 2**32, (size, 2 * w), dtype=np.uint32).view(np.uint64)
-    raw[:, -1] &= np.uint64(2**64 - 1) >> np.uint64(-n % 64)  # clear the pad bits
+    if n % 64:  # clear the pad bits
+        raw[:, -1] &= np.uint64(2**64 - 1) >> np.uint64(-n % 64)
     return raw
+
+
+# Words per block of the inner-product kernel: the XOR and popcount
+# temporaries of one block stay in cache.
+_IP_BLOCK_WORDS = 2**13
 
 
 def packed_inner_products(P: np.ndarray, Q: np.ndarray, n: int) -> np.ndarray:
@@ -140,10 +146,20 @@ def packed_inner_products(P: np.ndarray, Q: np.ndarray, n: int) -> np.ndarray:
     or one packed row per row of P.
 
     Signs agree exactly where the packed bits agree, so the inner product
-    is n - 2 * popcount(p xor q).
+    is n - 2 * popcount(p xor q).  The popcounts of a block of rows are
+    summed over the lanes by one BLAS product with a ones vector, whose
+    partial sums are integers of at most n: exact in float32 below 2^24,
+    float64 above.  One-lane rows need no sum.
     """
-    ham = np.zeros(P.shape[0], dtype=np.int64)
-    for j in range(P.shape[1]):
-        ham += np.bitwise_count(P[:, j] ^ Q[..., j])
-    return n - 2 * ham
-
+    rows, w = P.shape
+    if w == 1:
+        ham = np.bitwise_count(P[:, 0] ^ Q[..., 0])
+    else:
+        dtype = np.float32 if n < 2**24 else np.float64
+        ones, step = np.ones(w, dtype), max(1, _IP_BLOCK_WORDS // max(w, 1))
+        ham = np.empty(rows, dtype)
+        for s in range(0, rows, step):
+            blk = slice(s, s + step)
+            counts = np.bitwise_count(P[blk] ^ (Q if Q.ndim == 1 else Q[blk]))
+            np.dot(counts.astype(dtype), ones, out=ham[blk])
+    return n - 2 * ham.astype(np.int64)

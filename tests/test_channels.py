@@ -166,19 +166,32 @@ def test_accuracy_monotone_in_alpha():
     assert all(r1 <= r2 for r1, r2 in zip(rates, rates[1:]))
 
 
+CONFIGS = (
+    {"kind": "exact", "n": 16},
+    {"kind": "exact_open", "n": 16},
+    {"kind": "laplace", "n": 16, "eps": 1.0},
+    {"kind": "randomized_response", "n": 16, "eps": 1.0},
+    {"kind": "constant", "n": 16, "z": 2},
+    {"kind": "equality", "n": 16, "alpha": 0.5},
+)
+
+
 def test_channel_determinism_per_seed():
-    for cfg in (
-        {"kind": "exact", "n": 16},
-        {"kind": "laplace", "n": 16, "eps": 1.0},
-        {"kind": "randomized_response", "n": 16, "eps": 1.0},
-        {"kind": "constant", "n": 16, "z": 2},
-        {"kind": "equality", "n": 16, "alpha": 0.5},
-    ):
+    for cfg in CONFIGS:
         b1 = channel_from_config(cfg).sample_batch(50, rng_from_seed(123))
         b2 = channel_from_config(cfg).sample_batch(50, rng_from_seed(123))
         assert np.array_equal(b1.xs, b2.xs)
         assert np.array_equal(b1.ys, b2.ys)
         assert np.array_equal(b1.outs, b2.outs)
+
+
+@pytest.mark.parametrize("n", [16, 100])
+def test_channel_batch_ips_are_the_kernel_on_its_lanes(n):
+    for cfg in CONFIGS:
+        b = channel_from_config({**cfg, "n": n}).sample_batch(50, rng_from_seed(7))
+        assert np.array_equal(b.ips, packed_inner_products(b.px, b.py, n))
+        if cfg["kind"] in ("exact", "exact_open"):
+            assert b.outs is b.ips
 
 
 def test_dp_audit_constant_channel_no_signal():

@@ -498,3 +498,19 @@ def test_transcript_adversaries_build_no_sign_rows(make_adversary, monkeypatch):
     # the counter does see a read at the public boundary
     run_ka_rounds(laplace_ip_channel(LANE_N, 1.0), ell, 10, rng_from_seed(1)).R
     assert unpacked == [(10, 2)]
+
+
+@pytest.mark.parametrize("channel", [exact_ip_channel(LANE_N), laplace_ip_channel(LANE_N, 1.0)])
+def test_a_batch_of_rounds_runs_the_inner_product_kernel_twice(channel, monkeypatch):
+    # <x,y> once in the channel, shared with the rounds; <x*y, r> once
+    calls = []
+    real = signvectors.packed_inner_products
+
+    def counting(P, Q, n):
+        calls.append(P.shape)
+        return real(P, Q, n)
+
+    for module in (signvectors, channels_module, keyagreement):
+        monkeypatch.setattr(module, "packed_inner_products", counting)
+    count_rounds(channel, 6, 500, rng_from_seed(3), blind_adversary(6))
+    assert calls == [(500, 2), (500, 2)]

@@ -17,6 +17,7 @@ from noisyip import (
 )
 from noisyip.keyagreement import EveViews
 from noisyip.signvectors import (
+    _IP_BLOCK_WORDS,
     flip_lanes,
     pack_bits,
     pack_signs,
@@ -248,6 +249,33 @@ def test_packed_roundtrip_and_inner_products():
         zp = pack_signs(z)[0]
         expected = R.astype(np.int64) @ z.astype(np.int64)
         assert np.array_equal(packed_inner_products(P, zp, n), expected)
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130, 1024])
+def test_packed_inner_products_is_the_unpacked_dot(n):
+    # row counts around the kernel's row blocks, against a full matrix Q and
+    # a one-row broadcast Q
+    rng = rng_from_seed(6)
+    block = _IP_BLOCK_WORDS // packed_width(n)
+    for rows in (0, 1, block - 1, block, block + 1):
+        P, Q = random_packed(n, rows, rng), random_packed(n, rows, rng)
+        q = random_packed(n, 1, rng)[0]
+        X, Y = unpack_signs(P, n).astype(np.int64), unpack_signs(Q, n).astype(np.int64)
+        full, broadcast = packed_inner_products(P, Q, n), packed_inner_products(P, q, n)
+        assert full.dtype == broadcast.dtype == np.int64
+        assert np.array_equal(full, np.einsum("ij,ij->i", X, Y))
+        assert np.array_equal(broadcast, X @ unpack_signs(q[None], n)[0].astype(np.int64))
+
+
+def test_packed_inner_products_exact_past_float32():
+    # a popcount of 2^24 + 1 rounds to 2^24 in float32
+    n = 2**24 + 1
+    P = np.full((2, packed_width(n)), 2**64 - 1, np.uint64)
+    P[:, -1] = 1  # every bit set, pad bits clear
+    Q = np.zeros_like(P)
+    Q[1] = P[1]
+    assert packed_inner_products(P, Q, n).tolist() == [-n, n]
+    assert packed_inner_products(P, Q[0], n).tolist() == [-n, -n]
 
 
 PRIOR_DRAWS = {
