@@ -17,9 +17,9 @@ Built-in channels:
 * ``equality_channel``     -- X = Y with a given probability, otherwise
   independent; used by the agreement-amplification experiments.
 
-``exact_ip_channel(..., leak_inputs=True)`` additionally places both inputs
-in the transcript.  That variant is useful as a worst-case non-private
-channel in attack experiments.
+``exact_ip_channel(..., leak_inputs=True)`` additionally places the inputs'
+own lanes in the transcript (a vector message holds lanes; ``unpack_signs``
+reads them): the worst-case non-private channel of the attack experiments.
 """
 
 from __future__ import annotations
@@ -58,10 +58,7 @@ class Transcript:
             raise ValueError("designated output must match the 'out' message")
 
     def message(self, name: str):
-        for key, value in self.messages:
-            if key == name:
-                return value
-        raise KeyError(name)
+        return dict(self.messages)[name]
 
 
 @dataclass(eq=False)
@@ -94,11 +91,9 @@ class ChannelBatch:
         return self.px.shape[0]
 
     def transcript(self, i: int) -> Transcript:
-        messages = []
-        for name, arr in self.extras.items():
-            messages.append((name, arr[i]))
-        messages.append(("out", int(self.outs[i])))
-        return Transcript(messages=tuple(messages), out=int(self.outs[i]))
+        out = int(self.outs[i])
+        messages = (*((name, arr[i]) for name, arr in self.extras.items()), ("out", out))
+        return Transcript(messages=messages, out=out)
 
 
 class Channel:
@@ -123,10 +118,9 @@ def exact_ip_channel(n: int, leak_inputs: bool = False) -> Channel:
 
     def batch(size, rng):
         px, py = random_packed(n, size, rng), random_packed(n, size, rng)
-        b = ChannelBatch(n, px, py, packed_inner_products(px, py, n))
+        extras = {"x": px, "y": py} if leak_inputs else {}
+        b = ChannelBatch(n, px, py, packed_inner_products(px, py, n), extras)
         b.ips = b.outs
-        if leak_inputs:
-            b.extras.update(x=b.xs, y=b.ys)
         return b
 
     kind = "exact_open" if leak_inputs else "exact"
@@ -176,11 +170,11 @@ def randomized_response_variance(n: int, eps: float) -> float:
 def randomized_response_channel(n: int, eps: float) -> Channel:
     """Per-entry randomized response followed by a debiased noisy release.
 
-    One party publishes xhat (each entry equal to x_i with probability
-    1/2 + p), the other publishes z = (1/2p) <y, xhat> + Laplace(1/(p*eps)).
-    The designated output is z rounded to the nearest integer so that all
-    channel outputs are integers; the unrounded release stays in the
-    transcript.
+    One party publishes the lanes ``flipped`` of xhat (each entry equal to
+    x_i with probability 1/2 + p), the other z = (1/2p) <y, xhat> +
+    Laplace(1/(p*eps)).  The designated output is z rounded to the nearest
+    integer so that all channel outputs are integers; the unrounded release
+    stays in the transcript.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -193,7 +187,7 @@ def randomized_response_channel(n: int, eps: float) -> Channel:
         pxhat = px ^ pack_bits(rng.random((size, n)) >= 0.5 + p)
         lap = laplace_from_uniform(rng.random(size), lap_scale)
         z = packed_inner_products(py, pxhat, n) / (2.0 * p) + lap
-        extras = {"flipped": unpack_signs(pxhat, n), "release": z}
+        extras = {"flipped": pxhat, "release": z}
         return ChannelBatch(n, px, py, round_half_away(z), extras)
 
     return Channel(n, "randomized_response", {"eps": eps, "p": p}, batch)
@@ -309,13 +303,7 @@ def dp_audit(
     floor = 1.0 / trials
     p_real, p_flipped = real / trials, flipped / trials
     eps_hat = math.log(max(p_real, floor) / max(p_flipped, floor))
-    return DpAuditReport(
-        p_real=p_real,
-        p_flipped=p_flipped,
-        eps_hat_lower=eps_hat,
-        flip_index=flip_index,
-        trials=trials,
-    )
+    return DpAuditReport(p_real, p_flipped, eps_hat, flip_index, trials)
 
 
 def channel_from_config(config: dict) -> Channel:

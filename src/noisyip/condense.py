@@ -45,7 +45,7 @@ from .errors import PreconditionViolation, UnsupportedModel
 from .keyagreement import EveViews
 from .rng import CHUNK_TRIALS, keyed_uniform01, map_streams, rng_from_seed
 from .signvectors import flip_lanes, pack_bits, pack_signs, random_packed
-from .signvectors import bits_to_signs, random_signs
+from .signvectors import packed_inner_products, random_signs, signs_at
 from .reconstruct import EstimatorHandle, _residuals, _vote_sums, _vote_totals
 from .reconstruct import reconstruct_bit
 from .sources import SvSourceSpec, check_laplace_scale, rounded_laplace
@@ -98,9 +98,10 @@ class ScalarTripletEstimator(TripletEstimator):
 class OpenTranscriptEstimator(TripletEstimator):
     """Reads the full inputs from a leaky transcript: f = <x*y, r> + noise.
 
-    Only works on channels that place ``x`` and ``y`` in the transcript
-    (e.g. ``exact_ip_channel(n, leak_inputs=True)``).  The optional noise is
-    a *pure* function of r (keyed by the lanes of -r, ``views.pr`` with every
+    Only works on channels that place the lanes of ``x`` and ``y`` in the
+    transcript (e.g. ``exact_ip_channel(n, leak_inputs=True)``): <x*y, r> is
+    one popcount of x ^ y against ``views.pr``.  The optional noise is a
+    *pure* function of r (keyed by the lanes of -r, ``views.pr`` with every
     entry's bit flipped, under the fixed key 7), so the estimator is a fixed
     function and can be queried repeatedly with consistent answers.
     """
@@ -111,8 +112,8 @@ class OpenTranscriptEstimator(TripletEstimator):
         self._flip_all = pack_bits(np.ones(self.n, dtype=bool))
 
     def query_masked(self, views, rng):
-        R, extras = views.R, views.extras
-        answers = (R * extras["x"] * extras["y"]).sum(axis=1, dtype=np.int64)
+        x, y = views.extras["x"], views.extras["y"]
+        answers = packed_inner_products(views.pr, x ^ y, self.n)
         if self.noise_scale:
             u = keyed_uniform01(views.pr ^ self._flip_all, 7)
             answers += rounded_laplace(u, self.noise_scale)
@@ -126,11 +127,6 @@ def open_transcript_estimator(n: int, noise_scale: float = 0.0) -> OpenTranscrip
 # ---------------------------------------------------------------------------
 # Product-bit reconstruction over triplets
 # ---------------------------------------------------------------------------
-
-
-def _signs_at(lanes, j: int) -> np.ndarray:
-    """Entry j of each packed sign row, read off bit j % 64 of lane j // 64."""
-    return bits_to_signs((lanes[..., j // 64] >> (j % 64)) & 1)
 
 
 def _pair_estimator(px, py, t: ChannelBatch, f: TripletEstimator, rng) -> EstimatorHandle:
@@ -184,11 +180,11 @@ def variant_vote_split(
     bit = pack_bits(np.arange(t.n) == j)  # XOR negates entry j
     variants = {"xy": (px, py), "fx_y": (px ^ bit, py),
                 "x_fy": (px, py ^ bit), "fx_fy": (px ^ bit, py ^ bit)}
-    r_j, out = _signs_at(pr, j), {}
+    r_j, out = signs_at(pr, j), {}
     for name, (vx, vy) in variants.items():
         z = (vx ^ vy)[0]  # the lanes of x*y
         p = _residuals(_pair_estimator(vx, vy, t, f, rng).query_packed(pr), pr, z, t.n)
-        out[name] = tuple(int(_vote_sums(p[m], r_j[m], _signs_at(z, j), t.n, [ell])[0])
+        out[name] = tuple(int(_vote_sums(p[m], r_j[m], signs_at(z, j), t.n, [ell])[0])
                           for m in (r_j < 0, r_j > 0))
     return out
 
@@ -217,7 +213,7 @@ def _flip_outputs(i: int, px, py, t: ChannelBatch, f, ells, samples: int, rng):
     totals = _vote_totals(pairs, [j], ells, samples, rng)[..., 0]
     out = np.zeros((3, len(ells)), dtype=bool)
     for d, (_, z), total in zip(fired, pairs, totals):
-        out[d - 1] = np.where(total > 0, 1, -1) != _signs_at(z, j)
+        out[d - 1] = np.where(total > 0, 1, -1) != signs_at(z, j)
     return out
 
 
@@ -284,7 +280,7 @@ def _eve_outputs(i: int, px, py, t: ChannelBatch, f, ell_hats, v_min, samples: i
     pr = pr | bit if i < n else pr & ~bit
     z = (px ^ py)[0]  # the lanes of x*y
     p = _residuals(_pair_estimator(px, py, t, f, rng).query_packed(pr), pr, z, n)
-    distance = np.abs(p + _signs_at(z, j) * _signs_at(pr, j))
+    distance = np.abs(p + signs_at(z, j) * signs_at(pr, j))
     rates = np.array([np.count_nonzero(distance <= lh) for lh in ell_hats]) / samples
     outputs = np.zeros((3, len(ell_hats)), dtype=bool)
     live = rates > v_min

@@ -73,12 +73,12 @@ class KARoundBatch:
 class EveViews:
     """The eavesdropper's view of a batch of rounds or queries, one per row.
 
-    It shows the masks ``R``, the shifts ``V``, the channel outputs
-    ``outs``, the transcript ``extras`` (name -> per-row array), and x on r+
-    and y on r- as zero-masked int8 rows ``x_plus``/``y_minus``; these three
-    are unpacked from the (rows, packed_width(n)) lanes ``pr``, ``px`` and
-    ``py`` on first read.  An adversary reads x and y only through
-    ``x_plus``/``y_minus``: the lanes ``px``/``py`` hold the full inputs.
+    It shows the masks ``R``, the shifts ``V``, the channel outputs ``outs``,
+    the transcript ``extras`` (name -> per-row array; lanes for a vector),
+    and x on r+ and y on r- as zero-masked int8 rows ``x_plus``/``y_minus``;
+    these three are unpacked from the (rows, packed_width(n)) lanes ``pr``,
+    ``px`` and ``py`` on first read.  An adversary reads x and y only through
+    ``x_plus``/``y_minus`` and the transcript: ``px``/``py`` hold the full inputs.
     """
 
     def __init__(self, n, pr, V, outs, extras, px, py):
@@ -210,15 +210,17 @@ def readout_adversary(ell: int) -> Adversary:
 def openbook_adversary(ell: int) -> Adversary:
     """Reads leaked inputs from a non-private transcript and wins exactly.
 
-    Requires a channel whose transcript carries the full x (for instance
-    ``exact_ip_channel(n, leak_inputs=True)``); combined with the view's
-    y_{r-}, party A's value u_A is computed outright.
+    Requires a channel whose transcript carries the lanes of x and y (as
+    ``exact_ip_channel(n, leak_inputs=True)``); party A's value u_A =
+    (<x,y> - <x*y, r>) / 2 is computed outright from two popcounts of them.
     """
-    return lambda views: _quantize(
-        (views.extras["x"] * views.y_minus).sum(axis=1, dtype=np.int64),
-        views.V,
-        ell,
-    )
+
+    def guess(views: EveViews) -> np.ndarray:
+        x, y, n = views.extras["x"], views.extras["y"], views.n
+        diff = packed_inner_products(x, y, n) - packed_inner_products(x ^ y, views.pr, n)
+        return _quantize(diff // 2, views.V, ell)
+
+    return guess
 
 
 # ---------------------------------------------------------------------------

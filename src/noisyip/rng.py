@@ -46,11 +46,10 @@ def spawn_rngs(rng: Generator, count: int) -> list[Generator]:
 
 def map_streams(fn, rng: Generator, count: int, threads: int = 1, start: int = 0):
     """Yield ``fn(c, stream_c)`` in order for each chunk c in ``range(start,
-    count)``, where stream_c is ``spawn_rngs(rng, count)[c]``.  Streams are
-    spawned as their chunk is submitted and a few chunks per thread are in
-    flight, so neither memory nor start-up time grows with ``count``."""
+    count)``, stream_c being ``spawn_rngs(rng, count - start)[c - start]``,
+    spawned as its chunk is submitted; a few chunks per thread are in flight,
+    so neither memory nor start-up time grows with ``count``."""
     seq = rng.bit_generator.seed_seq
-    seq.spawn(start)  # the earlier chunks' streams, so chunk c still gets child c
     todo = ((c, Generator(np.random.Philox(seq.spawn(1)[0]))) for c in range(start, count))
     if threads <= 1:
         yield from (fn(c, stream) for c, stream in todo)
@@ -79,16 +78,22 @@ def sum_chunks(fn, rng: Generator, total: int, rows: int, threads: int = 1,
     on chunk order, so neither does the result on ``threads``.  A
     ``checkpoint = (path, key)`` saves the sum of the finished prefix of
     chunks after every chunk but the last, resumes from a prefix saved under
-    the same key, and is removed at the end."""
+    the same key, and is removed at the end; a saved sum that proves not to
+    be a vector of a chunk's length is dropped and its prefix recomputed."""
     if total < 1:
         raise ValueError(f"need at least one trial, got {total}")
     count = -(-total // rows)
-    done, acc = _load_ckpt(*checkpoint, count) if checkpoint else (0, 0)
+    start, acc = _load_ckpt(*checkpoint, count) if checkpoint else (0, 0)
+    saved = spawn_rngs(rng, start)  # the saved chunks' streams: chunk c keeps child c
 
     def chunk(c: int, stream: Generator) -> np.ndarray:
         return np.asarray(fn(stream, min(rows, total - c * rows)), dtype=np.int64)
 
-    for done, part in enumerate(map_streams(chunk, rng, count, threads, done), done + 1):
+    for done, part in enumerate(map_streams(chunk, rng, count, threads, start), start + 1):
+        if start and np.shape(acc) != part.shape:  # a saved sum of another length
+            print(f"note: ignoring checkpoint {checkpoint[0]}: it holds {np.size(acc)} "
+                  f"sums, where a chunk gives {part.size}", file=sys.stderr)
+            acc = sum(chunk(c, stream) for c, stream in enumerate(saved))
         acc = acc + part
         if checkpoint and done < count:
             _save_ckpt(*checkpoint, done, acc)
@@ -105,9 +110,10 @@ def _load_ckpt(path: str, key: str, count: int):
         if saved["key"] != key:
             raise ValueError("it was written for another configuration")
         done, sums = saved.get("done"), saved.get("sums")
-        if type(done) is not int or not 1 <= done < count or sums is None:
-            raise ValueError(f"it holds no sum of 1 to {count - 1} finished chunks")
-        return done, np.asarray(sums, dtype=np.int64)
+        if (type(done) is not int or not 1 <= done < count or type(sums) is not list
+                or any(type(v) is not int or not -2**63 <= v < 2**63 for v in sums)):
+            raise ValueError(f"it holds no int64 sums of 1 to {count - 1} finished chunks")
+        return done, np.array(sums, dtype=np.int64)
     except FileNotFoundError:
         pass
     except (OSError, ValueError, TypeError, KeyError) as exc:

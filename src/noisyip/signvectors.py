@@ -122,6 +122,11 @@ def unpack_signs(P: np.ndarray, n: int) -> np.ndarray:
     return bits_to_signs(unpack_bits(P, n))
 
 
+def signs_at(lanes, j: int) -> np.ndarray:
+    """Entry j of each packed sign row, read off bit j % 64 of lane j // 64."""
+    return bits_to_signs((lanes[..., j // 64] >> (j % 64)) & 1)
+
+
 def random_packed(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform packed sign vectors, pad bits cleared: shape (size, W).  The
     words and the next draws are those of ``rng.bytes(8 * size * W)``, which

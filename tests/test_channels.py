@@ -53,12 +53,31 @@ def test_exact_channel_is_exact():
 
 
 def test_exact_open_channel_leaks_inputs():
+    # the transcript holds the inputs' lanes, which unpack_signs reads
     rng = rng_from_seed(1)
     b = exact_ip_channel(16, leak_inputs=True).sample_batch(1, rng)
     t = b.transcript(0)
-    assert np.array_equal(t.message("x"), b.xs[0])
-    assert np.array_equal(t.message("y"), b.ys[0])
+    assert np.array_equal(unpack_signs(t.message("x")[None], 16)[0], b.xs[0])
+    assert np.array_equal(unpack_signs(t.message("y")[None], 16)[0], b.ys[0])
     assert t.out == inner_product(b.xs[0], b.ys[0])
+
+
+@pytest.mark.parametrize("channel", [exact_ip_channel(70, leak_inputs=True),
+                                     randomized_response_channel(70, 1.0)],
+                         ids=["exact_open", "randomized_response"])
+def test_transcript_channels_build_no_sign_rows(channel):
+    # a vector message is the batch's own lanes: sampling unpacks nothing
+    b = channel.sample_batch(500, rng_from_seed(2))
+    assert "xs" not in vars(b) and "ys" not in vars(b)
+    if "x" in b.extras:
+        assert b.extras["x"] is b.px and b.extras["y"] is b.py
+    else:  # xhat: x with each entry flipped with probability 1/2 - p
+        flipped = b.extras["flipped"]
+        assert flipped.dtype == np.uint64 and flipped.shape == b.px.shape
+        assert not np.any(flipped[:, -1] >> np.uint64(70 % 64)), "pad bits set"
+        p = randomized_response_p(1.0)
+        kept = (unpack_signs(flipped, 70) == b.xs).mean()
+        assert abs(kept - (0.5 + p)) <= 4 * math.sqrt(0.25 / b.xs.size)
 
 
 def test_laplace_channel_infinite_eps_is_exact():

@@ -102,6 +102,9 @@ def test_threads_do_not_change_bytes(tmp_path):
         # the audit's three chunks of trials
         ["audit", "--channel", "laplace", "--eps", "1.0", "--n", "64",
          "--trials", "25000"],
+        # the leaked lanes, read by the openbook adversary
+        ["ka", "--channel", "exact_open", "--n", "70", "--ell", "4",
+         "--trials", "25000", "--adversary", "openbook", "--seed", "3"],
     ):
         outs = []
         for threads in ("1", "2", "3"):
@@ -171,6 +174,39 @@ def test_torn_checkpoint_resumes_to_fresh_bytes(tmp_path, capsys):
     resumed = tmp_path / "resumed.json"
     ckpt = tmp_path / "resumed.json.ckpt"
     ckpt.write_text('{"key": "')  # a write cut off mid-file
+    assert main(args + ["--out", str(resumed)]) == 0
+    assert "ignoring checkpoint" in capsys.readouterr().err
+    assert resumed.read_bytes() == fresh.read_bytes()
+    assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("sums", [[5], [1e300, 1]], ids=["one-sum", "huge-float"])
+def test_checkpoint_with_malformed_sums_resumes_to_fresh_bytes(
+        tmp_path, capsys, monkeypatch, sums):
+    # a checkpoint saved under the run's own key, its sums edited: one sum
+    # used to be broadcast into both counts, and a float past int64 to raise
+    import noisyip.rng as rng_mod
+
+    args = ["ka", "--channel", "laplace", "--eps", "1.0", "--n", "64",
+            "--trials", "30000", "--seed", "3"]
+    fresh = tmp_path / "fresh.json"
+    assert main(args + ["--out", str(fresh)]) == 0
+    resumed = tmp_path / "resumed.json"
+    ckpt = tmp_path / "resumed.json.ckpt"
+    save = rng_mod._save_ckpt
+
+    def save_then_stop(*a):
+        save(*a)
+        raise Interrupted
+
+    monkeypatch.setattr(rng_mod, "_save_ckpt", save_then_stop)
+    with pytest.raises(Interrupted):
+        main(args + ["--out", str(resumed)])
+    monkeypatch.undo()
+    saved = json.loads(ckpt.read_text())
+    assert saved["done"] == 1
+    ckpt.write_text(json.dumps({**saved, "sums": sums}))
+    capsys.readouterr()
     assert main(args + ["--out", str(resumed)]) == 0
     assert "ignoring checkpoint" in capsys.readouterr().err
     assert resumed.read_bytes() == fresh.read_bytes()
@@ -341,6 +377,29 @@ def test_audit_artifacts_are_pinned(tmp_path, argv, digest):
             p = rounded_laplace_pmf(k, 2.0)
             sigma = math.sqrt(p * (1 - p) / 20_000)
             assert abs(metrics[name]["value"] - p) <= 4 * sigma, name
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["ka", "--channel", "exact_open", "--n", "70", "--ell", "4", "--trials", "25000",
+      "--adversary", "openbook", "--seed", "3"],
+     "402df32ad33f20e9a805dfb1d8c81b27e67361a57cfcc3579a79dbd069cfdaef"),
+    (["ka", "--channel", "randomized_response", "--eps", "1.0", "--n", "70",
+      "--trials", "25000", "--adversary", "readout", "--seed", "3"],
+     "3219fff83add18e5a8f6565090883413bb3f9c5834fdd9186e7cf54feb5a5f6e"),
+    (["audit", "--channel", "exact_open", "--n", "70", "--trials", "20000", "--seed", "3"],
+     "9fb5dda5497bc1e6b53ab71a5708813388435ee8c13619f53558cce8773cc07b"),
+    (["audit", "--channel", "randomized_response", "--eps", "1.0", "--n", "70",
+      "--trials", "20000", "--seed", "3"],
+     "a795135970d5da44fbc2505f7364a024786b7e3f721b047b3255fa20a7818d84"),
+    (["audit", "--channel", "exact_open", "--n", "70", "--search", "--seed", "1"],
+     "5ae9a8fa095dc8deca6efde67cc4babaa811877fe5a3532c90af6f0f2712f8b7"),
+], ids=["ka-openbook", "ka-rr-readout", "audit-open", "audit-rr", "audit-search"])
+def test_transcript_artifacts_are_pinned(tmp_path, argv, digest):
+    # the channels whose transcripts carry vectors, at n = 70: two lanes
+    # and pad bits, read by the openbook adversary and the search estimator
+    out = tmp_path / "artifact.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 AMPLIFY = ["amplify", "--n", "32", "--alpha", "0.25", "--trials", "20000"]

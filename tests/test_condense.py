@@ -97,6 +97,17 @@ def test_open_transcript_noise_is_keyed_by_the_lanes_of_minus_r(monkeypatch):
     assert np.array_equal(open_transcript_estimator(n).query_masked(views, None), exact)
 
 
+def test_open_transcript_estimator_reads_lanes_only():
+    # one popcount of the leaked lanes: no mask or restricted sign row is built
+    n = 70
+    x, y, t = open_triplet(n, 3)
+    pr = pack_signs(random_signs(n, rng_from_seed(4), 40))
+    views = condense._triplet_views(pr, pack_signs(x), pack_signs(y), t)
+    got = open_transcript_estimator(n).query_masked(views, None)
+    assert not {"R", "x_plus", "y_minus"} & set(vars(views))
+    assert np.array_equal(got, views.R.astype(np.int64) @ (x * y))
+
+
 def test_rec_success_floor_on_certified_good_estimators():
     # Monte Carlo success over (j, triplet) with 95% confidence margin.
     # The analysis-level precondition constant (a rate >= 1024 e^eps ell /

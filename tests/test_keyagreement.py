@@ -30,7 +30,7 @@ from noisyip.channels import Channel, ChannelBatch
 from noisyip.condense import ScalarTripletEstimator
 from noisyip.keyagreement import EveViews, _quantize, run_ka_rounds
 from noisyip.reconstruct import _CHUNK_ROWS
-from noisyip.signvectors import pack_signs, random_packed, random_signs
+from noisyip.signvectors import pack_signs, random_packed, random_signs, unpack_signs
 from noisyip.sources import laplace_from_uniform, round_half_away, sample_rounded_laplace
 
 
@@ -109,7 +109,8 @@ def test_ka_transcript_indexes_like_a_sequence():
         view, row = batch.ka_transcript(i), range(5)[i]
         assert np.array_equal(view.R, batch.R[row:row + 1])
         assert (view.V[0], view.outs[0]) == (batch.V[row], batch.outs[row])
-        assert np.array_equal(view.extras["x"][0], batch.channel_batch.xs[row])
+        assert np.array_equal(unpack_signs(view.extras["x"], 70)[0],
+                              batch.channel_batch.xs[row])
         assert view.outs[0] == batch.channel_batch.transcript(i).out
     for i in (5, 6, -6):
         with pytest.raises(IndexError):
@@ -299,7 +300,7 @@ def scalar_guess(name: str, view: EveViews, ell: int) -> int:
     elif name == "readout":
         u = int(view.outs[0]) // 2
     else:  # openbook: u_A = <x_{r-}, y_{r-}> with x read from the transcript
-        x = np.asarray(view.extras["x"][0], dtype=np.int64)
+        x = unpack_signs(view.extras["x"], view.n)[0].astype(np.int64)
         u = int(np.dot(x[r == -1], view.y_minus[0][r == -1].astype(np.int64)))
     return ((u - v) // ell) * ell
 
@@ -498,6 +499,22 @@ def test_transcript_adversaries_build_no_sign_rows(make_adversary, monkeypatch):
     # the counter does see a read at the public boundary
     run_ka_rounds(laplace_ip_channel(LANE_N, 1.0), ell, 10, rng_from_seed(1)).R
     assert unpacked == [(10, 2)]
+
+
+def test_openbook_reads_the_leaked_lanes_without_sign_rows(monkeypatch):
+    unpacked = []
+
+    def counting_unpack(P, n):
+        unpacked.append(P.shape)
+        return signvectors.bits_to_signs(signvectors.unpack_bits(P, n))
+
+    for module in (signvectors, channels_module, keyagreement):
+        monkeypatch.setattr(module, "unpack_signs", counting_unpack)
+    ell = 8
+    channel = exact_ip_channel(LANE_N, leak_inputs=True)
+    agree, hits = count_rounds(channel, ell, 2000, rng_from_seed(31), openbook_adversary(ell))
+    assert 0 < hits == agree
+    assert unpacked == []
 
 
 @pytest.mark.parametrize("channel", [exact_ip_channel(LANE_N), laplace_ip_channel(LANE_N, 1.0)])

@@ -589,7 +589,7 @@ def test_vote_kernel_exhaustive_total_is_brute_force_mean(n, monkeypatch):
     y = x * z
     ip = np.array([np.dot(x.astype(np.int64), y)])
     px, py = pack_signs(x), pack_signs(y)
-    t = ChannelBatch(n, px, py, ip, {"x": x[None], "y": y[None]})
+    t = ChannelBatch(n, px, py, ip, {"x": px, "y": py})  # the leaked lanes
     triplet = [open_transcript_estimator(n, noise) for noise in (0.0, 2.0)]
     oracles = [
         EstimatorHandle(

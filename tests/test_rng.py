@@ -128,8 +128,16 @@ def test_sum_chunks_resumes_from_every_prefix(tmp_path, capsys):
     {"key": "key", "done": -1, "sums": [10**6, 0]},
     {"key": "key", "done": 2.0, "sums": [10**6, 20]},
     {"key": "key", "done": 2},
+    # sums that are not a flat list of int64 counts
+    {"key": "key", "done": 2, "sums": [1e300, 20]},
+    {"key": "key", "done": 2, "sums": [10.0, 20]},
+    {"key": "key", "done": 2, "sums": [True, 20]},
+    {"key": "key", "done": 2, "sums": [2**63, 20]},
+    {"key": "key", "done": 2, "sums": [[10, 20]]},
+    {"key": "key", "done": 2, "sums": 20},
 ], ids=["other-key", "per-chunk-format", "done-0", "done-count", "done-negative",
-        "done-float", "no-sums"])
+        "done-float", "no-sums", "sums-huge-float", "sums-float", "sums-bool",
+        "sums-past-int64", "sums-nested", "sums-scalar"])
 def test_sum_chunks_ignores_an_unusable_checkpoint(tmp_path, capsys, saved):
     path = tmp_path / "sums.ckpt"
     path.write_text(json.dumps(saved))
@@ -139,6 +147,22 @@ def test_sum_chunks_ignores_an_unusable_checkpoint(tmp_path, capsys, saved):
     assert "ignoring checkpoint" in capsys.readouterr().err
     assert np.array_equal(result, sum_chunks(draws, rng_from_seed(5), 95, 10))
     assert len(sizes) == 10
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("sums", [[5], [], [10**6, 20, 1]], ids=["one", "none", "three"])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sum_chunks_ignores_saved_sums_of_another_length(tmp_path, capsys, sums, threads):
+    # the length shows only with the first resumed chunk; the prefix is then
+    # recomputed from its own streams, never broadcast into the sum
+    path = tmp_path / "sums.ckpt"
+    path.write_text(json.dumps({"key": "key", "done": 2, "sums": sums}))
+    sizes = []
+    result = sum_chunks(counting(sizes), rng_from_seed(5), 95, 10, threads,
+                        checkpoint=(str(path), "key"))
+    assert "ignoring checkpoint" in capsys.readouterr().err
+    assert np.array_equal(result, sum_chunks(draws, rng_from_seed(5), 95, 10))
+    assert sorted(sizes) == [5] + [10] * 9
     assert not path.exists()
 
 

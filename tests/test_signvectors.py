@@ -25,6 +25,7 @@ from noisyip.signvectors import (
     packed_width,
     random_bits,
     random_packed,
+    signs_at,
     unpack_bits,
     unpack_signs,
 )
@@ -249,6 +250,8 @@ def test_packed_roundtrip_and_inner_products():
         zp = pack_signs(z)[0]
         expected = R.astype(np.int64) @ z.astype(np.int64)
         assert np.array_equal(packed_inner_products(P, zp, n), expected)
+        for j in {0, 63 % n, n // 2, n - 1}:  # entry j read off its lane
+            assert np.array_equal(signs_at(P, j), R[:, j]) and signs_at(zp, j) == z[j]
 
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 130, 1024])
